@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .errors import DegreeSamplingError, NotR0Error
-from .lcp import LcpInstance, check_cap, degree, solve_lcp
-from .matrices import RationalMatrix, determinant, nonpositive_rows, vec_to_fractions
+from .errors import CertificateError, DegreeSamplingError
+from .lcp import LcpInstance, SupportKernel, check_cap, degree, embed, solve_lcp, supports
+from .matrices import RationalMatrix, nonpositive_rows, vec_to_fractions
 from .simplex import FeasibilitySystem, solve_feasibility
 from .structure import is_bdsw_shape
 
@@ -59,41 +59,34 @@ class Verdict:
         }
 
 
-def _supports(n: int):
-    """Nonempty 0-based index lists in bitmask order."""
-    for mask in range(1, 1 << n):
-        yield [i for i in range(n) if mask >> i & 1]
+def _nonempty_supports(n: int):
+    """0-based index lists of the nonempty supports, in bitmask order."""
+    check_cap(n)
+    for _, idx, _ in itertools.islice(supports(n), 1, None):
+        yield idx
 
 
-def _embed(n: int, idx: Sequence[int], values: Sequence[Fraction]) -> list:
-    x = [Fraction(0)] * n
-    for pos, i in enumerate(idx):
-        x[i] = values[pos]
-    return x
-
-
-def is_R0(matrix: RationalMatrix) -> Verdict:
+def is_R0(matrix: RationalMatrix, kernel: Optional[SupportKernel] = None) -> Verdict:
     """R0: x = 0 is the only solution of LCP(A, 0).
 
     For each nonempty support I the system A_II x_I = 0, x_I >= 0,
-    sum x_I = 1, A_(I^c,I) x_I >= 0 must be infeasible.
+    sum x_I = 1, A_(I^c,I) x_I >= 0 must be infeasible.  kernel, a
+    SupportKernel of the same matrix, shares its minor memo.
     """
-    n = matrix.n
-    check_cap(n)
-    for idx in _supports(n):
-        sub = matrix.principal_submatrix(idx)
-        if determinant(sub) != 0:
+    if kernel is None:
+        kernel = SupportKernel(matrix)
+    for mask, idx, comp in kernel.supports():
+        if kernel.minor_sign(mask, idx) != 0:
             continue  # homogeneous system only has x_I = 0, normalisation fails
-        comp = [j for j in range(n) if j not in idx]
         system = FeasibilitySystem(len(idx))
-        for r in range(len(idx)):
-            system.add_eq(sub.rows[r], 0)
+        for i in idx:
+            system.add_eq([matrix.rows[i][j] for j in idx], 0)
         system.add_eq([Fraction(1)] * len(idx), 1)
         for j in comp:
             system.add_ge([matrix.rows[j][i] for i in idx], 0)
         point = solve_feasibility(system)
         if point is not None:
-            x = _embed(n, idx, point)
+            x = embed(matrix.n, idx, point)
             return Verdict(NO, "R0", "nonzero solution of LCP(A,0)", {"x": x})
     return Verdict(YES, "R0", "LCP(A,0) has only the zero solution", {})
 
@@ -106,66 +99,40 @@ def is_Rd(matrix: RationalMatrix, d: Sequence) -> Verdict:
     dvec = vec_to_fractions(d)
     if len(dvec) != matrix.n or any(v <= 0 for v in dvec):
         raise ValueError("d must be a positive vector matching the order")
-    r0 = is_R0(matrix)
+    kernel = SupportKernel(matrix)
+    r0 = is_R0(matrix, kernel)
     if not r0.is_yes:
         return Verdict(NO, "R(d)", "LCP(A,0) already nontrivial", dict(r0.data))
-    n = matrix.n
-    for idx in _supports(n):
-        sub = matrix.principal_submatrix(idx)
-        comp = [j for j in range(n) if j not in idx]
-        rhs = [-dvec[i] for i in idx]
-        if determinant(sub) != 0:
-            from .matrices import solve_linear
-
-            status, xi = solve_linear(sub, rhs)
-            assert status == "unique"
-            if any(v < 0 for v in xi):
-                continue
-            x = _embed(n, idx, xi)
-            if all(
-                sum(matrix.rows[j][i] * x[i] for i in idx) + dvec[j] >= 0 for j in comp
-            ):
-                return Verdict(NO, "R(d)", "nonzero solution of LCP(A,d)", {"x": x, "d": dvec})
-            continue
-        system = FeasibilitySystem(len(idx))
-        for r in range(len(idx)):
-            system.add_eq(sub.rows[r], rhs[r])
-        for j in comp:
-            system.add_ge([matrix.rows[j][i] for i in idx], -dvec[j])
-        point = solve_feasibility(system)
-        if point is not None:
-            x = _embed(n, idx, point)
+    for sol in solve_lcp(LcpInstance(matrix, dvec), kernel):
+        if sol.support:
+            x = list(sol.x)
             return Verdict(NO, "R(d)", "nonzero solution of LCP(A,d)", {"x": x, "d": dvec})
     return Verdict(YES, "R(d)", "LCP(A,td) trivial for all t >= 0", {"d": dvec})
 
 
 def is_E0(matrix: RationalMatrix) -> Verdict:
     """E0 (semimonotone): no 0 != x >= 0 has x_i (Ax)_i < 0 on all of supp x."""
-    n = matrix.n
-    check_cap(n)
-    for idx in _supports(n):
+    for idx in _nonempty_supports(matrix.n):
         system = FeasibilitySystem(len(idx))
-        for r, i in enumerate(idx):
+        for i in idx:
             system.add_ge([-matrix.rows[i][j] for j in idx], 1)
         point = solve_feasibility(system)
         if point is not None:
-            x = _embed(n, idx, point)
+            x = embed(matrix.n, idx, point)
             return Verdict(NO, "E0", "A_II x_I <= -1 with x_I >= 0", {"x": x})
     return Verdict(YES, "E0", "no support violates semimonotonicity", {})
 
 
 def is_E(matrix: RationalMatrix) -> Verdict:
     """E (strictly semimonotone): every 0 != x >= 0 has x_i (Ax)_i > 0 somewhere."""
-    n = matrix.n
-    check_cap(n)
-    for idx in _supports(n):
+    for idx in _nonempty_supports(matrix.n):
         system = FeasibilitySystem(len(idx))
-        for r, i in enumerate(idx):
+        for i in idx:
             system.add_ge([-matrix.rows[i][j] for j in idx], 0)
         system.add_eq([Fraction(1)] * len(idx), 1)
         point = solve_feasibility(system)
         if point is not None:
-            x = _embed(n, idx, point)
+            x = embed(matrix.n, idx, point)
             return Verdict(NO, "E", "A_II x_I <= 0 with x_I >= 0, sum 1", {"x": x})
     return Verdict(YES, "E", "strict semimonotonicity holds on every support", {})
 
@@ -183,16 +150,16 @@ def is_S(matrix: RationalMatrix) -> Verdict:
     eps = Fraction(1, 2) / (1 + max_abs_row_sum)
     x = [v + eps for v in point]
     w = matrix.matvec(x)
-    assert all(v > 0 for v in x) and all(v > 0 for v in w)
+    if not (all(v > 0 for v in x) and all(v > 0 for v in w)):
+        raise CertificateError("shifted S point is not strictly positive")
     return Verdict(YES, "S", "strictly positive x with Ax > 0", {"x": x})
 
 
 def is_P(matrix: RationalMatrix) -> Verdict:
     """P: every principal minor is positive."""
-    n = matrix.n
-    check_cap(n)
-    for idx in _supports(n):
-        if determinant(matrix.principal_submatrix(idx)) <= 0:
+    kernel = SupportKernel(matrix)
+    for mask, idx, _ in kernel.supports():
+        if kernel.minor_sign(mask, idx) <= 0:
             return Verdict(
                 NO, "P", "nonpositive principal minor", {"indices": [i + 1 for i in idx]}
             )
@@ -201,10 +168,9 @@ def is_P(matrix: RationalMatrix) -> Verdict:
 
 def is_P0(matrix: RationalMatrix) -> Verdict:
     """P0: every principal minor is nonnegative."""
-    n = matrix.n
-    check_cap(n)
-    for idx in _supports(n):
-        if determinant(matrix.principal_submatrix(idx)) < 0:
+    kernel = SupportKernel(matrix)
+    for mask, idx, _ in kernel.supports():
+        if kernel.minor_sign(mask, idx) < 0:
             return Verdict(
                 NO, "P0", "negative principal minor", {"indices": [i + 1 for i in idx]}
             )
@@ -223,15 +189,33 @@ def is_Z(matrix: RationalMatrix) -> Verdict:
     return Verdict(YES, "Z", "off-diagonal entries nonpositive", {})
 
 
-def is_Rstar(matrix: RationalMatrix) -> Verdict:
+def is_Rstar(matrix: RationalMatrix, kernel: Optional[SupportKernel] = None) -> Verdict:
     """R* = R0 and E0; such matrices have the R property and hence Q."""
-    r0 = is_R0(matrix)
+    r0 = is_R0(matrix, kernel)
     if not r0.is_yes:
         return Verdict(NO, "R*", "R0 fails", dict(r0.data))
     e0 = is_E0(matrix)
     if not e0.is_yes:
         return Verdict(NO, "R*", "E0 fails", dict(e0.data))
     return Verdict(YES, "R*", "R0 and E0 both hold", {})
+
+
+def _sign_corners(n: int):
+    """Corners of {-1,0,1}^n with at least one -1, ordered by the number of
+    -1 entries and then lexicographically, generated one at a time."""
+
+    def with_negatives(length: int, negatives: int):
+        if length == 0:
+            yield ()
+            return
+        for v in (-1, 0, 1):
+            rest = negatives - (v < 0)
+            if 0 <= rest < length:  # the other positions can hold rest -1s
+                for tail in with_negatives(length - 1, rest):
+                    yield (v,) + tail
+
+    for negatives in range(1, n + 1):
+        yield from with_negatives(n, negatives)
 
 
 def _witness_candidates(n: int, budget: int, rng_seed: int):
@@ -267,14 +251,8 @@ def _witness_candidates(n: int, budget: int, rng_seed: int):
             if got is not None:
                 yield got
 
-    corners = []
-    for combo in itertools.product((-1, 0, 1), repeat=n):
-        if all(v >= 0 for v in combo):
-            continue  # q >= 0 is always solvable by x = 0
-        corners.append(combo)
-    corners.sort(key=lambda c: (sum(1 for v in c if v < 0), c))
     for scale in (1, 2):
-        for combo in corners:
+        for combo in _sign_corners(n):  # q >= 0 is always solvable by x = 0
             if count >= budget:
                 return
             got = emit([Fraction(scale * v) for v in combo])
@@ -304,7 +282,7 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
     procedure there.
     """
     n = matrix.n
-    check_cap(n)
+    kernel = SupportKernel(matrix)  # enforces the enumeration cap
 
     bad = nonpositive_rows(matrix)
     if bad:
@@ -315,11 +293,11 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
         return Verdict(NO, "not-S", "no positive x with Ax > 0", {})
 
     bdsw = is_bdsw_shape(matrix)
-    r0 = is_R0(matrix)
+    r0 = is_R0(matrix, kernel)
     deg: Optional[int] = None
     if r0.is_yes:
         try:
-            deg = degree(matrix, rng_seed)
+            deg = degree(matrix, rng_seed, kernel)
         except DegreeSamplingError:
             deg = None
         if deg is not None and deg != 0:
@@ -334,7 +312,7 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
                 {"degree": 0},
             )
         if deg is None:
-            rstar = is_Rstar(matrix)
+            rstar = is_Rstar(matrix, kernel)
             if rstar.is_yes:
                 return Verdict(YES, "R-star", "R0 and E0 hold", {})
     else:
@@ -347,7 +325,7 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
             )
 
     for q in _witness_candidates(n, budget, rng_seed):
-        if not solve_lcp(LcpInstance(matrix, q)):
+        if not solve_lcp(LcpInstance(matrix, q), kernel):
             return Verdict(NO, "unsolvable-q", "LCP(A,q) has no solution", {"q": q})
 
     return Verdict(UNDECIDED, "undecided", "no decision within budget", {})

@@ -31,3 +31,7 @@ class EnumerationCapError(LcpqError):
 
 class DegreeSamplingError(LcpqError):
     """Could not find a generic point within the resampling budget."""
+
+
+class CertificateError(LcpqError):
+    """A certificate built by the package failed its own exact check."""

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import MatrixFormatError, SingularPivotError
+from .kernel import clear_denominators, eliminate
 
 Rational = Fraction
 
@@ -182,30 +183,14 @@ def sign_pattern(matrix: RationalMatrix) -> tuple:
 
 
 def determinant(matrix: RationalMatrix) -> Fraction:
-    """Exact determinant by Gaussian elimination with rational pivots."""
-    n = matrix.n
-    work = [list(row) for row in matrix.rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if work[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        pivot = work[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            factor = work[r][col] / pivot
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                work[r][c] -= factor * work[col][c]
-    return det
+    """Exact determinant by fraction-free integer elimination (see kernel)."""
+    scale = 1
+    work = []
+    for row in matrix.rows:
+        row_scale, ints = clear_denominators(row)
+        scale *= row_scale
+        work.append(ints)
+    return Fraction(eliminate(work, matrix.n), scale)
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:

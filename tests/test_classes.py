@@ -1,5 +1,8 @@
 """Matrix-class predicates and the three-valued Q oracle."""
 
+import itertools
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from lcpq.classes import (
     NO,
     UNDECIDED,
     YES,
+    _witness_candidates,
     is_E,
     is_E0,
     is_P,
@@ -255,3 +259,50 @@ def test_verdict_json_shape():
     obj = v.to_json_obj()
     assert set(obj) == {"answer", "theorem", "condition", "witness"}
     assert obj["answer"] == NO and obj["theorem"] == "nonpositive-row"
+
+
+def _eager_witness_candidates(n, budget, rng_seed):
+    """The witness order as first written: all 3^n corners built and sorted."""
+    seen = set()
+    out = []
+
+    def emit(vec):
+        key = tuple(vec)
+        if key not in seen and len(out) < budget:
+            seen.add(key)
+            out.append(list(key))
+
+    for scale in (1, 2):
+        for i in range(n):
+            for rest in (0, 1):
+                vec = [Fraction(scale * rest)] * n
+                vec[i] = Fraction(-scale)
+                emit(vec)
+    corners = [c for c in itertools.product((-1, 0, 1), repeat=n) if min(c) < 0]
+    corners.sort(key=lambda c: (sum(1 for v in c if v < 0), c))
+    for scale in (1, 2):
+        for combo in corners:
+            emit([Fraction(scale * v) for v in combo])
+    rng = random.Random(rng_seed)
+    while len(out) < budget:
+        vec = [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)]
+        if any(v < 0 for v in vec):
+            emit(vec)
+    return out
+
+
+def test_witness_candidates_keep_the_sorted_corner_order():
+    for n in range(2, 7):
+        for seed in (0, 5):
+            assert list(_witness_candidates(n, 200, seed)) == _eager_witness_candidates(n, 200, seed)
+
+
+def test_witness_candidates_memory_does_not_grow_with_three_to_the_n():
+    tracemalloc.start()
+    try:
+        got = list(_witness_candidates(12, 64, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 64
+    assert peak < 2 * 1024 * 1024
