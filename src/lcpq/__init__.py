@@ -31,6 +31,7 @@ from .classifier import (
     classify_bdsw_type2,
     classify_bdsw_type3,
     classify_bdsw_type4,
+    classify_by_rules,
     classify_triangular,
     classify_triangular_plus_row,
 )
@@ -40,7 +41,6 @@ from .errors import (
     LcpqError,
     MatrixFormatError,
     NotBdswShapeError,
-    NotR0Error,
     SingularPivotError,
     StructureError,
 )

@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CertificateError, DegreeSamplingError
 from .lcp import LcpInstance, SupportKernel, check_cap, degree, embed, solve_lcp, supports

@@ -2,24 +2,23 @@
 
 Each classifier covers one structural family and cites the rule it applied
 (identifiers T3.1 through T9.1) in its certificate.  classify() is the
-front door: it short-circuits nonpositive rows, dispatches to the most
-specific structural rule, and falls back to the exact oracle when no rule
-applies.  Verdicts never contradict the oracle; that is enforced by tests,
-not by consulting the oracle on the structured paths.
+front door: classify_by_rules() short-circuits nonpositive rows and
+dispatches to the most specific structural rule, and classify() falls back
+to the exact oracle when no rule applies.  Verdicts never contradict the
+oracle; that is enforced by tests, not by consulting the oracle on the
+structured paths.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import Optional
 
-from .classes import NO, UNDECIDED, YES, Verdict, q_oracle
+from .classes import NO, YES, Verdict, q_oracle
 from .errors import StructureError
 from .matrices import (
     RationalMatrix,
-    determinant,
     is_lower_triangular,
     is_upper_triangular,
-    nonnegative_rows,
     nonpositive_rows,
 )
 from .structure import (
@@ -126,12 +125,6 @@ def classify_2x2(matrix: RationalMatrix) -> Verdict:
     return Verdict(NO, "T9.1", "no admissible 2x2 sign pattern", {})
 
 
-def _bdsw_dets(matrix: RationalMatrix) -> Fraction:
-    det = determinant(matrix)
-    assert det == bdsw_determinant(matrix), "determinant routes disagree"
-    return det
-
-
 def classify_bdsw_type1(matrix: RationalMatrix, k: int) -> Verdict:
     """Type-1 bdsw (has a nonnegative row): split on the signs of a_n1, a_nn.
 
@@ -211,7 +204,7 @@ def classify_bdsw_type2(matrix: RationalMatrix) -> Verdict:
     structure = detect_structure(matrix)
     if structure.tag != BDSW_TYPE_2:
         raise StructureError("matrix is not a type-2 bdsw matrix")
-    det = _bdsw_dets(matrix)
+    det = bdsw_determinant(matrix)
     answer = YES if det > 0 else NO
     return Verdict(answer, "T6.1", "type-2 bdsw is Q iff det > 0", {"det": det})
 
@@ -222,7 +215,7 @@ def classify_bdsw_type3(matrix: RationalMatrix) -> Verdict:
     structure = detect_structure(matrix)
     if structure.tag != BDSW_TYPE_3:
         raise StructureError("matrix is not a type-3 bdsw matrix")
-    det = _bdsw_dets(matrix)
+    det = bdsw_determinant(matrix)
     signed = det if (matrix.n + 1) % 2 == 0 else -det
     answer = YES if signed > 0 else NO
     return Verdict(
@@ -243,7 +236,7 @@ def classify_bdsw_type4(matrix: RationalMatrix, k: int) -> Verdict:
         raise StructureError(
             "negative-diagonal count mismatch: got %r, matrix has %r" % (k, structure.k)
         )
-    det = _bdsw_dets(matrix)
+    det = bdsw_determinant(matrix)
     signed = det if (k + 1) % 2 == 0 else -det
     answer = YES if signed > 0 else NO
     return Verdict(
@@ -254,13 +247,13 @@ def classify_bdsw_type4(matrix: RationalMatrix, k: int) -> Verdict:
     )
 
 
-def classify(matrix: RationalMatrix, oracle_budget: int = 64, oracle_seed: int = 0) -> Verdict:
-    """Classify A for the Q-property.
+def classify_by_rules(matrix: RationalMatrix) -> Optional[Verdict]:
+    """The structural verdict for A, or None when no rule applies.
 
     Dispatch order: nonpositive row, order 1, order 2, triangular,
-    triangular-plus-row, bdsw type rules, oracle fallback.  When several
-    rules apply they agree on the answer, so the order only affects which
-    certificate is reported.
+    triangular-plus-row, bdsw type rules.  When several rules apply they
+    agree on the answer, so the order only affects which certificate is
+    reported.
     """
     bad = nonpositive_rows(matrix)
     if bad:
@@ -289,4 +282,12 @@ def classify(matrix: RationalMatrix, oracle_budget: int = 64, oracle_seed: int =
         return classify_bdsw_type3(matrix)
     if structure.tag == BDSW_TYPE_4:
         return classify_bdsw_type4(matrix, structure.k)
-    return q_oracle(matrix, budget=oracle_budget, rng_seed=oracle_seed)
+    return None
+
+
+def classify(matrix: RationalMatrix, oracle_budget: int = 64, oracle_seed: int = 0) -> Verdict:
+    """Classify A for the Q-property: the structural rule if one applies,
+    otherwise the exact oracle."""
+    return classify_by_rules(matrix) or q_oracle(
+        matrix, budget=oracle_budget, rng_seed=oracle_seed
+    )

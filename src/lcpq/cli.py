@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .classes import NO, UNDECIDED, YES, Verdict, is_R0, q_oracle
-from .classifier import classify
+from .classifier import classify, classify_by_rules
 from .errors import (
     DegreeSamplingError,
     EnumerationCapError,
@@ -109,86 +109,67 @@ def _emit(record: dict) -> None:
 
 
 def cmd_classify(args) -> int:
+    """classify and verify: one report per file, and the largest exit code
+    over all files.  A file that cannot be read or exceeds the enumeration
+    cap is reported on stderr and the remaining files still run.  verify
+    runs the oracle once per file; where no structural rule applies the
+    oracle's verdict is also the classifier's."""
+    verify = args.command == "verify"
     worst = EXIT_YES
     for path in args.paths:
         try:
             matrix, digest = _read_matrix_file(path)
         except (OSError, UnicodeDecodeError, MatrixFormatError) as exc:
-            return _fail("%s: %s" % (path, exc), EXIT_USAGE)
+            worst = max(worst, _fail("%s: %s" % (path, exc), EXIT_USAGE))
+            continue
         structure = detect_structure(matrix)
         started = time.perf_counter()
         try:
-            verdict = classify(matrix, oracle_budget=args.budget, oracle_seed=args.seed)
+            if verify:
+                oracle = q_oracle(matrix, budget=args.budget, rng_seed=args.seed)
+                verdict = classify_by_rules(matrix) or oracle
+            else:
+                verdict = classify(matrix, oracle_budget=args.budget, oracle_seed=args.seed)
         except EnumerationCapError as exc:
-            return _fail("%s: %s" % (path, exc), EXIT_CAP)
+            worst = max(worst, _fail("%s: %s" % (path, exc), EXIT_CAP))
+            continue
         elapsed = time.perf_counter() - started
-        if args.format == "jsonl":
-            _emit(
-                {
-                    "input": path,
-                    "sha256": digest,
-                    "n": matrix.n,
-                    "structure": structure.tag,
-                    "k": structure.k,
-                    "notes": list(structure.notes),
-                    "verdict": verdict.to_json_obj(),
-                }
+        record = {
+            "input": path,
+            "sha256": digest,
+            "n": matrix.n,
+            "structure": structure.tag,
+            "k": structure.k,
+        }
+        if verify:
+            contradiction = (verdict.is_yes and oracle.is_no) or (
+                verdict.is_no and oracle.is_yes
+            )
+            code = EXIT_NO if contradiction else EXIT_YES
+            record["classifier"] = verdict.to_json_obj()
+            record["oracle"] = oracle.to_json_obj()
+            record["agreement"] = not contradiction
+            line = "%s: classifier=%s (%s) oracle=%s (%s) %s" % (
+                path,
+                verdict.answer,
+                verdict.rule,
+                oracle.answer,
+                oracle.rule,
+                "CONTRADICTION" if contradiction else "OK",
             )
         else:
-            print("%s: Q: %s (%s)" % (path, verdict.answer, _verdict_summary(verdict)))
+            code = _ANSWER_EXIT[verdict.answer]
+            record["notes"] = list(structure.notes)
+            record["verdict"] = verdict.to_json_obj()
+            line = "%s: Q: %s (%s)" % (path, verdict.answer, _verdict_summary(verdict))
+        if args.format == "jsonl":
+            _emit(record)
+        else:
+            print(line)
             if args.timings:
                 print("  elapsed: %.3fs" % elapsed)
-        worst = max(worst, _ANSWER_EXIT[verdict.answer])
+        worst = max(worst, code)
     return worst
-
-
-def cmd_verify(args) -> int:
-    clean = True
-    for path in args.paths:
-        try:
-            matrix, digest = _read_matrix_file(path)
-        except (OSError, UnicodeDecodeError, MatrixFormatError) as exc:
-            return _fail("%s: %s" % (path, exc), EXIT_USAGE)
-        structure = detect_structure(matrix)
-        started = time.perf_counter()
-        try:
-            verdict = classify(matrix, oracle_budget=args.budget, oracle_seed=args.seed)
-            oracle = q_oracle(matrix, budget=args.budget, rng_seed=args.seed)
-        except EnumerationCapError as exc:
-            return _fail("%s: %s" % (path, exc), EXIT_CAP)
-        elapsed = time.perf_counter() - started
-        contradiction = (verdict.is_yes and oracle.is_no) or (
-            verdict.is_no and oracle.is_yes
-        )
-        clean = clean and not contradiction
-        if args.format == "jsonl":
-            _emit(
-                {
-                    "input": path,
-                    "sha256": digest,
-                    "n": matrix.n,
-                    "structure": structure.tag,
-                    "k": structure.k,
-                    "classifier": verdict.to_json_obj(),
-                    "oracle": oracle.to_json_obj(),
-                    "agreement": not contradiction,
-                }
-            )
-        else:
-            print(
-                "%s: classifier=%s (%s) oracle=%s (%s) %s"
-                % (
-                    path,
-                    verdict.answer,
-                    verdict.rule,
-                    oracle.answer,
-                    oracle.rule,
-                    "OK" if not contradiction else "CONTRADICTION",
-                )
-            )
-            if args.timings:
-                print("  elapsed: %.3fs" % elapsed)
-    return EXIT_YES if clean else EXIT_NO
 
 
 def cmd_generate(args) -> int:
@@ -403,23 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("classify", help="classify matrix files by theorem rules")
-    p.add_argument("paths", nargs="+", help="matrix files (JSON or plain rows)")
-    p.add_argument("--format", choices=("table", "jsonl"), default="table")
-    p.add_argument("--json", action="store_const", const="jsonl", dest="format")
-    p.add_argument("--budget", type=int, default=64, help="oracle witness budget")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timings", action="store_true", help="print wall-clock timings")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("verify", help="run classifier and oracle, flag contradictions")
-    p.add_argument("paths", nargs="+")
-    p.add_argument("--format", choices=("table", "jsonl"), default="table")
-    p.add_argument("--json", action="store_const", const="jsonl", dest="format")
-    p.add_argument("--budget", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timings", action="store_true")
-    p.set_defaults(func=cmd_verify)
+    for name, text in (
+        ("classify", "classify matrix files by theorem rules"),
+        ("verify", "run classifier and oracle, flag contradictions"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("paths", nargs="+", help="matrix files (JSON or plain rows)")
+        p.add_argument("--format", choices=("table", "jsonl"), default="table")
+        p.add_argument("--json", action="store_const", const="jsonl", dest="format")
+        p.add_argument("--budget", type=int, default=64, help="oracle witness budget")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--timings", action="store_true", help="print wall-clock timings")
+        p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("generate", help="write seeded structured instances")
     p.add_argument("--type", required=True, choices=GENERATOR_TYPES)

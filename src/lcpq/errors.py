@@ -17,10 +17,6 @@ class SingularPivotError(LcpqError):
     """Principal pivot block is singular."""
 
 
-class NotR0Error(LcpqError):
-    """Operation requires the R0 property (trivial homogeneous LCP)."""
-
-
 class StructureError(LcpqError):
     """Matrix does not match the structural preconditions of a classifier."""
 

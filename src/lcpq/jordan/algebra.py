@@ -11,7 +11,7 @@ coordinates in both algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -285,7 +285,7 @@ def element_from_eigenvalues(
     return out
 
 
-def _spectral_map(x: JordanElement, func, precondition=None, name: str = "map") -> JordanElement:
+def _spectral_map(x: JordanElement, func, precondition=None) -> JordanElement:
     eigenvalues, frame = spectral_decomposition(x)
     if precondition is not None:
         precondition(eigenvalues)
@@ -299,7 +299,7 @@ def sqrt_element(x: JordanElement, tol: float = DEFAULT_TOL) -> JordanElement:
                 "sqrt needs eigenvalues >= 0; min is %.3e" % eigenvalues.min()
             )
 
-    return _spectral_map(x, lambda lam: float(np.sqrt(max(lam, 0.0))), check, "sqrt")
+    return _spectral_map(x, lambda lam: float(np.sqrt(max(lam, 0.0))), check)
 
 
 def inverse_element(x: JordanElement, tol: float = DEFAULT_TOL) -> JordanElement:
@@ -310,7 +310,7 @@ def inverse_element(x: JordanElement, tol: float = DEFAULT_TOL) -> JordanElement
                 % np.min(np.abs(eigenvalues))
             )
 
-    return _spectral_map(x, lambda lam: 1.0 / lam, check, "inverse")
+    return _spectral_map(x, lambda lam: 1.0 / lam, check)
 
 
 def random_element(algebra: Algebra, rng: np.random.Generator) -> JordanElement:

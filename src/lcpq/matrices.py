@@ -9,16 +9,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import MatrixFormatError, SingularPivotError
 from .kernel import clear_denominators, eliminate
-
-Rational = Fraction
-
-NEG = -1
-ZERO = 0
-POS = 1
 
 
 def _to_fraction(value) -> Fraction:
@@ -172,14 +166,7 @@ def parse_matrix(text: str) -> RationalMatrix:
 
 def sign_pattern(matrix: RationalMatrix) -> tuple:
     """Entrywise signs as a tuple of tuples over {-1, 0, +1}."""
-    def sign(v: Fraction) -> int:
-        if v > 0:
-            return POS
-        if v < 0:
-            return NEG
-        return ZERO
-
-    return tuple(tuple(sign(v) for v in row) for row in matrix.rows)
+    return tuple(tuple((v > 0) - (v < 0) for v in row) for row in matrix.rows)
 
 
 def determinant(matrix: RationalMatrix) -> Fraction:
@@ -194,26 +181,18 @@ def determinant(matrix: RationalMatrix) -> Fraction:
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:
-    """Exact inverse via Gauss-Jordan; raises SingularPivotError if singular."""
+    """Exact inverse by fraction-free elimination on [A | I] (see kernel);
+    raises SingularPivotError if singular.  Scaling a row of [A | I] leaves
+    the solution X of A X = I unchanged."""
     n = matrix.n
-    work = [list(matrix.rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if work[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularPivotError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [v / pivot for v in work[col]]
-        for r in range(n):
-            if r == col or work[r][col] == 0:
-                continue
-            factor = work[r][col]
-            work[r] = [v - factor * p for v, p in zip(work[r], work[col])]
-    return RationalMatrix([row[n:] for row in work])
+    work = [
+        clear_denominators(row + tuple(int(i == j) for j in range(n)))[1]
+        for i, row in enumerate(matrix.rows)
+    ]
+    det = eliminate(work, n)
+    if det == 0:
+        raise SingularPivotError("matrix is singular")
+    return RationalMatrix([[Fraction(v, det) for v in row[n:]] for row in work])
 
 
 def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction]):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import SingularPivotError
-from .matrices import RationalMatrix, determinant, inverse
+from .matrices import RationalMatrix, inverse
 
 
 @dataclass(frozen=True)
@@ -53,41 +53,24 @@ def block_split(matrix: RationalMatrix, j_set: Sequence[int]) -> BlockSplit:
 
 
 def schur_complement(matrix: RationalMatrix, j_set: Sequence[int]) -> RationalMatrix:
-    """A/E = B - C E^-1 D on the complement of J, in original index order."""
-    split = block_split(matrix, j_set)
-    if split.b is None:
+    """A/E = B - C E^-1 D on the complement of J, in original index order:
+    the complement block of ppt(A, J)."""
+    j_list = _validate_j(matrix, j_set)
+    comp = [i for i in range(matrix.n) if i + 1 not in j_list]
+    if not comp:
         raise ValueError("pivot set covers the whole matrix; empty complement")
-    if determinant(split.e) == 0:
-        raise SingularPivotError("pivot block A_JJ is singular")
-    e_inv = inverse(split.e)
-    m = split.b.n
-    k = split.e.n
-    rows = []
-    for i in range(m):
-        # row i of C E^-1
-        ce = [
-            sum((split.c[i][a] * e_inv.rows[a][b] for a in range(k)), Fraction(0))
-            for b in range(k)
-        ]
-        rows.append(
-            [
-                split.b.rows[i][j]
-                - sum((ce[b] * split.d[b][j] for b in range(k)), Fraction(0))
-                for j in range(m)
-            ]
-        )
-    return RationalMatrix(rows)
+    return ppt(matrix, j_list).principal_submatrix(comp)
 
 
 def ppt(matrix: RationalMatrix, j_set: Sequence[int]) -> RationalMatrix:
     """Principal pivot transform of A on the block J (1-based indices)."""
-    j_list = _validate_j(matrix, j_set)
-    j0 = [i - 1 for i in j_list]
+    split = block_split(matrix, j_set)
+    j0 = [i - 1 for i in split.j_set]
     comp = [i for i in range(matrix.n) if i not in j0]
-    split = block_split(matrix, j_list)
-    if determinant(split.e) == 0:
-        raise SingularPivotError("pivot block A_JJ is singular")
-    e_inv = inverse(split.e)
+    try:
+        e_inv = inverse(split.e)
+    except SingularPivotError:
+        raise SingularPivotError("pivot block A_JJ is singular") from None
     m = len(comp)
     k = len(j0)
     n = matrix.n
@@ -108,8 +91,7 @@ def ppt(matrix: RationalMatrix, j_set: Sequence[int]) -> RationalMatrix:
     ]
     schur = [
         [
-            (split.b.rows[i][j] if split.b is not None else Fraction(0))
-            - sum((ce[i][b] * split.d[b][j] for b in range(k)), Fraction(0))
+            split.b.rows[i][j] - sum((ce[i][b] * split.d[b][j] for b in range(k)), Fraction(0))
             for j in range(m)
         ]
         for i in range(m)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from lcpq.classes import q_oracle
 from lcpq.cli import main
 from lcpq.errors import DegreeSamplingError
 from lcpq.jordan.checks import IDENTITY_NAMES
@@ -107,6 +108,35 @@ def test_verify_agreement(tmp_path, capsys):
     assert record["agreement"] is True
     assert record["classifier"]["theorem"] == "T8.1"
     assert record["oracle"]["answer"] == "yes"
+
+
+def test_verify_runs_the_oracle_once_on_unstructured_input(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "dense.txt", "1 1 -1\n1 1 1\n-1 1 1\n")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return q_oracle(*args, **kwargs)
+
+    monkeypatch.setattr("lcpq.cli.q_oracle", counted)
+    monkeypatch.setattr("lcpq.classifier.q_oracle", counted)
+    assert main(["verify", "--format", "jsonl", path]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert record["structure"] == "general"
+    assert record["classifier"] == record["oracle"]
+
+
+def test_batch_reports_every_file_and_the_worst_exit(tmp_path, capsys):
+    bad = _write(tmp_path, "bad.txt", "1 2\n3\n")
+    good = _write(tmp_path, "good.txt", "1 0\n0 1\n")
+    missing = str(tmp_path / "nope.txt")
+    for command in ("classify", "verify"):
+        assert main([command, "--format", "jsonl", bad, good, missing]) == 64
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["input"] == good
+        assert bad in captured.err and missing in captured.err
 
 
 def test_generate_is_reproducible(tmp_path, capsys):

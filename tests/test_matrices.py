@@ -96,6 +96,9 @@ def test_determinant_fixtures():
 def test_inverse_round_trip_and_singular():
     m = RationalMatrix([[2, 1], [5, 3]])
     assert m.matmul(inverse(m)) == RationalMatrix.identity(2)
+    frac = RationalMatrix([["1/2", "1/3"], ["2/5", 3]])
+    assert frac.matmul(inverse(frac)) == RationalMatrix.identity(2)
+    assert inverse(inverse(frac)) == frac
     with pytest.raises(SingularPivotError):
         inverse(RationalMatrix([[1, 2], [2, 4]]))
 
