@@ -5,9 +5,9 @@ is recovered by enumerating the 2^n candidate supports, so the order is
 capped (default 16, override with the LCP_ENUM_CAP environment variable).
 
 SupportKernel owns that enumeration.  Nonsingular supports are solved by
-exact integer fraction-free elimination (see kernel); Fraction values are
-built only at the boundaries, for the solutions returned, and on singular
-supports, which keep the rational solve_linear / simplex path.
+exact integer fraction-free elimination (see kernel); singular supports go
+to the exact LP (see simplex), which pivots in integers too.  Fraction
+values are built only at the boundaries, for the solutions returned.
 """
 
 from __future__ import annotations
@@ -160,14 +160,11 @@ class SupportKernel:
 def _family_point(matrix: RationalMatrix, q: Sequence, idx: List[int], comp: List[int]):
     """For a singular A_II: a point x >= 0 on support idx with (Ax+q)_idx = 0
     and (Ax+q)_comp >= 0, found by exact LP, or None.  Any such x represents
-    an affine family of solutions."""
-    sub = matrix.principal_submatrix(idx)
-    status, _ = solve_linear(sub, [-q[i] for i in idx])
-    if status == "inconsistent":
-        return None
+    an affine family of solutions.  The LP's equality rows reject an
+    inconsistent A_II x = -q_I on their own."""
     system = FeasibilitySystem(len(idx))
-    for pos_r, i in enumerate(idx):
-        system.add_eq(sub.rows[pos_r], -q[i])
+    for i in idx:
+        system.add_eq([matrix.rows[i][j] for j in idx], -q[i])
     for j in comp:
         system.add_ge([matrix.rows[j][i] for i in idx], -q[j])
     point = solve_feasibility(system)

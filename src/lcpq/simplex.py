@@ -2,14 +2,27 @@
 
 Only feasibility is ever needed here: the matrix-class tests reduce to
 "does this system of equalities/inequalities with nonnegative variables
-have a solution".  Bland's rule guarantees termination and Fraction
-arithmetic removes every tolerance question.
+have a solution".  Bland's rule guarantees termination and exact arithmetic
+removes every tolerance question.
+
+The tableau is kept in integers (J. Edmonds, *Systems of distinct
+representatives and linear algebra*, J. Res. NBS 71B, 1967; the scheme of
+lrs).  The system is scaled by one positive common denominator L, so every
+row and the phase-one objective are scaled alike and the simplex makes the
+sign and ratio decisions of the rational run.  Each pivot on entry p updates
+
+    T[i][j] <- (p * T[i][j] - T[i][c] * T[r][j]) // d,   d <- p
+
+where d is the previous pivot.  Every division is exact, since the entries
+stay d times the rational tableau (d is the basis determinant), so no gcd
+is ever taken.  Fraction values are built only for the returned point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 Row = Tuple[Sequence[Fraction], Fraction]
@@ -37,67 +50,58 @@ class FeasibilitySystem:
 def solve_feasibility(system: FeasibilitySystem) -> Optional[List[Fraction]]:
     """Return a feasible point, or None when the system is infeasible."""
     n = system.n_vars
-    n_surplus = len(system.ge_rows)
-
-    # Tableau rows over [x | surplus] with rhs >= 0 after sign normalisation.
-    rows = []
-    for coeffs, rhs in system.eq_rows:
+    rows = system.eq_rows + system.ge_rows
+    for coeffs, _ in rows:
         if len(coeffs) != n:
             raise ValueError("coefficient length mismatch")
-        rows.append(([Fraction(c) for c in coeffs] + [Fraction(0)] * n_surplus, Fraction(rhs)))
-    for s, (coeffs, rhs) in enumerate(system.ge_rows):
-        if len(coeffs) != n:
-            raise ValueError("coefficient length mismatch")
-        surplus = [Fraction(0)] * n_surplus
-        surplus[s] = Fraction(-1)
-        rows.append(([Fraction(c) for c in coeffs] + surplus, Fraction(rhs)))
-
     m = len(rows)
-    width = n + n_surplus
     if m == 0:
         return [Fraction(0)] * n
 
-    tableau = []
-    for coeffs, rhs in rows:
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-        tableau.append(coeffs + [rhs])
-
-    # Phase one: artificial variable per row, minimise their sum.
+    # Tableau rows [L*A | -L*surplus | L*b], rhs >= 0 after sign
+    # normalisation, then one unit artificial column per row.
+    scale = lcm(*(v.denominator for coeffs, rhs in rows for v in (*coeffs, rhs)))
+    n_eq = len(system.eq_rows)
+    width = n + m - n_eq
     total = width + m
-    for r in range(m):
-        art = [Fraction(0)] * m
-        art[r] = Fraction(1)
-        tableau[r] = tableau[r][:width] + art + [tableau[r][width]]
+    tableau = []
+    for r, (coeffs, rhs) in enumerate(rows):
+        row = [v.numerator * (scale // v.denominator) for v in (*coeffs, rhs)]
+        surplus = [0] * (m - n_eq)
+        if r >= n_eq:
+            surplus[r - n_eq] = -scale
+        art = [0] * m
+        art[r] = 1
+        sign = -1 if row[-1] < 0 else 1
+        tableau.append([sign * v for v in row[:n] + surplus] + art + [sign * row[-1]])
     basis = [width + r for r in range(m)]
 
-    # Objective row: reduced costs for min sum of artificials.
-    obj = [Fraction(0)] * (total + 1)
-    for r in range(m):
-        for c in range(total + 1):
-            obj[c] -= tableau[r][c]
-    # Artificial columns start basic with cost 1, so their reduced cost is 0.
-    for r in range(m):
-        obj[width + r] = Fraction(0)
+    # Objective row: reduced costs for min sum of artificials, which start
+    # basic with cost 1, so their reduced cost is 0.
+    obj = [-sum(col) for col in zip(*tableau)]
+    obj[width:total] = [0] * m
+    tableau.append(obj)
+
+    d = 1  # previous pivot; the tableau is d times the rational one
 
     def pivot(row: int, col: int) -> None:
-        piv = tableau[row][col]
-        tableau[row] = [v / piv for v in tableau[row]]
-        for r in range(m):
-            if r == row:
+        nonlocal d
+        p = tableau[row][col]
+        prow = tableau[row]
+        for i, cur in enumerate(tableau):
+            if i == row:
                 continue
-            factor = tableau[r][col]
-            if factor != 0:
-                tableau[r] = [v - factor * p for v, p in zip(tableau[r], tableau[row])]
-        factor = obj[col]
-        if factor != 0:
-            for c in range(total + 1):
-                obj[c] -= factor * tableau[row][c]
+            f = cur[col]
+            if f:
+                tableau[i] = [(p * a - f * b) // d for a, b in zip(cur, prow)]
+            elif p != d:
+                tableau[i] = [(p * a) // d for a in cur]
+        d = p
         basis[row] = col
 
     while True:
         # Bland: entering = lowest-index column with negative reduced cost.
+        obj = tableau[m]
         enter = None
         for c in range(total):
             if obj[c] < 0:
@@ -105,34 +109,42 @@ def solve_feasibility(system: FeasibilitySystem) -> Optional[List[Fraction]]:
                 break
         if enter is None:
             break
-        # Ratio test; ties resolved by lowest basis variable index (Bland).
+        # Ratio test by cross-multiplication; d > 0 in phase one, so every
+        # sign is that of the rational tableau.  Ties resolved by lowest
+        # basis variable index (Bland).
         leave = None
-        best = None
         for r in range(m):
             coeff = tableau[r][enter]
             if coeff > 0:
-                ratio = tableau[r][total] / coeff
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = r
+                    continue
+                left = tableau[r][total] * tableau[leave][enter]
+                right = tableau[leave][total] * coeff
+                if left < right or (left == right and basis[r] < basis[leave]):
                     leave = r
         if leave is None:
             raise RuntimeError("phase-one objective unbounded; malformed tableau")
         pivot(leave, enter)
 
-    if -obj[total] != 0:
+    if tableau[m][total] != 0:
         return None
 
     # Drive leftover artificials out of the basis; rows that cannot pivot on
     # any structural column are redundant and can stay (rhs is 0 there).
+    # The pivot may be negative here, so restore d > 0 afterwards.
     for r in range(m):
         if basis[r] >= width:
             for c in range(width):
                 if tableau[r][c] != 0:
                     pivot(r, c)
+                    if d < 0:
+                        d = -d
+                        tableau[:] = [[-v for v in row] for row in tableau]
                     break
 
     x = [Fraction(0)] * n
     for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = tableau[r][total]
+            x[basis[r]] = Fraction(tableau[r][total], d)
     return x

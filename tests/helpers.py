@@ -2,8 +2,9 @@
 
 The routines here deliberately avoid the package's own algorithms so the
 tests compare two different computations.  Determinants use cofactor
-expansion (the package uses Gaussian elimination), and LCP solutions are
-checked straight from the definition.
+expansion (the package uses Gaussian elimination), LCP solutions are
+checked straight from the definition, and LP feasibility pivots a Fraction
+tableau (the package pivots in integers).
 """
 
 from fractions import Fraction
@@ -49,3 +50,111 @@ def principal_minors(rows):
             sub = [[rows[i][j] for j in idx] for i in idx]
             out.append((idx, cofactor_det(sub)))
     return out
+
+
+def reference_feasibility(system):
+    """Phase-one simplex with Bland's rule on a Fraction tableau.
+
+    The rational form of lcpq.simplex.solve_feasibility, which pivots in
+    integers: both must return the identical point, or both None.
+    """
+    n = system.n_vars
+    n_surplus = len(system.ge_rows)
+
+    # Tableau rows over [x | surplus] with rhs >= 0 after sign normalisation.
+    rows = []
+    for coeffs, rhs in system.eq_rows:
+        if len(coeffs) != n:
+            raise ValueError("coefficient length mismatch")
+        rows.append(([Fraction(c) for c in coeffs] + [Fraction(0)] * n_surplus, Fraction(rhs)))
+    for s, (coeffs, rhs) in enumerate(system.ge_rows):
+        if len(coeffs) != n:
+            raise ValueError("coefficient length mismatch")
+        surplus = [Fraction(0)] * n_surplus
+        surplus[s] = Fraction(-1)
+        rows.append(([Fraction(c) for c in coeffs] + surplus, Fraction(rhs)))
+
+    m = len(rows)
+    width = n + n_surplus
+    if m == 0:
+        return [Fraction(0)] * n
+
+    tableau = []
+    for coeffs, rhs in rows:
+        if rhs < 0:
+            coeffs = [-c for c in coeffs]
+            rhs = -rhs
+        tableau.append(coeffs + [rhs])
+
+    # Phase one: artificial variable per row, minimise their sum.
+    total = width + m
+    for r in range(m):
+        art = [Fraction(0)] * m
+        art[r] = Fraction(1)
+        tableau[r] = tableau[r][:width] + art + [tableau[r][width]]
+    basis = [width + r for r in range(m)]
+
+    # Objective row: reduced costs for min sum of artificials.
+    obj = [Fraction(0)] * (total + 1)
+    for r in range(m):
+        for c in range(total + 1):
+            obj[c] -= tableau[r][c]
+    # Artificial columns start basic with cost 1, so their reduced cost is 0.
+    for r in range(m):
+        obj[width + r] = Fraction(0)
+
+    def pivot(row: int, col: int) -> None:
+        piv = tableau[row][col]
+        tableau[row] = [v / piv for v in tableau[row]]
+        for r in range(m):
+            if r == row:
+                continue
+            factor = tableau[r][col]
+            if factor != 0:
+                tableau[r] = [v - factor * p for v, p in zip(tableau[r], tableau[row])]
+        factor = obj[col]
+        if factor != 0:
+            for c in range(total + 1):
+                obj[c] -= factor * tableau[row][c]
+        basis[row] = col
+
+    while True:
+        # Bland: entering = lowest-index column with negative reduced cost.
+        enter = None
+        for c in range(total):
+            if obj[c] < 0:
+                enter = c
+                break
+        if enter is None:
+            break
+        # Ratio test; ties resolved by lowest basis variable index (Bland).
+        leave = None
+        best = None
+        for r in range(m):
+            coeff = tableau[r][enter]
+            if coeff > 0:
+                ratio = tableau[r][total] / coeff
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best = ratio
+                    leave = r
+        if leave is None:
+            raise RuntimeError("phase-one objective unbounded; malformed tableau")
+        pivot(leave, enter)
+
+    if -obj[total] != 0:
+        return None
+
+    # Drive leftover artificials out of the basis; rows that cannot pivot on
+    # any structural column are redundant and can stay (rhs is 0 there).
+    for r in range(m):
+        if basis[r] >= width:
+            for c in range(width):
+                if tableau[r][c] != 0:
+                    pivot(r, c)
+                    break
+
+    x = [Fraction(0)] * n
+    for r in range(m):
+        if basis[r] < n:
+            x[basis[r]] = tableau[r][total]
+    return x

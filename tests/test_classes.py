@@ -6,8 +6,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import principal_minors
+from helpers import check_lcp_solution, principal_minors
 from lcpq.classes import (
     NO,
     UNDECIDED,
@@ -24,7 +26,8 @@ from lcpq.classes import (
     is_Z,
     q_oracle,
 )
-from lcpq.generate import generate
+from lcpq.classifier import classify_by_rules
+from lcpq.generate import GENERATOR_TYPES, generate
 from lcpq.lcp import LcpInstance, solve_lcp
 from lcpq.matrices import RationalMatrix, vec_to_fractions
 from lcpq.simplex import FeasibilitySystem, solve_feasibility
@@ -306,3 +309,48 @@ def test_witness_candidates_memory_does_not_grow_with_three_to_the_n():
         tracemalloc.stop()
     assert len(got) == 64
     assert peak < 2 * 1024 * 1024
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Small matrices, structured or not, often damaged on purpose: a zero
+    row or column, a repeated row, or a singular 2x2 principal block."""
+    n = draw(st.integers(2, 4))
+    family = draw(st.sampled_from(("random",) + GENERATOR_TYPES))
+    if family == "random":
+        rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    else:
+        rows = [list(r) for r in generate(family, n, 1, draw(st.integers(0, 10 ** 6)))[0].rows]
+        n = len(rows)
+    a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    damage = draw(st.sampled_from(["none", "zero-row", "zero-column", "repeat-row", "singular-block"]))
+    if damage == "zero-row":
+        rows[a] = [0] * n
+    elif damage == "zero-column":
+        for row in rows:
+            row[a] = 0
+    elif damage == "repeat-row":
+        rows[a] = list(rows[b])
+    elif damage == "singular-block":
+        rows[a][a], rows[a][b] = rows[b][a], rows[b][b]
+    return RationalMatrix(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_matrices())
+def test_lp_certificates_and_rules_on_degenerate_matrices(m):
+    n = m.n
+    r0 = is_R0(m)
+    if r0.is_no:
+        x = r0.data["x"]
+        assert any(v != 0 for v in x)
+        assert check_lcp_solution(m, [0] * n, x)
+    s = is_S(m)
+    if s.is_yes:
+        x = s.data["x"]
+        assert all(v > 0 for v in x)
+        assert all(sum((a * v for a, v in zip(row, x)), Fraction(0)) > 0 for row in m.rows)
+    rules = classify_by_rules(m)
+    oracle = q_oracle(m)
+    if rules is not None and oracle.answer != UNDECIDED:
+        assert rules.answer == oracle.answer
