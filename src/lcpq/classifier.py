@@ -26,6 +26,7 @@ from .structure import (
     BDSW_TYPE_2,
     BDSW_TYPE_3,
     BDSW_TYPE_4,
+    StructureClass,
     bdsw_determinant,
     bdsw_offdiagonal,
     detect_structure,
@@ -201,9 +202,12 @@ def classify_bdsw_type1(matrix: RationalMatrix, k: int) -> Verdict:
 
 def classify_bdsw_type2(matrix: RationalMatrix) -> Verdict:
     """Type-2 bdsw (positive diagonal, negative off-diagonals): Q iff det > 0."""
-    structure = detect_structure(matrix)
-    if structure.tag != BDSW_TYPE_2:
+    if detect_structure(matrix).tag != BDSW_TYPE_2:
         raise StructureError("matrix is not a type-2 bdsw matrix")
+    return _bdsw_type2(matrix)
+
+
+def _bdsw_type2(matrix: RationalMatrix) -> Verdict:
     det = bdsw_determinant(matrix)
     answer = YES if det > 0 else NO
     return Verdict(answer, "T6.1", "type-2 bdsw is Q iff det > 0", {"det": det})
@@ -212,9 +216,12 @@ def classify_bdsw_type2(matrix: RationalMatrix) -> Verdict:
 def classify_bdsw_type3(matrix: RationalMatrix) -> Verdict:
     """Type-3 bdsw (negative diagonal, positive off-diagonals):
     Q iff (-1)^(n+1) det A > 0."""
-    structure = detect_structure(matrix)
-    if structure.tag != BDSW_TYPE_3:
+    if detect_structure(matrix).tag != BDSW_TYPE_3:
         raise StructureError("matrix is not a type-3 bdsw matrix")
+    return _bdsw_type3(matrix)
+
+
+def _bdsw_type3(matrix: RationalMatrix) -> Verdict:
     det = bdsw_determinant(matrix)
     signed = det if (matrix.n + 1) % 2 == 0 else -det
     answer = YES if signed > 0 else NO
@@ -236,6 +243,10 @@ def classify_bdsw_type4(matrix: RationalMatrix, k: int) -> Verdict:
         raise StructureError(
             "negative-diagonal count mismatch: got %r, matrix has %r" % (k, structure.k)
         )
+    return _bdsw_type4(matrix, k)
+
+
+def _bdsw_type4(matrix: RationalMatrix, k: int) -> Verdict:
     det = bdsw_determinant(matrix)
     signed = det if (k + 1) % 2 == 0 else -det
     answer = YES if signed > 0 else NO
@@ -247,13 +258,16 @@ def classify_bdsw_type4(matrix: RationalMatrix, k: int) -> Verdict:
     )
 
 
-def classify_by_rules(matrix: RationalMatrix) -> Optional[Verdict]:
+def classify_by_rules(
+    matrix: RationalMatrix, structure: Optional[StructureClass] = None
+) -> Optional[Verdict]:
     """The structural verdict for A, or None when no rule applies.
 
     Dispatch order: nonpositive row, order 1, order 2, triangular,
     triangular-plus-row, bdsw type rules.  When several rules apply they
     agree on the answer, so the order only affects which certificate is
-    reported.
+    reported.  structure, when given, must be detect_structure(matrix); the
+    bdsw rules then take the type from it without detecting it again.
     """
     bad = nonpositive_rows(matrix)
     if bad:
@@ -273,21 +287,27 @@ def classify_by_rules(matrix: RationalMatrix) -> Optional[Verdict]:
         return classify_triangular(matrix)
     if triangular_plus_row_split(matrix) is not None:
         return classify_triangular_plus_row(matrix)
-    structure = detect_structure(matrix)
+    if structure is None:
+        structure = detect_structure(matrix)
     if structure.tag == BDSW_TYPE_1:
         return classify_bdsw_type1(matrix, structure.k)
     if structure.tag == BDSW_TYPE_2:
-        return classify_bdsw_type2(matrix)
+        return _bdsw_type2(matrix)
     if structure.tag == BDSW_TYPE_3:
-        return classify_bdsw_type3(matrix)
+        return _bdsw_type3(matrix)
     if structure.tag == BDSW_TYPE_4:
-        return classify_bdsw_type4(matrix, structure.k)
+        return _bdsw_type4(matrix, structure.k)
     return None
 
 
-def classify(matrix: RationalMatrix, oracle_budget: int = 64, oracle_seed: int = 0) -> Verdict:
+def classify(
+    matrix: RationalMatrix,
+    oracle_budget: int = 64,
+    oracle_seed: int = 0,
+    structure: Optional[StructureClass] = None,
+) -> Verdict:
     """Classify A for the Q-property: the structural rule if one applies,
-    otherwise the exact oracle."""
-    return classify_by_rules(matrix) or q_oracle(
+    otherwise the exact oracle.  structure is as in classify_by_rules."""
+    return classify_by_rules(matrix, structure) or q_oracle(
         matrix, budget=oracle_budget, rng_seed=oracle_seed
     )

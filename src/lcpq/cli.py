@@ -127,9 +127,11 @@ def cmd_classify(args) -> int:
         try:
             if verify:
                 oracle = q_oracle(matrix, budget=args.budget, rng_seed=args.seed)
-                verdict = classify_by_rules(matrix) or oracle
+                verdict = classify_by_rules(matrix, structure) or oracle
             else:
-                verdict = classify(matrix, oracle_budget=args.budget, oracle_seed=args.seed)
+                verdict = classify(
+                    matrix, oracle_budget=args.budget, oracle_seed=args.seed, structure=structure
+                )
         except EnumerationCapError as exc:
             worst = max(worst, _fail("%s: %s" % (path, exc), EXIT_CAP))
             continue

@@ -113,11 +113,25 @@ class RationalMatrix:
             ]
         )
 
+    @classmethod
+    def _of_fractions(cls, rows: tuple) -> "RationalMatrix":
+        """A matrix on rows, a nonempty square tuple of tuples of Fractions,
+        taken as they are: no entry is converted or checked again."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        object.__setattr__(matrix, "n", len(rows))
+        return matrix
+
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
         """Submatrix on the given 0-based index lists (must be nonempty)."""
         if not row_idx or not col_idx:
             raise ValueError("submatrix index sets must be nonempty")
-        return RationalMatrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
+        if len(row_idx) != len(col_idx):
+            raise MatrixFormatError(
+                "matrix is not square: %d rows but a row of length %d" % (len(row_idx), len(col_idx))
+            )
+        picked = [self.rows[i] for i in row_idx]
+        return RationalMatrix._of_fractions(tuple([tuple([r[j] for j in col_idx]) for r in picked]))
 
     def principal_submatrix(self, idx: Sequence[int]) -> "RationalMatrix":
         return self.submatrix(idx, idx)

@@ -3,12 +3,18 @@
 The routines here deliberately avoid the package's own algorithms so the
 tests compare two different computations.  Determinants use cofactor
 expansion (the package uses Gaussian elimination), LCP solutions are
-checked straight from the definition, and LP feasibility pivots a Fraction
-tableau (the package pivots in integers).
+checked straight from the definition, LP feasibility pivots a Fraction
+tableau (the package pivots in integers), and LCP(A, q) and the degree sum
+loop over the supports in bitmask order with a rational solve per support
+(the package walks a tree of integer pivots).
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from lcpq.lcp import LcpSolution
+from lcpq.matrices import solve_linear
+from lcpq.simplex import FeasibilitySystem
 
 
 def cofactor_det(rows):
@@ -158,3 +164,95 @@ def reference_feasibility(system):
         if basis[r] < n:
             x[basis[r]] = tableau[r][total]
     return x
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _support_solution(matrix, q, idx):
+    """solve_linear's status for A_II x_I = -q_I, and the length-n x it
+    gives (zero off idx) when that solution is unique."""
+    x = [Fraction(0)] * matrix.n
+    if not idx:
+        return "unique", x
+    status, xi = solve_linear(matrix.principal_submatrix(idx), [-q[i] for i in idx])
+    if status == "unique":
+        for i, v in zip(idx, xi):
+            x[i] = v
+    return status, x
+
+
+def _principal_sign(matrix, idx):
+    return _sign(cofactor_det([[matrix.rows[i][j] for j in idx] for i in idx])) if idx else 1
+
+
+def reference_solve_lcp(matrix, q):
+    """lcpq.lcp.solve_lcp by a bitmask-order loop over the supports.
+
+    A nonsingular support is solved in Fraction arithmetic; a singular one
+    takes the point reference_feasibility finds on the system lcp's family
+    LP builds.  The first occurrence of each vector is kept.
+    """
+    n = matrix.n
+    q = [Fraction(v) for v in q]
+    seen = {}
+    for mask in range(1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        comp = [j for j in range(n) if not mask >> j & 1]
+        status, x = _support_solution(matrix, q, idx)
+        if status != "unique":
+            system = FeasibilitySystem(len(idx))
+            for i in idx:
+                system.add_eq([matrix.rows[i][j] for j in idx], -q[i])
+            for j in comp:
+                system.add_ge([matrix.rows[j][i] for i in idx], -q[j])
+            point = reference_feasibility(system)
+            if point is None:
+                continue
+            x = [Fraction(0)] * n
+            for i, v in zip(idx, point):
+                x[i] = v
+        w = [wi + qi for wi, qi in zip(matrix.matvec(x), q)]
+        if any(v < 0 for v in x) or any(w[j] < 0 for j in comp):
+            continue
+        key = tuple(x)
+        if key not in seen:
+            support = [i for i in range(n) if x[i] > 0]
+            seen[key] = LcpSolution(
+                key,
+                tuple(i + 1 for i in support),
+                all(x[i] + w[i] > 0 for i in range(n)),
+                _principal_sign(matrix, support),
+            )
+    return list(seen.values())
+
+
+def reference_generic_degree(matrix, q):
+    """lcpq.lcp._generic_degree by a bitmask-order loop over the supports,
+    in Fraction arithmetic: None on a consistent singular support or an
+    exact zero in a candidate's x_I or complementary slack."""
+    n = matrix.n
+    q = [Fraction(v) for v in q]
+    total = 0
+    for mask in range(1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        comp = [j for j in range(n) if not mask >> j & 1]
+        status, x = _support_solution(matrix, q, idx)
+        if status != "unique":
+            if status != "inconsistent":
+                return None
+            continue
+        xi = [x[i] for i in idx]
+        if 0 in xi:
+            return None
+        if any(v < 0 for v in xi):
+            continue
+        w = [wi + qi for wi, qi in zip(matrix.matvec(x), q)]
+        slacks = [w[j] for j in comp]
+        if 0 in slacks:
+            return None
+        if any(v < 0 for v in slacks):
+            continue
+        total += _principal_sign(matrix, idx)
+    return total

@@ -9,6 +9,7 @@ from lcpq.classes import q_oracle
 from lcpq.cli import main
 from lcpq.errors import DegreeSamplingError
 from lcpq.jordan.checks import IDENTITY_NAMES
+from lcpq.structure import detect_structure
 
 
 def _write(tmp_path, name, text):
@@ -125,6 +126,28 @@ def test_verify_runs_the_oracle_once_on_unstructured_input(tmp_path, capsys, mon
     assert len(calls) == 1
     assert record["structure"] == "general"
     assert record["classifier"] == record["oracle"]
+
+
+def test_bdsw_input_detects_its_structure_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return detect_structure(matrix)
+
+    monkeypatch.setattr("lcpq.cli.detect_structure", counted)
+    monkeypatch.setattr("lcpq.classifier.detect_structure", counted)
+    for name, text, theorem in [
+        ("t2.txt", "2 -1 0\n0 2 -1\n-1 0 2\n", "T6.1"),
+        ("t3.txt", "-1 2 0\n0 -1 1\n1 0 -1\n", "T7.1"),
+        ("t4.txt", "-1 1 0\n0 -1 1\n-2 0 1\n", "T8.1"),
+    ]:
+        path = _write(tmp_path, name, text)
+        for command in ("classify", "verify"):
+            calls.clear()
+            main([command, "--format", "jsonl", path])
+            assert theorem in capsys.readouterr().out
+            assert len(calls) == 1, (name, command)
 
 
 def test_batch_reports_every_file_and_the_worst_exit(tmp_path, capsys):

@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import check_lcp_solution
+from helpers import check_lcp_solution, reference_generic_degree, reference_solve_lcp
 from lcpq.errors import EnumerationCapError
 from lcpq.lcp import (
     DEFAULT_ENUM_CAP,
     LcpInstance,
+    SupportKernel,
+    _generic_degree,
     degree,
     enumeration_cap,
     is_solvable,
@@ -166,3 +170,58 @@ def test_degree_one_for_p_matrices():
         RationalMatrix([[3, -1, 0], [0, 2, -1], [0, 0, 1]]),
     ):
         assert degree(m) == 1
+
+
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+Q_ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-(10 ** 6), 10 ** 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+
+
+@st.composite
+def walk_cases(draw):
+    """(matrix, q) of order 1..6, often with singular supports in the tree:
+    zero or repeated rows, a zero a_11 (the first child of the root is
+    singular) or a principal block [[0, 1], [1, 0]] (a nonsingular support
+    above a singular one)."""
+    n = draw(st.integers(1, 6))
+    rows = [[Fraction(draw(ENTRIES)) for _ in range(n)] for _ in range(n)]
+    damage = draw(st.sampled_from(["none", "zero-row", "repeat-row", "zero-a11", "swap-block"]))
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if damage == "zero-row":
+        rows[a] = [Fraction(0)] * n
+    elif damage == "repeat-row":
+        rows[a] = list(rows[b])
+    elif damage == "zero-a11":
+        rows[0][0] = Fraction(0)
+    elif damage == "swap-block" and a != b:
+        rows[a][a] = rows[b][b] = Fraction(0)
+        rows[a][b] = rows[b][a] = Fraction(1)
+    q = [Fraction(draw(Q_ENTRIES)) for _ in range(n)]
+    return RationalMatrix(rows), q
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(walk_cases())
+def test_support_walk_matches_bitmask_order_references(case):
+    matrix, q = case
+    assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
+
+    kernel = SupportKernel(matrix)
+    total = _generic_degree(kernel, q)
+    assert total == reference_generic_degree(matrix, q)
+    if 0 in q:
+        assert total is None
+
+    kernel = SupportKernel(matrix)
+    masks = [mask for mask, _, _, _ in kernel.walk(kernel.integer_system(q))]
+    assert sorted(masks) == list(range(1 << matrix.n))
+    for mask in masks:
+        idx = [i for i in range(matrix.n) if mask >> i & 1]
+        expected = determinant(matrix.principal_submatrix(idx)) if idx else 1
+        assert kernel._signs[mask] == (expected > 0) - (expected < 0)

@@ -149,7 +149,14 @@ def test_parse_vector_forms():
 
 def test_submatrix_and_matvec():
     m = RationalMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    assert m.principal_submatrix([0, 2]) == RationalMatrix([[1, 3], [7, 10]])
+    sub = m.principal_submatrix([0, 2])
+    assert sub == RationalMatrix([[1, 3], [7, 10]])
+    assert sub.n == 2 and hash(sub) == hash(RationalMatrix([[1, 3], [7, 10]]))
+    assert m.submatrix([2, 0], [1, 2]).rows == ((Fraction(8), Fraction(10)), (Fraction(2), Fraction(3)))
+    with pytest.raises(MatrixFormatError):
+        m.submatrix([0, 1], [2])
+    with pytest.raises(ValueError):
+        m.submatrix([], [])
     assert m.matvec([1, 0, -1]) == [Fraction(-2), Fraction(-2), Fraction(-3)]
     with pytest.raises(ValueError):
         m.matvec([1, 2])
