@@ -75,7 +75,7 @@ def is_R0(matrix: RationalMatrix, kernel: Optional[SupportKernel] = None) -> Ver
     """
     if kernel is None:
         kernel = SupportKernel(matrix)
-    for mask, idx, comp in kernel.supports():
+    for mask, idx, comp in supports(matrix.n):
         if kernel.minor_sign(mask, idx) != 0:
             continue  # homogeneous system only has x_I = 0, normalisation fails
         system = FeasibilitySystem(len(idx))
@@ -158,7 +158,7 @@ def is_S(matrix: RationalMatrix) -> Verdict:
 def is_P(matrix: RationalMatrix) -> Verdict:
     """P: every principal minor is positive."""
     kernel = SupportKernel(matrix)
-    for mask, idx, _ in kernel.supports():
+    for mask, idx, _ in supports(matrix.n):
         if kernel.minor_sign(mask, idx) <= 0:
             return Verdict(
                 NO, "P", "nonpositive principal minor", {"indices": [i + 1 for i in idx]}
@@ -169,7 +169,7 @@ def is_P(matrix: RationalMatrix) -> Verdict:
 def is_P0(matrix: RationalMatrix) -> Verdict:
     """P0: every principal minor is nonnegative."""
     kernel = SupportKernel(matrix)
-    for mask, idx, _ in kernel.supports():
+    for mask, idx, _ in supports(matrix.n):
         if kernel.minor_sign(mask, idx) < 0:
             return Verdict(
                 NO, "P0", "negative principal minor", {"indices": [i + 1 for i in idx]}
@@ -311,10 +311,8 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
                 "bdsw shape with R0 and degree 0",
                 {"degree": 0},
             )
-        if deg is None:
-            rstar = is_Rstar(matrix, kernel)
-            if rstar.is_yes:
-                return Verdict(YES, "R-star", "R0 and E0 hold", {})
+        if deg is None and is_E0(matrix).is_yes:  # R0 holds already: R*
+            return Verdict(YES, "R-star", "R0 and E0 hold", {})
     else:
         if bdsw:
             return Verdict(

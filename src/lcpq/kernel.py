@@ -32,36 +32,48 @@ def clear_denominators(values: Sequence) -> Tuple[int, List[int]]:
 
 
 def eliminate(work: List[List[int]], k: int) -> int:
-    """Fraction-free elimination in place on a k x (k + m) integer matrix.
+    """Fraction-free elimination in place; returns det of the leading k x k
+    block, 0 when it is singular.  Rows may be swapped among the first k.
 
-    Returns det of the leading k x k block; 0 when it is singular, in which
-    case work is left partly reduced.  With m > 0 the run is Gauss-Jordan
-    and afterwards work[i][k:] holds det * x_i, where x solves the system
-    whose right-hand sides are the trailing m columns.  With m = 0 only the
-    rows below each pivot are reduced (plain Bareiss), which is all the
-    determinant needs.  Rows may be swapped.
+    With no columns past k (work is k x k) only the rows below each pivot
+    are reduced (plain Bareiss), which is all the determinant needs, and a
+    zero column ends the run.  Otherwise the run is Gauss-Jordan over every
+    row: pivots come from the first k rows only, a column without one is
+    skipped, and a reduced column is zero outside its pivot row.  For a
+    nonsingular block, work[i][k:] then holds det * x_i for i < k, x
+    solving the system whose right-hand sides are the trailing columns, and
+    a row r past k holds det * (b_r - a_r x).  For a singular block, the
+    first k rows left without a pivot are zero on the block, so the system
+    is consistent iff their trailing entries are zero.
     """
     width = len(work[0]) if k else 0
+    gauss_jordan = width > k
     sign = 1
     prev = 1
+    r = 0  # the row the next pivot goes to
     for c in range(k):
-        pivot_row = c
-        while work[pivot_row][c] == 0:
+        pivot_row = r
+        while pivot_row < k and work[pivot_row][c] == 0:
             pivot_row += 1
-            if pivot_row == k:
+        if pivot_row == k:
+            if not gauss_jordan:
                 return 0
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
             sign = -sign
-        tail = work[c][c + 1 :]
-        p = work[c][c]
-        for i in range(0 if width > k else c + 1, k):
-            if i == c:
+        tail = work[r][c:]
+        p = tail[0]
+        for i in range(len(work)) if gauss_jordan else range(r + 1, k):
+            if i == r:
                 continue
             row = work[i]
             f = row[c]
-            row[c + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[c + 1 :], tail)]
+            row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], tail)]
         prev = p
+        r += 1
+    if r < k:
+        return 0
     if sign < 0:
         for row in work:
             row[k:] = [-v for v in row[k:]]

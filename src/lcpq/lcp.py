@@ -8,10 +8,12 @@ SupportKernel owns that enumeration.  SupportKernel.walk visits the supports
 as a tree: the parent of P + {p}, with p above every index of P, is P, and
 the child's integer tableau is one fraction-free pivot on the parent's (see
 kernel), so each support costs O(n^2) integer operations instead of a fresh
-O(k^3) elimination.  Below a singular support the walk solves each support
-on its own, and singular supports go to the exact LP (see simplex), which
-pivots in integers too.  Fraction values are built only at the boundaries,
-for the solutions returned.
+O(k^3) elimination.  Where there is no pivot to take (a zero pivot, or a
+singular parent), one fresh elimination reduces the support's block to its
+rank, which also tells whether its system A_II x_I = -q_I is consistent.
+Only the consistent singular supports go to the exact LP (see simplex),
+which pivots in integers too.  Fraction values are built only at the
+boundaries, for the solutions returned.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import List, Optional, Sequence
 
 from .errors import DegreeSamplingError, EnumerationCapError
 from .kernel import clear_denominators, eliminate
-from .matrices import RationalMatrix, determinant, solve_linear, vec_to_fractions
+from .matrices import RationalMatrix, determinant, vec_to_fractions
 from .simplex import FeasibilitySystem, solve_feasibility
 
 DEFAULT_ENUM_CAP = 16
@@ -109,20 +111,17 @@ class SupportKernel:
     """Support enumeration for one matrix, with memoised principal-minor signs.
 
     The class predicates read sgn det A_II through minor_sign.  LCP(A, q)
-    goes through walk, which takes every support's solution from one
-    fraction-free pivot on its parent's integer tableau and records the
-    minor signs it meets.  q_oracle passes one kernel to all its channels,
-    so no principal minor is computed twice in an oracle call.
-    Constructing a kernel enforces the enumeration cap.
+    goes through walk, which takes every support's solution from integer
+    elimination and records the sign of every principal minor in the memo.
+    q_oracle passes one kernel to all its channels, so no principal minor
+    is computed twice in an oracle call.  Constructing a kernel enforces
+    the enumeration cap.
     """
 
     def __init__(self, matrix: RationalMatrix):
         check_cap(matrix.n)
         self.matrix = matrix
         self._signs = {0: 1}  # mask -> sgn det A_II; the empty minor is 1
-
-    def supports(self):
-        return supports(self.matrix.n)
 
     def minor_sign(self, mask: int, idx: Sequence[int]) -> int:
         sign = self._signs.get(mask)
@@ -133,104 +132,88 @@ class SupportKernel:
             self._signs[mask] = sign
         return sign
 
-    def integer_system(self, q: Sequence) -> List[List[int]]:
-        """Rows of [A | q], each scaled by the lcm of its denominators."""
-        return [clear_denominators(row + (qi,))[1] for row, qi in zip(self.matrix.rows, q)]
+    def walk(self, q: Sequence):
+        """(mask, idx, comp, solved) for the supports of LCP(A, q), in no
+        fixed order; idx lists the support's indices, comp the others.
 
-    def walk(self, rows: List[List[int]]):
-        """(mask, idx, comp, solved) for every support, on rows =
-        integer_system(q), in depth-first order.
-
-        solved is None when A_II is singular, else (d, y, w): d > 0,
-        x_I = y / d solves A_II x_I = -q_I, and w holds, for each j in comp,
-        an integer with the sign of w_j = (Ax + q)_j.
+        solved is (d, y, w) when A_II is nonsingular: d > 0, x_I = y / d
+        solves A_II x_I = -q_I, and w holds, for each j in comp, an integer
+        with the sign of w_j = (Ax + q)_j.  It is None when A_II is singular
+        and A_II x_I = -q_I is consistent; an inconsistent singular support
+        is not yielded.  Every support's minor sign goes into the memo.
 
         The tree's root is the empty support, and the parent of P + {p},
-        with p above every index of P, is P.  A node's tableau keeps the
-        columns after its last pivot, and the q column, as lists over all
-        n rows.  The child P + {p} pivots it at (p, p): every row but p
-        takes a_ic <- (piv * a_ic - a_ip * a_pc) // prev, where piv is the
-        det of the row-scaled block on P + {p} and prev the same for P
-        (Bareiss/Montante, exact by Sylvester's identity).  The q column
-        then holds det * (-x_i) on the support's rows and det * w_j, up to
-        the positive row scale, on the others: the same d, y and w a fresh
-        elimination of the support gives.  Past a zero pivot there is
-        nothing to divide by, so that subtree is solved support by support.
-        Only the tableaux on the current path and the siblings waiting on
-        the stack are kept.
+        with p above every index of P, is P.  A node keeps the row-scaled
+        columns after p, and the q column, over all n rows, reduced as
+        kernel.eliminate reduces them with det that of the row-scaled block:
+        the q column holds det * (-x_i) on the support's rows and det * w_j,
+        up to the positive row scale, on the others.  A child of a
+        nonsingular node pivots its parent's columns at (p, p): every row
+        but p takes a_ic <- (piv * a_ic - a_ip * a_pc) // det, where piv,
+        the parent's entry at (p, p), is the det of the child's block
+        (Bareiss/Montante, exact by Sylvester's identity).  A child with a
+        zero pivot or a singular parent runs one fresh elimination instead
+        (_eliminate).  Only the tableaux on the current path and the
+        siblings waiting on the stack are kept.
         """
         n = self.matrix.n
         signs = self._signs
-        # (mask, idx, last pivot, det of the pivoted block, columns)
+        rows = [clear_denominators(row + (qi,))[1] for row, qi in zip(self.matrix.rows, q)]
+        # (mask, idx, last pivot, det of the block, tableau); a singular
+        # node's tableau is whether its system is consistent instead.
         stack = [(0, [], -1, 1, [list(column) for column in zip(*rows)])]
         while stack:
-            mask, idx, last, det, columns = stack.pop()
+            mask, idx, last, det, tableau = stack.pop()
             comp = [j for j in range(n) if not mask >> j & 1]
-            qcol = columns[-1]
-            if det > 0:
-                solved = det, [-qcol[i] for i in idx], [qcol[j] for j in comp]
-            else:
-                solved = -det, [qcol[i] for i in idx], [-qcol[j] for j in comp]
-            yield mask, idx, comp, solved
+            if det:
+                qcol = tableau[-1]
+                if det > 0:
+                    solved = det, [-qcol[i] for i in idx], [qcol[j] for j in comp]
+                else:
+                    solved = -det, [qcol[i] for i in idx], [-qcol[j] for j in comp]
+                yield mask, idx, comp, solved
+            elif tableau:  # singular, with a consistent system
+                yield mask, idx, comp, None
             for p in range(last + 1, n):
-                pivot_col = columns[p - last - 1]
-                piv = pivot_col[p]
                 child = mask | 1 << p
+                piv = tableau[p - last - 1][p] if det else 0
+                if piv:
+                    pivot_col = tableau[p - last - 1]
+                    child_tableau = []
+                    for column in tableau[p - last :]:
+                        b = column[p]
+                        column = [(piv * a - f * b) // det for a, f in zip(column, pivot_col)]
+                        column[p] = b  # the pivot row is left as it is
+                        child_tableau.append(column)
+                else:
+                    piv, child_tableau = self._eliminate(rows, idx + [p], p)
                 signs[child] = _sign(piv)
-                if piv == 0:
-                    yield from self._walk_singular(rows, child, p)
-                    continue
-                pivoted = []
-                for column in columns[p - last :]:
-                    b = column[p]
-                    column = [(piv * a - f * b) // det for a, f in zip(column, pivot_col)]
-                    column[p] = b  # the pivot row is left as it is
-                    pivoted.append(column)
-                stack.append((child, idx + [p], p, piv, pivoted))
-
-    def _walk_singular(self, rows: List[List[int]], base: int, p: int):
-        """walk's records for base (singular, highest index p) and every
-        support above it in the tree, each solved on its own."""
-        n = self.matrix.n
-        for high in range(1 << (n - p - 1)):
-            mask = base | high << (p + 1)
-            idx = [i for i in range(n) if mask >> i & 1]
-            comp = [j for j in range(n) if not mask >> j & 1]
-            solved = self.solve(rows, mask, idx)
-            if solved is not None:
-                d, y = solved
-                solved = d, y, [self.slack(rows, j, idx, d, y) for j in comp]
-            yield mask, idx, comp, solved
-
-    def solve(self, rows: List[List[int]], mask: int, idx: Sequence[int]):
-        """Solve A_II x_I = -q_I on rows = integer_system(q).
-
-        Returns (d, y) with d > 0 and x_I = y / d, or None when A_II is
-        singular.
-        """
-        if self._signs.get(mask) == 0:
-            return None
-        work = [[rows[i][j] for j in idx] + [-rows[i][-1]] for i in idx]
-        det = eliminate(work, len(idx))
-        self._signs[mask] = _sign(det)
-        if det == 0:
-            return None
-        if det < 0:
-            return -det, [-row[-1] for row in work]
-        return det, [row[-1] for row in work]
+                stack.append((child, idx + [p], p, piv, child_tableau))
 
     @staticmethod
-    def slack(rows: List[List[int]], j: int, idx: Sequence[int], d: int, y: Sequence[int]) -> int:
-        """An integer with the sign of w_j = (Ax + q)_j at x_I = y / d."""
-        row = rows[j]
-        return sum(row[i] * v for i, v in zip(idx, y)) + d * row[-1]
+    def _eliminate(rows: List[List[int]], idx: List[int], p: int):
+        """(det, tableau) for support idx, whose highest index is p, from one
+        elimination of the row-scaled [A_{:,I} | A_{:,>p} | q] over all n
+        rows, the support's rows first (see kernel.eliminate).  tableau is
+        walk's node tableau when det != 0, else whether A_II x_I = -q_I is
+        consistent."""
+        k = len(idx)
+        order = idx + [j for j in range(len(rows)) if j not in idx]
+        work = [[rows[i][j] for j in idx] + rows[i][p + 1 :] for i in order]
+        det = eliminate(work, k)
+        if det == 0:
+            return 0, all(row[-1] == 0 for row in work[:k] if not any(row[:k]))
+        placed = [None] * len(rows)
+        for i, row in zip(order, work):
+            placed[i] = row[k:]
+        return det, [list(column) for column in zip(*placed)]
 
 
 def _family_point(matrix: RationalMatrix, q: Sequence, idx: List[int], comp: List[int]):
     """For a singular A_II: a point x >= 0 on support idx with (Ax+q)_idx = 0
     and (Ax+q)_comp >= 0, found by exact LP, or None.  Any such x represents
-    an affine family of solutions.  The LP's equality rows reject an
-    inconsistent A_II x = -q_I on their own."""
+    an affine family of solutions.  walk yields singular supports only when
+    A_II x_I = -q_I is consistent, so the LP runs only then."""
     system = FeasibilitySystem(len(idx))
     for i in idx:
         system.add_eq([matrix.rows[i][j] for j in idx], -q[i])
@@ -264,7 +247,7 @@ def solve_lcp(inst: LcpInstance, kernel: Optional[SupportKernel] = None) -> List
     if kernel is None:
         kernel = SupportKernel(matrix)
     found = []
-    for mask, idx, comp, solved in kernel.walk(kernel.integer_system(q)):
+    for mask, idx, comp, solved in kernel.walk(q):
         if solved is None:
             x = _family_point(matrix, q, idx, comp)
             if x is None:
@@ -295,13 +278,9 @@ def _generic_degree(kernel: SupportKernel, q: Sequence[int]) -> Optional[int]:
     Only signs are needed, so no Fraction is built.
     """
     total = 0
-    for mask, idx, _, solved in kernel.walk(kernel.integer_system(q)):
+    for mask, idx, _, solved in kernel.walk(q):
         if solved is None:
-            sub = kernel.matrix.principal_submatrix(idx)
-            status, _ = solve_linear(sub, [-q[i] for i in idx])
-            if status != "inconsistent":
-                return None
-            continue
+            return None
         _, y, w = solved
         if 0 in y:
             return None

@@ -27,6 +27,7 @@ from lcpq.classes import (
     q_oracle,
 )
 from lcpq.classifier import classify_by_rules
+from lcpq.errors import DegreeSamplingError
 from lcpq.generate import GENERATOR_TYPES, generate
 from lcpq.lcp import LcpInstance, solve_lcp
 from lcpq.matrices import RationalMatrix, vec_to_fractions
@@ -203,6 +204,34 @@ def test_rstar_examples():
 def test_q_oracle_yes_fixture():
     v = q_oracle(RationalMatrix([[1, -1], [1, 0]]))
     assert v.is_yes and v.rule == "degree-nonzero"
+
+
+def test_q_oracle_r_star_channel_runs_r0_once(monkeypatch):
+    # With the degree unsampleable, R0 = yes sends q_oracle to the R* channel,
+    # where only E0 is left to check.
+    from lcpq import classes
+
+    def no_generic_q(*args, **kwargs):
+        raise DegreeSamplingError("forced")
+
+    runs = []
+
+    def counted_r0(*args, **kwargs):
+        runs.append(args)
+        return is_R0(*args, **kwargs)
+
+    monkeypatch.setattr(classes, "degree", no_generic_q)
+    monkeypatch.setattr(classes, "is_R0", counted_r0)
+    # Upper triangular with a positive diagonal (P, so R0 and E0); the
+    # (1, 3) entry keeps it off the bdsw shape.
+    v = q_oracle(RationalMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
+    assert v.to_json_obj() == {
+        "answer": "yes",
+        "theorem": "R-star",
+        "condition": "R0 and E0 hold",
+        "witness": {},
+    }
+    assert len(runs) == 1
 
 
 def test_q_oracle_unsolvable_witness():

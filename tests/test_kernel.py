@@ -51,31 +51,49 @@ def degenerate_systems(draw, max_order=5):
     return rows, rhs
 
 
-def _kernel_solve(rows, rhs):
-    """(det of the scaled integer system, y, scales) from the kernel."""
+def _kernel_solve(rows, rhs, extra=()):
+    """(det of the scaled integer system, reduced rows, scales) from the
+    kernel; extra rows (coefficients and right-hand side) go below the
+    system's and are reduced without pivoting."""
     scales, work = [], []
-    for row, b in zip(rows, rhs):
+    for row, b in list(zip(rows, rhs)) + list(extra):
         scale, ints = clear_denominators(list(row) + [b])
         scales.append(scale)
         work.append(ints)
     det = eliminate(work, len(rows))
-    return det, [r[-1] for r in work], scales
+    return det, work, scales
+
+
+def _consistent(work, k):
+    """Whether the rank-reduced system has a solution: every row among the
+    first k that is zero on the block has a zero right-hand side."""
+    return all(row[-1] == 0 for row in work[:k] if not any(row[:k]))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(degenerate_systems())
-def test_kernel_matches_cofactor_det_and_solve_linear(system):
+@given(degenerate_systems(), st.data())
+def test_kernel_matches_cofactor_det_and_solve_linear(system, data):
     rows, rhs = system
-    det, y, scales = _kernel_solve(rows, rhs)
+    k = len(rows)
+    extra = [
+        ([Fraction(data.draw(ENTRIES)) for _ in range(k)], Fraction(data.draw(RHS)))
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    det, work, scales = _kernel_solve(rows, rhs, extra)
     reference = cofactor_det(rows)
-    assert Fraction(det, math.prod(scales)) == reference
+    assert Fraction(det, math.prod(scales[:k])) == reference
     assert determinant(RationalMatrix(rows)) == reference
     status, x = solve_linear(RationalMatrix(rows), rhs)
     if det == 0:
         assert status != "unique"
+        assert _consistent(work, k) == (status != "inconsistent")
     else:
         assert status == "unique"
-        assert y == [det * v for v in x]
+        assert [row[-1] for row in work[:k]] == [det * v for v in x]
+        # A row past k holds det * w for w = b - a.x, times the row's scale.
+        for (a, b), scale, row in zip(extra, scales[k:], work[k:]):
+            w = b - sum(u * v for u, v in zip(a, x))
+            assert row[-1] == det * scale * w
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -86,27 +104,28 @@ def test_support_kernel_signs_match_fraction_arithmetic(system, data):
     n = matrix.n
     q = [Fraction(data.draw(RHS)) for _ in range(n)]
     kernel = SupportKernel(matrix)
-    int_rows = kernel.integer_system(q)
-    for mask, idx, comp in kernel.supports():
-        solved = kernel.solve(int_rows, mask, idx)
+    records = {mask: solved for mask, _, _, solved in kernel.walk(q)}
+    for mask, idx, comp in supports(n):
         sub_det = cofactor_det([[rows[i][j] for j in idx] for i in idx]) if idx else 1
         assert kernel.minor_sign(mask, idx) == (sub_det > 0) - (sub_det < 0)
-        if solved is None:
-            assert sub_det == 0
-            continue
-        d, y = solved
-        assert d > 0
-        xi = []
+        status, xi = "unique", []
         if idx:
             status, xi = solve_linear(matrix.principal_submatrix(idx), [-q[i] for i in idx])
-            assert status == "unique"
+        if sub_det == 0:
+            # Singular: yielded as None when consistent, not at all otherwise.
+            assert status != "unique"
+            assert records.get(mask, "absent") == ("absent" if status == "inconsistent" else None)
+            continue
+        assert status == "unique"
+        d, y, w_signs = records[mask]
+        assert d > 0
         assert [Fraction(v, d) for v in y] == xi
         x = [Fraction(0)] * n
         for pos, i in enumerate(idx):
             x[i] = xi[pos]
         w = [wi + qi for wi, qi in zip(matrix.matvec(x), q)]
-        for j in comp:
-            slack = kernel.slack(int_rows, j, idx, d, y)
+        assert len(w_signs) == len(comp)
+        for j, slack in zip(comp, w_signs):
             assert (slack > 0) - (slack < 0) == (w[j] > 0) - (w[j] < 0)
 
 
@@ -124,12 +143,12 @@ def test_degree_sized_right_hand_sides_stay_exact():
         n = rng.randint(2, 7)
         rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(n)] for _ in range(n)]
         rhs = [Fraction(rng.randint(-(10 ** 7), 10 ** 7)) for _ in range(n)]
-        det, y, _ = _kernel_solve(rows, rhs)
+        det, work, _ = _kernel_solve(rows, rhs)
         status, x = solve_linear(RationalMatrix(rows), rhs)
         if det == 0:
             assert status != "unique" and cofactor_det(rows) == 0
         else:
-            assert y == [det * v for v in x]
+            assert [row[-1] for row in work] == [det * v for v in x]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

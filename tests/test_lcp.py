@@ -1,6 +1,7 @@
 """Support-enumeration LCP solving and the sampled degree computation."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,8 @@ from lcpq.lcp import (
     is_solvable,
     solve_lcp,
 )
-from lcpq.matrices import RationalMatrix, determinant, inverse
+from lcpq.matrices import RationalMatrix, determinant, inverse, solve_linear
+from lcpq.simplex import solve_feasibility
 
 
 def _solve_2x2_by_formula(matrix, q):
@@ -219,9 +221,51 @@ def test_support_walk_matches_bitmask_order_references(case):
         assert total is None
 
     kernel = SupportKernel(matrix)
-    masks = [mask for mask, _, _, _ in kernel.walk(kernel.integer_system(q))]
-    assert sorted(masks) == list(range(1 << matrix.n))
-    for mask in masks:
+    masks = [mask for mask, _, _, _ in kernel.walk(q)]
+    assert len(masks) == len(set(masks))
+    assert sorted(kernel._signs) == list(range(1 << matrix.n))
+    expected_masks = []
+    for mask in range(1 << matrix.n):
         idx = [i for i in range(matrix.n) if mask >> i & 1]
         expected = determinant(matrix.principal_submatrix(idx)) if idx else 1
         assert kernel._signs[mask] == (expected > 0) - (expected < 0)
+        if expected == 0:
+            status, _ = solve_linear(matrix.principal_submatrix(idx), [-q[i] for i in idx])
+            if status == "inconsistent":
+                continue
+        expected_masks.append(mask)
+    assert sorted(masks) == expected_masks
+
+
+def _count_calls(monkeypatch, function):
+    """Count calls of function through every lcpq module that holds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("lcpq") and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
+    return calls
+
+
+def test_inconsistent_singular_supports_skip_the_lp_and_solve_linear(monkeypatch):
+    # A_II x_I = -q_I has no solution on {2} (0 = -1) or on {1, 2}
+    # (x_1 = 2 and x_1 = -1), so neither support needs an LP or a rational
+    # consistency check; the one solution is x = (2, 0).
+    lps = _count_calls(monkeypatch, solve_feasibility)
+    solves = _count_calls(monkeypatch, solve_linear)
+    matrix = RationalMatrix([[1, 0], [1, 0]])
+    q = [-2, 1]
+    assert [sol.x for sol in solve_lcp(LcpInstance(matrix, q))] == [(2, 0)]
+    assert _generic_degree(SupportKernel(matrix), q) == 1
+    assert lps == [] and solves == []
+
+    # With q = (-2, -2) the system on {1, 2} is consistent (x_1 = 2): its
+    # family LP still runs, and the degree sample must be redrawn.
+    q = [-2, -2]
+    assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
+    assert len(lps) == 1
+    assert _generic_degree(SupportKernel(matrix), q) is None
