@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CertificateError, DegreeSamplingError
-from .lcp import LcpInstance, SupportKernel, check_cap, degree, embed, solve_lcp, supports
+from .kernel import clear_denominators
+from .lcp import LcpInstance, SupportKernel, check_cap, degree, embed, is_solvable, solve_lcp, supports
 from .matrices import RationalMatrix, nonpositive_rows, vec_to_fractions
 from .simplex import FeasibilitySystem, solve_feasibility
 from .structure import is_bdsw_shape
@@ -146,18 +147,26 @@ def is_S(matrix: RationalMatrix) -> Verdict:
     point = solve_feasibility(system)
     if point is None:
         return Verdict(NO, "S", "no x >= 0 with Ax >= 1", {})
-    max_abs_row_sum = max(abs(sum(row, Fraction(0))) for row in matrix.rows)
+    scales, ints = matrix.scaled_rows()
+    max_abs_row_sum = max(Fraction(abs(sum(row)), scale) for scale, row in zip(scales, ints))
     eps = Fraction(1, 2) / (1 + max_abs_row_sum)
     x = [v + eps for v in point]
-    w = matrix.matvec(x)
-    if not (all(v > 0 for v in x) and all(v > 0 for v in w)):
+    # Row i of ints and x_ints are positive multiples of A_i and x, so
+    # their dot product has the sign of (Ax)_i.
+    _, x_ints = clear_denominators(x)
+    if not (
+        all(v > 0 for v in x)
+        and all(sum(a * b for a, b in zip(row, x_ints)) > 0 for row in ints)
+    ):
         raise CertificateError("shifted S point is not strictly positive")
     return Verdict(YES, "S", "strictly positive x with Ax > 0", {"x": x})
 
 
-def is_P(matrix: RationalMatrix) -> Verdict:
-    """P: every principal minor is positive."""
-    kernel = SupportKernel(matrix)
+def is_P(matrix: RationalMatrix, kernel: Optional[SupportKernel] = None) -> Verdict:
+    """P: every principal minor is positive.  kernel, a SupportKernel of the
+    same matrix, shares its minor memo."""
+    if kernel is None:
+        kernel = SupportKernel(matrix)
     for mask, idx, _ in supports(matrix.n):
         if kernel.minor_sign(mask, idx) <= 0:
             return Verdict(
@@ -280,6 +289,14 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
     zero pattern (every 2x2 matrix has it), Q holds iff R0 holds and the
     degree is +-1, which turns the R0/degree channel into a full decision
     procedure there.
+
+    All channels share one SupportKernel, so every principal minor is
+    computed once, by is_R0.  When those minors are all positive the
+    matrix is P, and a P-matrix has exactly one solution for every q
+    (Cottle, Pang & Stone, *The Linear Complementarity Problem*, 1992,
+    ch. 3), so its degree is 1 without sampling one.  The witness search
+    asks only whether each candidate q is solvable (lcp.is_solvable),
+    which stops at the first solution.
     """
     n = matrix.n
     kernel = SupportKernel(matrix)  # enforces the enumeration cap
@@ -296,10 +313,13 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
     r0 = is_R0(matrix, kernel)
     deg: Optional[int] = None
     if r0.is_yes:
-        try:
-            deg = degree(matrix, rng_seed, kernel)
-        except DegreeSamplingError:
-            deg = None
+        if is_P(matrix, kernel).is_yes:  # reads the minors is_R0 memoised
+            deg = 1
+        else:
+            try:
+                deg = degree(matrix, rng_seed, kernel)
+            except DegreeSamplingError:
+                deg = None
         if deg is not None and deg != 0:
             return Verdict(
                 YES, "degree-nonzero", "R0 with nonzero LCP degree", {"degree": deg}
@@ -323,7 +343,7 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
             )
 
     for q in _witness_candidates(n, budget, rng_seed):
-        if not solve_lcp(LcpInstance(matrix, q), kernel):
+        if not is_solvable(matrix, q, kernel):
             return Verdict(NO, "unsolvable-q", "LCP(A,q) has no solution", {"q": q})
 
     return Verdict(UNDECIDED, "undecided", "no decision within budget", {})

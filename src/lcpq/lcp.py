@@ -8,12 +8,13 @@ SupportKernel owns that enumeration.  SupportKernel.walk visits the supports
 as a tree: the parent of P + {p}, with p above every index of P, is P, and
 the child's integer tableau is one fraction-free pivot on the parent's (see
 kernel), so each support costs O(n^2) integer operations instead of a fresh
-O(k^3) elimination.  Where there is no pivot to take (a zero pivot, or a
-singular parent), one fresh elimination reduces the support's block to its
-rank, which also tells whether its system A_II x_I = -q_I is consistent.
-Only the consistent singular supports go to the exact LP (see simplex),
-which pivots in integers too.  Fraction values are built only at the
-boundaries, for the solutions returned.
+O(k^3) elimination.  A zero pivot leaves the child singular, and the
+parent's tableau already tells whether its system A_II x_I = -q_I is
+consistent.  Below a singular support, one fresh elimination reduces each
+child's block to its rank, which also tells whether its system is
+consistent.  Only the consistent singular supports go to the exact LP (see
+simplex), which pivots in integers too.  Fraction values are built only at
+the boundaries, for the solutions returned.
 """
 
 from __future__ import annotations
@@ -128,6 +129,8 @@ class SupportKernel:
         if sign is None:
             # matrices.determinant is fraction-free too; going through it
             # keeps one determinant routine, which perfbench's trace counts.
+            # The block inherits the matrix's cached scaled integer rows, so
+            # no row's denominators are cleared again per minor.
             sign = _sign(determinant(self.matrix.principal_submatrix(idx)))
             self._signs[mask] = sign
         return sign
@@ -151,8 +154,10 @@ class SupportKernel:
         nonsingular node pivots its parent's columns at (p, p): every row
         but p takes a_ic <- (piv * a_ic - a_ip * a_pc) // det, where piv,
         the parent's entry at (p, p), is the det of the child's block
-        (Bareiss/Montante, exact by Sylvester's identity).  A child with a
-        zero pivot or a singular parent runs one fresh elimination instead
+        (Bareiss/Montante, exact by Sylvester's identity).  A zero pivot
+        makes the child singular with the parent's rank, and its system
+        is consistent iff the parent's q-column entry at row p is zero.  A
+        child of a singular parent runs one fresh elimination instead
         (_eliminate).  Only the tableaux on the current path and the
         siblings waiting on the stack are kept.
         """
@@ -185,6 +190,10 @@ class SupportKernel:
                         column = [(piv * a - f * b) // det for a, f in zip(column, pivot_col)]
                         column[p] = b  # the pivot row is left as it is
                         child_tableau.append(column)
+                elif det:
+                    # The block has rank |P| and row p is zero on it, so the
+                    # system is consistent iff that row's q entry is zero.
+                    child_tableau = tableau[-1][p] == 0
                 else:
                     piv, child_tableau = self._eliminate(rows, idx + [p], p)
                 signs[child] = _sign(piv)
@@ -266,8 +275,30 @@ def solve_lcp(inst: LcpInstance, kernel: Optional[SupportKernel] = None) -> List
     return list(seen.values())
 
 
-def is_solvable(matrix: RationalMatrix, q: Sequence) -> bool:
-    return bool(solve_lcp(LcpInstance(matrix, q)))
+def is_solvable(matrix: RationalMatrix, q: Sequence, kernel: Optional[SupportKernel] = None) -> bool:
+    """Whether LCP(A, q) has a solution; the same answer as bool(solve_lcp).
+
+    It returns at the first nonsingular support of the walk that solves
+    it.  The family LPs of the consistent singular supports wait until the walk has
+    ended without one, and stop at the first feasible one.  kernel, a
+    SupportKernel of the same matrix, shares its minor memo across calls.
+    """
+    q = LcpInstance(matrix, q).q
+    if kernel is None:
+        kernel = SupportKernel(matrix)
+    singular = []
+    for mask, _, _, solved in kernel.walk(q):
+        if solved is None:
+            singular.append(mask)
+        elif not any(v < 0 for v in solved[1]) and not any(v < 0 for v in solved[2]):
+            return True
+    n = matrix.n
+    for mask in singular:
+        idx = [i for i in range(n) if mask >> i & 1]
+        comp = [j for j in range(n) if not mask >> j & 1]
+        if _family_point(matrix, q, idx, comp) is not None:
+            return True
+    return False
 
 
 def _generic_degree(kernel: SupportKernel, q: Sequence[int]) -> Optional[int]:

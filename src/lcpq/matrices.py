@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import MatrixFormatError, SingularPivotError
@@ -37,7 +38,7 @@ class RationalMatrix:
     definitions stated with 1-based indices say so explicitly.
     """
 
-    __slots__ = ("rows", "n")
+    __slots__ = ("rows", "n", "_scaled")
 
     def __init__(self, rows: Iterable[Iterable]):
         converted = tuple(tuple(_to_fraction(v) for v in row) for row in rows)
@@ -113,13 +114,27 @@ class RationalMatrix:
             ]
         )
 
+    def scaled_rows(self) -> tuple:
+        """(scales, ints): ints[i] is row i times scales[i], a positive
+        integer that clears the row's denominators (see kernel).  Computed
+        once per matrix; a submatrix inherits its parent's."""
+        try:
+            return self._scaled
+        except AttributeError:
+            pairs = [clear_denominators(row) for row in self.rows]
+            scaled = tuple(s for s, _ in pairs), tuple(tuple(ints) for _, ints in pairs)
+            object.__setattr__(self, "_scaled", scaled)
+            return scaled
+
     @classmethod
-    def _of_fractions(cls, rows: tuple) -> "RationalMatrix":
+    def _of_fractions(cls, rows: tuple, scaled: tuple) -> "RationalMatrix":
         """A matrix on rows, a nonempty square tuple of tuples of Fractions,
-        taken as they are: no entry is converted or checked again."""
+        taken as they are: no entry is converted or checked again.  scaled
+        is its scaled_rows()."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "rows", rows)
         object.__setattr__(matrix, "n", len(rows))
+        object.__setattr__(matrix, "_scaled", scaled)
         return matrix
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
@@ -130,8 +145,13 @@ class RationalMatrix:
             raise MatrixFormatError(
                 "matrix is not square: %d rows but a row of length %d" % (len(row_idx), len(col_idx))
             )
-        picked = [self.rows[i] for i in row_idx]
-        return RationalMatrix._of_fractions(tuple([tuple([r[j] for j in col_idx]) for r in picked]))
+        scales, ints = self.scaled_rows()
+        rows = tuple([tuple([self.rows[i][j] for j in col_idx]) for i in row_idx])
+        scaled = (
+            tuple([scales[i] for i in row_idx]),
+            tuple([tuple([ints[i][j] for j in col_idx]) for i in row_idx]),
+        )
+        return RationalMatrix._of_fractions(rows, scaled)
 
     def principal_submatrix(self, idx: Sequence[int]) -> "RationalMatrix":
         return self.submatrix(idx, idx)
@@ -184,14 +204,10 @@ def sign_pattern(matrix: RationalMatrix) -> tuple:
 
 
 def determinant(matrix: RationalMatrix) -> Fraction:
-    """Exact determinant by fraction-free integer elimination (see kernel)."""
-    scale = 1
-    work = []
-    for row in matrix.rows:
-        row_scale, ints = clear_denominators(row)
-        scale *= row_scale
-        work.append(ints)
-    return Fraction(eliminate(work, matrix.n), scale)
+    """Exact determinant by fraction-free integer elimination (see kernel)
+    of the matrix's cached scaled rows."""
+    scales, ints = matrix.scaled_rows()
+    return Fraction(eliminate([list(row) for row in ints], matrix.n), prod(scales))
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:

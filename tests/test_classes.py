@@ -27,7 +27,7 @@ from lcpq.classes import (
     q_oracle,
 )
 from lcpq.classifier import classify_by_rules
-from lcpq.errors import DegreeSamplingError
+from lcpq.errors import CertificateError, DegreeSamplingError
 from lcpq.generate import GENERATOR_TYPES, generate
 from lcpq.lcp import LcpInstance, solve_lcp
 from lcpq.matrices import RationalMatrix, vec_to_fractions
@@ -161,12 +161,31 @@ def test_e_identity_yes():
 
 
 def test_s_yes_with_strict_witness():
-    m = RationalMatrix([[1, -1], [1, 0]])
-    v = is_S(m)
-    assert v.is_yes
-    x = vec_to_fractions(v.data["x"])
-    assert all(t > 0 for t in x)
-    assert all(t > 0 for t in m.matvec(x))
+    fixture = RationalMatrix([[1, -1], [1, 0]])
+    assert is_S(fixture).is_yes
+    # Fractional rows check the certificate through the row-scaled integers.
+    rng = random.Random(11)
+    matrices = [fixture]
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        matrices.append(RationalMatrix(
+            [[Fraction(rng.randint(-6, 9), rng.randint(1, 7)) for _ in range(n)] for _ in range(n)]
+        ))
+    for m in matrices:
+        v = is_S(m)
+        if v.is_yes:
+            x = vec_to_fractions(v.data["x"])
+            assert all(t > 0 for t in x)
+            assert all(t > 0 for t in m.matvec(x))
+
+
+def test_s_certificate_check_rejects_a_point_that_is_not_strict(monkeypatch):
+    from lcpq import classes
+
+    # From the LP point 0 the shift gives x = (1/4, 1/4) and Ax = (0, 1/4).
+    monkeypatch.setattr(classes, "solve_feasibility", lambda system: [Fraction(0)] * system.n_vars)
+    with pytest.raises(CertificateError):
+        is_S(RationalMatrix([[1, -1], [1, 0]]))
 
 
 def test_s_no_for_negative_identity():
@@ -222,9 +241,10 @@ def test_q_oracle_r_star_channel_runs_r0_once(monkeypatch):
 
     monkeypatch.setattr(classes, "degree", no_generic_q)
     monkeypatch.setattr(classes, "is_R0", counted_r0)
-    # Upper triangular with a positive diagonal (P, so R0 and E0); the
-    # (1, 3) entry keeps it off the bdsw shape.
-    v = q_oracle(RationalMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
+    # Nonnegative with a positive diagonal (so R0 and E0), but the {1, 2}
+    # minor is -1: not P, so the degree is sampled.  The (1, 3) entry keeps
+    # it off the bdsw shape.
+    v = q_oracle(RationalMatrix([[1, 2, 1], [1, 1, 0], [0, 0, 1]]))
     assert v.to_json_obj() == {
         "answer": "yes",
         "theorem": "R-star",
@@ -232,6 +252,27 @@ def test_q_oracle_r_star_channel_runs_r0_once(monkeypatch):
         "witness": {},
     }
     assert len(runs) == 1
+
+
+def test_q_oracle_gives_p_matrices_degree_one_without_sampling(monkeypatch):
+    from lcpq import classes
+
+    def no_degree(*args, **kwargs):
+        raise AssertionError("a P-matrix needs no degree sample")
+
+    monkeypatch.setattr(classes, "degree", no_degree)
+    for rows in (
+        [[2, 1, 1], [0, 3, 1], [1, 0, 2]],  # off the bdsw shape
+        [[1, -1, 0], [0, 1, -1], [1, 0, 1]],  # bdsw shape
+        [["1/2", 3], ["-1/3", 1]],
+    ):
+        v = q_oracle(RationalMatrix(rows))
+        assert v.to_json_obj() == {
+            "answer": "yes",
+            "theorem": "degree-nonzero",
+            "condition": "R0 with nonzero LCP degree",
+            "witness": {"degree": 1},
+        }
 
 
 def test_q_oracle_unsolvable_witness():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_lcp_solution, reference_generic_degree, reference_solve_lcp
+from helpers import check_lcp_solution, principal_minors, reference_generic_degree, reference_solve_lcp
 from lcpq.errors import EnumerationCapError
 from lcpq.lcp import (
     DEFAULT_ENUM_CAP,
@@ -174,6 +174,41 @@ def test_degree_one_for_p_matrices():
         assert degree(m) == 1
 
 
+@st.composite
+def p_matrices(draw):
+    """P-matrices of order 1..6: diagonally dominant with a positive
+    diagonal, triangular with a positive diagonal, or a positive definite
+    symmetric part plus a skew part, each then scaled by positive
+    diagonal matrices on both sides."""
+    n = draw(st.integers(1, 6))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    b = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["dominant", "triangular", "definite"]))
+    if kind == "dominant":
+        a = [row[:] for row in b]
+        for i in range(n):
+            a[i][i] = sum(abs(v) for j, v in enumerate(b[i]) if j != i) + draw(st.integers(1, 3))
+    elif kind == "triangular":
+        a = [[b[i][j] if j > i else Fraction(0) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            a[i][i] = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+    else:  # B^T B + I + (B - B^T): x^T A x = |Bx|^2 + |x|^2 > 0
+        a = [
+            [sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) + b[i][j] - b[j][i] for j in range(n)]
+            for i in range(n)
+        ]
+    left = [Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3))) for _ in range(n)]
+    right = [Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3))) for _ in range(n)]
+    return RationalMatrix([[left[i] * a[i][j] * right[j] for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p_matrices(), st.integers(0, 3))
+def test_degree_is_one_on_random_p_matrices(m, seed):
+    assert all(d > 0 for _, d in principal_minors(m.rows))
+    assert degree(m, rng_seed=seed) == 1
+
+
 ENTRIES = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -212,7 +247,9 @@ def walk_cases(draw):
 @given(walk_cases())
 def test_support_walk_matches_bitmask_order_references(case):
     matrix, q = case
-    assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
+    reference = reference_solve_lcp(matrix, q)
+    assert solve_lcp(LcpInstance(matrix, q)) == reference
+    assert is_solvable(matrix, q) == bool(reference)
 
     kernel = SupportKernel(matrix)
     total = _generic_degree(kernel, q)
@@ -269,3 +306,58 @@ def test_inconsistent_singular_supports_skip_the_lp_and_solve_linear(monkeypatch
     assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
     assert len(lps) == 1
     assert _generic_degree(SupportKernel(matrix), q) is None
+
+
+def test_is_solvable_stops_at_the_first_solution(monkeypatch):
+    walked = []
+    walk = SupportKernel.walk
+
+    def counted_walk(self, q):
+        for record in walk(self, q):
+            walked.append(record[0])
+            yield record
+
+    monkeypatch.setattr(SupportKernel, "walk", counted_walk)
+    lps = _count_calls(monkeypatch, solve_feasibility)
+
+    # q >= 0: the empty support, the walk's root, already solves it.
+    matrix = RationalMatrix.identity(3)
+    assert is_solvable(matrix, [1, 2, 3])
+    assert walked == [0]
+    del walked[:]
+    assert len(solve_lcp(LcpInstance(matrix, [1, 2, 3]))) == 1
+    assert len(walked) == 8
+
+    # x = (2, 0) solves it on the nonsingular support {1}, so the family LP
+    # of the singular support {1, 2}, which solve_lcp runs, is never needed.
+    matrix = RationalMatrix([[1, 0], [1, 0]])
+    q = [-2, -2]
+    assert is_solvable(matrix, q)
+    assert lps == []
+    assert solve_lcp(LcpInstance(matrix, q))
+    assert len(lps) == 1
+
+    # Only the singular support {2} solves it (x_2 >= 1): its LP still runs.
+    del lps[:]
+    assert is_solvable(RationalMatrix([[0, 1], [0, 0]]), [-1, 0])
+    assert len(lps) == 1
+
+
+def test_zero_pivot_children_of_nonsingular_supports_need_no_elimination(monkeypatch):
+    # {1} is nonsingular and the pivot of its child {1, 2} is det A = 0; the
+    # parent's tableau already tells whether x_1 + x_2 = -q_1 = -q_2 is
+    # consistent.
+    eliminations = []
+    eliminate = SupportKernel._eliminate
+
+    def counted(rows, idx, p):
+        eliminations.append(idx)
+        return eliminate(rows, idx, p)
+
+    monkeypatch.setattr(SupportKernel, "_eliminate", staticmethod(counted))
+    matrix = RationalMatrix([[1, 1], [1, 1]])
+    for q, consistent in (([-1, -1], True), ([-1, -2], False), ([Fraction(1, 2), Fraction(1, 2)], True)):
+        masks = [mask for mask, _, _, _ in SupportKernel(matrix).walk(q)]
+        assert (3 in masks) == consistent
+        assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
+    assert eliminations == []

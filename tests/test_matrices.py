@@ -87,6 +87,29 @@ def test_determinant_matches_cofactor_expansion():
         assert determinant(RationalMatrix(rows)) == cofactor_det(rows)
 
 
+def test_principal_minors_read_the_inherited_scaled_rows():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        rows = [
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        m = RationalMatrix(rows)
+        for mask in range(1, 1 << n):
+            idx = [i for i in range(n) if mask >> i & 1]
+            sub = m.principal_submatrix(idx)
+            assert determinant(sub) == cofactor_det([[rows[i][j] for j in idx] for i in idx])
+            scales, ints = sub.scaled_rows()
+            assert [[Fraction(a, s) for a in row] for s, row in zip(scales, ints)] == [
+                list(row) for row in sub.rows
+            ]
+            inner = sub.principal_submatrix(list(range(len(idx)))[::2])
+            assert determinant(inner) == cofactor_det([list(row) for row in inner.rows])
+            cols = [(i + 1) % n for i in idx]  # rows and columns differ
+            assert determinant(m.submatrix(idx, cols)) == cofactor_det([[rows[i][j] for j in cols] for i in idx])
+
+
 def test_determinant_fixtures():
     assert determinant(RationalMatrix.identity(4)) == 1
     assert determinant(RationalMatrix([[1, 2], [2, 4]])) == 0
