@@ -19,9 +19,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .classes import NO, UNDECIDED, YES, Verdict, is_R0, q_oracle
 from .classifier import classify, classify_by_rules
@@ -31,24 +29,12 @@ from .errors import (
     MatrixFormatError,
 )
 from .generate import GENERATOR_TYPES, generate
-from .jordan.algebra import (
-    Algebra,
-    element_from_eigenvalues,
-    parse_algebra,
-    random_frame,
-    standard_frame,
-    sym_algebra,
-)
-from .jordan.checks import IDENTITY_NAMES, identity_residuals
-from .jordan.sclcp import (
-    classify_rank_one_q,
-    embed_solve,
-    sample_positivity_violation,
-)
-from .jordan.transforms import rank_one
 from .lcp import degree
 from .matrices import RationalMatrix, parse_matrix, parse_vector
 from .structure import detect_structure
+
+if TYPE_CHECKING:
+    from .jordan.algebra import Algebra
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -208,7 +194,17 @@ def cmd_degree(args) -> int:
     return EXIT_YES
 
 
+# numpy and lcpq.jordan are imported inside the jordan commands, so that
+# classify, verify, generate and degree start without loading them.
+
+
+def _algebra_name(algebra: Algebra) -> str:
+    return "%s:%d" % (algebra.kind, algebra.size)
+
+
 def _parse_algebra_arg(text: str) -> Algebra:
+    from .jordan.algebra import parse_algebra
+
     try:
         return parse_algebra(text)
     except (ValueError, TypeError) as exc:
@@ -216,12 +212,20 @@ def _parse_algebra_arg(text: str) -> Algebra:
 
 
 def _build_frame(algebra: Algebra, which: str, seed: int):
+    import numpy as np
+
+    from .jordan.algebra import random_frame, standard_frame
+
     if which == "rotated":
         return random_frame(algebra, np.random.default_rng(seed))
     return standard_frame(algebra)
 
 
 def cmd_jordan_identities(args) -> int:
+    from .jordan.checks import IDENTITY_NAMES, identity_residuals
+
+    if args.samples < 1:
+        return _fail("need --samples >= 1, got %d" % args.samples, EXIT_USAGE)
     try:
         algebra = _parse_algebra_arg(args.algebra)
     except ValueError as exc:
@@ -263,6 +267,10 @@ def _parse_eigs(text: str) -> list:
 
 
 def cmd_jordan_rank_one(args) -> int:
+    from .jordan.algebra import Algebra, element_from_eigenvalues
+    from .jordan.sclcp import classify_rank_one_q, sample_positivity_violation
+    from .jordan.transforms import rank_one
+
     try:
         eigs_a = _parse_eigs(args.a)
         eigs_b = _parse_eigs(args.b)
@@ -275,7 +283,8 @@ def cmd_jordan_rank_one(args) -> int:
         return _fail(str(exc), EXIT_USAGE)
     if len(eigs_a) != algebra.rank or len(eigs_b) != algebra.rank:
         return _fail(
-            "need %d eigenvalues per element for %s" % (algebra.rank, args.algebra),
+            "need %d eigenvalues per element for %s"
+            % (algebra.rank, _algebra_name(algebra)),
             EXIT_USAGE,
         )
     frame = _build_frame(algebra, args.frame, args.seed)
@@ -291,7 +300,7 @@ def cmd_jordan_rank_one(args) -> int:
         record = {
             "a": eigs_a,
             "b": eigs_b,
-            "algebra": algebra.kind + ":" + str(algebra.size),
+            "algebra": _algebra_name(algebra),
             "frame": args.frame,
             "verdict": verdict.to_json_obj(),
         }
@@ -315,6 +324,9 @@ def cmd_jordan_rank_one(args) -> int:
 
 
 def cmd_jordan_embed_check(args) -> int:
+    from .jordan.algebra import sym_algebra
+    from .jordan.sclcp import embed_solve
+
     try:
         matrix, digest = _read_matrix_file(args.matrix)
         qvec = parse_vector(args.q)
@@ -347,7 +359,7 @@ def cmd_jordan_embed_check(args) -> int:
             "input": args.matrix,
             "sha256": digest,
             "q": [str(v) for v in qvec],
-            "algebra": algebra.kind + ":" + str(algebra.size),
+            "algebra": _algebra_name(algebra),
             "frame": args.frame,
             "status": outcome.status,
         }

@@ -39,6 +39,8 @@ def random_triangular(
     rng: random.Random, n: int, entry_range: int = 5, side: Optional[str] = None
 ) -> RationalMatrix:
     """Random triangular matrix; side is "upper", "lower" or None (coin flip)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     if side is None:
         side = "upper" if rng.random() < 0.5 else "lower"
     rows = [[0] * n for _ in range(n)]
@@ -210,6 +212,8 @@ def generate(
     """Generate count instances of the named family with one seeded stream."""
     if kind not in GENERATOR_TYPES:
         raise ValueError("unknown generator type %r" % (kind,))
+    if count < 0:
+        raise ValueError("need count >= 0")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -47,5 +47,6 @@ from .sclcp import (
     strict_copositivity_sample,
     verify_sc_solution,
 )
+from .checks import IDENTITY_NAMES, identity_residuals
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lcpq
 from lcpq.classes import q_oracle
 from lcpq.cli import main
 from lcpq.errors import DegreeSamplingError
@@ -184,6 +188,21 @@ def test_generate_rejects_unknown_type(tmp_path):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_generate_rejects_an_order_below_one(tmp_path, capsys, n):
+    out = tmp_path / "out"
+    assert main(["generate", "--type", "tri", "--n", n, "--out", str(out)]) == 64
+    assert capsys.readouterr().err == "need n >= 1\n"
+    assert not out.exists()
+
+
+def test_generate_rejects_a_negative_count(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["generate", "--type", "bdsw-2", "--count", "-1", "--out", str(out)]) == 64
+    assert capsys.readouterr().err == "need count >= 0\n"
+    assert not out.exists()
+
+
 def test_degree_values(tmp_path, capsys):
     eye = _write(tmp_path, "eye.txt", "1 0\n0 1\n")
     assert main(["degree", eye]) == 0
@@ -224,6 +243,15 @@ def test_jordan_identities_table(capsys):
     assert lines[-1].endswith("pass")
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_jordan_identities_rejects_fewer_than_one_sample(capsys, samples):
+    code = main(["jordan", "identities", "--algebra", "rn:3", "--samples", samples])
+    assert code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "need --samples >= 1, got %s\n" % samples
+
+
 def test_jordan_identities_json(capsys):
     assert (
         main(
@@ -258,6 +286,17 @@ def test_jordan_rank_one_answers(capsys):
 
     assert main(["jordan", "rank-one", "--a", "eigs:0,1", "--b", "eigs:1,1"]) == 2
     capsys.readouterr()
+
+
+def test_jordan_rank_one_length_error_names_the_default_algebra(capsys):
+    assert main(["jordan", "rank-one", "--a", "eigs:1,2", "--b", "eigs:1"]) == 64
+    assert capsys.readouterr().err == "need 2 eigenvalues per element for rn:2\n"
+
+    code = main(
+        ["jordan", "rank-one", "--a", "eigs:1", "--b", "eigs:1", "--algebra", "sym:2"]
+    )
+    assert code == 64
+    assert capsys.readouterr().err == "need 2 eigenvalues per element for sym:2\n"
 
 
 def test_jordan_rank_one_json_includes_sampler(capsys):
@@ -321,3 +360,25 @@ def test_jordan_embed_check_dimension_errors(tmp_path, capsys):
         == 64
     )
     capsys.readouterr()
+
+
+def test_core_commands_import_neither_numpy_nor_the_jordan_layer():
+    """Only the jordan commands need numpy; classify and verify start
+    without it.  Importing lcpq.jordan loads every jordan module."""
+    script = (
+        "import json, sys\n"
+        "import lcpq.cli\n"
+        "core = sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'numpy' or m.startswith('lcpq.jordan'))\n"
+        "import lcpq.jordan\n"
+        "print(json.dumps([core, 'lcpq.jordan.checks' in sys.modules]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lcpq.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    core, checks_loaded = json.loads(done.stdout)
+    assert core == []
+    assert checks_loaded
