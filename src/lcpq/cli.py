@@ -271,6 +271,8 @@ def cmd_jordan_rank_one(args) -> int:
     from .jordan.sclcp import classify_rank_one_q, sample_positivity_violation
     from .jordan.transforms import rank_one
 
+    if args.samples < 1:
+        return _fail("need --samples >= 1, got %d" % args.samples, EXIT_USAGE)
     try:
         eigs_a = _parse_eigs(args.a)
         eigs_b = _parse_eigs(args.b)
@@ -327,6 +329,8 @@ def cmd_jordan_embed_check(args) -> int:
     from .jordan.algebra import sym_algebra
     from .jordan.sclcp import embed_solve
 
+    if args.n is not None and args.n < 1:
+        return _fail("need --n >= 1, got %d" % args.n, EXIT_USAGE)
     try:
         matrix, digest = _read_matrix_file(args.matrix)
         qvec = parse_vector(args.q)
@@ -343,7 +347,7 @@ def cmd_jordan_embed_check(args) -> int:
         except ValueError as exc:
             return _fail(str(exc), EXIT_USAGE)
     else:
-        algebra = sym_algebra(args.n if args.n else matrix.n)
+        algebra = sym_algebra(matrix.n if args.n is None else args.n)
     if algebra.rank != matrix.n:
         return _fail(
             "algebra rank %d does not match matrix order %d" % (algebra.rank, matrix.n),

@@ -6,11 +6,17 @@ matrices the basis lists the diagonal units E_ii first, then the
 off-diagonal units (E_ij + E_ji)/sqrt(2) in lexicographic (i, j) order,
 i < j.  The trace inner product is then the plain dot product of
 coordinates in both algebras.
+
+The maps between sym coordinates and matrices (svec and its inverse) are
+index arrays: the diagonal through np.arange(m) and the off-diagonal units
+through np.triu_indices(m, 1), whose order is off_diagonal_pairs().  They
+are built once per order m and are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -78,12 +84,12 @@ class JordanElement:
         if self.algebra.kind != "sym":
             raise ValueError("matrix form only exists for the sym algebra")
         m = self.algebra.size
+        diag, rows, cols = _svec_indices(m)
         out = np.zeros((m, m))
-        for i in range(m):
-            out[i, i] = self.coords[i]
-        root2 = np.sqrt(2.0)
-        for pos, (i, j) in enumerate(self.algebra.off_diagonal_pairs(), start=m):
-            out[i, j] = out[j, i] = self.coords[pos] / root2
+        out[diag, diag] = self.coords[:m]
+        off = self.coords[m:] / np.sqrt(2.0)
+        out[rows, cols] = off
+        out[cols, rows] = off
         return out
 
     def to_json_obj(self) -> dict:
@@ -113,6 +119,17 @@ class JordanElement:
         return float(np.linalg.norm(self.coords))
 
 
+@lru_cache(maxsize=None)
+def _svec_indices(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (diag, rows, cols) for sym:m: coordinate i < m is entry
+    (diag[i], diag[i]), coordinate m + k is entry (rows[k], cols[k])."""
+    diag = np.arange(m)
+    rows, cols = np.triu_indices(m, 1)
+    for index in (diag, rows, cols):
+        index.setflags(write=False)
+    return diag, rows, cols
+
+
 def _same_algebra(a: JordanElement, b: JordanElement) -> None:
     if a.algebra != b.algebra:
         raise ValueError("elements live in different algebras")
@@ -126,13 +143,11 @@ def element_from_matrix(algebra: Algebra, mat: np.ndarray) -> JordanElement:
     if algebra.kind != "sym":
         raise ValueError("matrix form only exists for the sym algebra")
     m = algebra.size
+    diag, rows, cols = _svec_indices(m)
     mat = np.asarray(mat, dtype=float)
-    coords = np.zeros(algebra.dim)
-    for i in range(m):
-        coords[i] = mat[i, i]
-    root2 = np.sqrt(2.0)
-    for pos, (i, j) in enumerate(algebra.off_diagonal_pairs(), start=m):
-        coords[pos] = mat[i, j] * root2
+    coords = np.empty(algebra.dim)
+    coords[:m] = mat[diag, diag]
+    coords[m:] = mat[rows, cols] * np.sqrt(2.0)
     return JordanElement(algebra, coords)
 
 

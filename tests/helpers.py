@@ -6,12 +6,17 @@ expansion (the package uses Gaussian elimination), LCP solutions are
 checked straight from the definition, LP feasibility pivots a Fraction
 tableau (the package pivots in integers), and LCP(A, q) and the degree sum
 loop over the supports in bitmask order with a rational solve per support
-(the package walks a tree of integer pivots).
+(the package walks a tree of integer pivots).  The sym svec maps loop over
+the coordinates one pair (i, j) at a time (the package uses index arrays),
+with the same float operations, so both must agree bit for bit.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
+from lcpq.jordan.algebra import JordanElement
 from lcpq.lcp import LcpSolution
 from lcpq.matrices import solve_linear
 from lcpq.simplex import FeasibilitySystem
@@ -256,3 +261,33 @@ def reference_generic_degree(matrix, q):
             continue
         total += _principal_sign(matrix, idx)
     return total
+
+
+def reference_to_matrix(x):
+    """JordanElement.to_matrix by a loop over the sym coordinates."""
+    if x.algebra.kind != "sym":
+        raise ValueError("matrix form only exists for the sym algebra")
+    m = x.algebra.size
+    out = np.zeros((m, m))
+    for i in range(m):
+        out[i, i] = x.coords[i]
+    root2 = np.sqrt(2.0)
+    for pos, (i, j) in enumerate(x.algebra.off_diagonal_pairs(), start=m):
+        out[i, j] = out[j, i] = x.coords[pos] / root2
+    return out
+
+
+def reference_element_from_matrix(algebra, mat):
+    """lcpq.jordan.algebra.element_from_matrix by a loop over the sym
+    coordinates; reads the upper triangle of a nonsymmetric mat."""
+    if algebra.kind != "sym":
+        raise ValueError("matrix form only exists for the sym algebra")
+    m = algebra.size
+    mat = np.asarray(mat, dtype=float)
+    coords = np.zeros(algebra.dim)
+    for i in range(m):
+        coords[i] = mat[i, i]
+    root2 = np.sqrt(2.0)
+    for pos, (i, j) in enumerate(algebra.off_diagonal_pairs(), start=m):
+        coords[pos] = mat[i, j] * root2
+    return JordanElement(algebra, coords)

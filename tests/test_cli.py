@@ -299,6 +299,17 @@ def test_jordan_rank_one_length_error_names_the_default_algebra(capsys):
     assert capsys.readouterr().err == "need 2 eigenvalues per element for sym:2\n"
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_jordan_rank_one_rejects_fewer_than_one_sample(capsys, samples):
+    code = main(
+        ["jordan", "rank-one", "--a", "eigs:1,-1", "--b", "eigs:1,1", "--samples", samples]
+    )
+    assert code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "need --samples >= 1, got %s\n" % samples
+
+
 def test_jordan_rank_one_json_includes_sampler(capsys):
     code = main(
         ["jordan", "rank-one", "--a", "eigs:1,-1", "--b", "eigs:1,1", "--json"]
@@ -360,6 +371,16 @@ def test_jordan_embed_check_dimension_errors(tmp_path, capsys):
         == 64
     )
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_jordan_embed_check_rejects_n_below_one(tmp_path, capsys, n):
+    path = _write(tmp_path, "t3.txt", "-1 2\n1 -1\n")
+    code = main(["jordan", "embed-check", "--matrix", path, "--q", "-1,-1", "--n", n])
+    assert code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "need --n >= 1, got %s\n" % n
 
 
 def test_core_commands_import_neither_numpy_nor_the_jordan_layer():

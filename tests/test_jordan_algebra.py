@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_element_from_matrix, reference_to_matrix
 from lcpq.jordan.algebra import (
     Algebra,
+    JordanElement,
     JordanFrame,
     element_from_coords,
     element_from_eigenvalues,
@@ -26,6 +30,7 @@ from lcpq.jordan.algebra import (
     standard_frame,
     sym_algebra,
     trace_inner_product,
+    _svec_indices,
 )
 
 RN3 = rn_algebra(3)
@@ -87,6 +92,58 @@ def test_sym_coordinate_convention():
     x = element_from_matrix(SYM2, mat)
     assert np.allclose(x.coords, [2.0, -1.0, 5.0 * np.sqrt(2.0)])
     assert np.allclose(x.to_matrix(), mat)
+
+
+FLOATS = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
+
+
+@st.composite
+def sym_cases(draw):
+    """An order m in 1..12 (m = 1 has no off-diagonal coordinates), two
+    elements and a nonsymmetric m x m matrix of sym:m."""
+    m = draw(st.integers(min_value=1, max_value=12))
+    algebra = sym_algebra(m)
+    vectors = st.lists(FLOATS, min_size=algebra.dim, max_size=algebra.dim)
+    x = JordanElement(algebra, np.array(draw(vectors)))
+    y = JordanElement(algebra, np.array(draw(vectors)))
+    mat = np.array(draw(st.lists(FLOATS, min_size=m * m, max_size=m * m))).reshape(m, m)
+    return algebra, x, y, mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(sym_cases())
+def test_svec_index_maps_match_the_coordinate_loops_bit_for_bit(case):
+    algebra, x, y, mat = case
+    assert np.array_equal(x.to_matrix(), reference_to_matrix(x))
+    assert np.array_equal(
+        element_from_matrix(algebra, mat).coords,
+        reference_element_from_matrix(algebra, mat).coords,
+    )
+    mx, my = reference_to_matrix(x), reference_to_matrix(y)
+    product = reference_element_from_matrix(algebra, (mx @ my + my @ mx) / 2.0)
+    assert np.array_equal(jordan_product(x, y).coords, product.coords)
+
+
+def test_svec_indices_follow_off_diagonal_pairs_and_are_read_only():
+    for m in range(1, 9):
+        diag, rows, cols = _svec_indices(m)
+        assert diag.tolist() == list(range(m))
+        assert list(zip(rows.tolist(), cols.tolist())) == sym_algebra(m).off_diagonal_pairs()
+        assert _svec_indices(m)[1] is rows
+        for index in (diag, rows, cols):
+            with pytest.raises(ValueError):
+                index[...] = 0
+    assert _svec_indices(1)[1].size == 0
+    one = element_from_matrix(sym_algebra(1), np.array([[3.0]]))
+    assert one.coords.tolist() == [3.0] and one.to_matrix().tolist() == [[3.0]]
+
+
+def test_matrix_form_rejects_the_rn_algebra():
+    x = element_from_coords(RN3, [1, 2, 3])
+    with pytest.raises(ValueError):
+        x.to_matrix()
+    with pytest.raises(ValueError):
+        element_from_matrix(RN3, np.eye(3))
 
 
 def test_json_round_trip():
