@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import CertificateError, DegreeSamplingError
 from .kernel import clear_denominators
-from .lcp import LcpInstance, SupportKernel, check_cap, degree, embed, is_solvable, solve_lcp, supports
+from .lcp import LcpInstance, check_cap, degree, embed, is_solvable, minor_sign, solve_lcp, supports
 from .matrices import RationalMatrix, nonpositive_rows, vec_to_fractions
 from .simplex import FeasibilitySystem, solve_feasibility
 from .structure import is_bdsw_shape
@@ -60,24 +60,14 @@ class Verdict:
         }
 
 
-def _nonempty_supports(n: int):
-    """0-based index lists of the nonempty supports, in bitmask order."""
-    check_cap(n)
-    for _, idx, _ in itertools.islice(supports(n), 1, None):
-        yield idx
-
-
-def is_R0(matrix: RationalMatrix, kernel: Optional[SupportKernel] = None) -> Verdict:
+def is_R0(matrix: RationalMatrix) -> Verdict:
     """R0: x = 0 is the only solution of LCP(A, 0).
 
     For each nonempty support I the system A_II x_I = 0, x_I >= 0,
-    sum x_I = 1, A_(I^c,I) x_I >= 0 must be infeasible.  kernel, a
-    SupportKernel of the same matrix, shares its minor memo.
+    sum x_I = 1, A_(I^c,I) x_I >= 0 must be infeasible.
     """
-    if kernel is None:
-        kernel = SupportKernel(matrix)
     for mask, idx, comp in supports(matrix.n):
-        if kernel.minor_sign(mask, idx) != 0:
+        if minor_sign(matrix, mask, idx) != 0:
             continue  # homogeneous system only has x_I = 0, normalisation fails
         system = FeasibilitySystem(len(idx))
         for i in idx:
@@ -100,11 +90,10 @@ def is_Rd(matrix: RationalMatrix, d: Sequence) -> Verdict:
     dvec = vec_to_fractions(d)
     if len(dvec) != matrix.n or any(v <= 0 for v in dvec):
         raise ValueError("d must be a positive vector matching the order")
-    kernel = SupportKernel(matrix)
-    r0 = is_R0(matrix, kernel)
+    r0 = is_R0(matrix)
     if not r0.is_yes:
         return Verdict(NO, "R(d)", "LCP(A,0) already nontrivial", dict(r0.data))
-    for sol in solve_lcp(LcpInstance(matrix, dvec), kernel):
+    for sol in solve_lcp(LcpInstance(matrix, dvec)):
         if sol.support:
             x = list(sol.x)
             return Verdict(NO, "R(d)", "nonzero solution of LCP(A,d)", {"x": x, "d": dvec})
@@ -113,7 +102,7 @@ def is_Rd(matrix: RationalMatrix, d: Sequence) -> Verdict:
 
 def is_E0(matrix: RationalMatrix) -> Verdict:
     """E0 (semimonotone): no 0 != x >= 0 has x_i (Ax)_i < 0 on all of supp x."""
-    for idx in _nonempty_supports(matrix.n):
+    for _, idx, _ in itertools.islice(supports(matrix.n), 1, None):
         system = FeasibilitySystem(len(idx))
         for i in idx:
             system.add_ge([-matrix.rows[i][j] for j in idx], 1)
@@ -126,7 +115,7 @@ def is_E0(matrix: RationalMatrix) -> Verdict:
 
 def is_E(matrix: RationalMatrix) -> Verdict:
     """E (strictly semimonotone): every 0 != x >= 0 has x_i (Ax)_i > 0 somewhere."""
-    for idx in _nonempty_supports(matrix.n):
+    for _, idx, _ in itertools.islice(supports(matrix.n), 1, None):
         system = FeasibilitySystem(len(idx))
         for i in idx:
             system.add_ge([-matrix.rows[i][j] for j in idx], 0)
@@ -162,13 +151,10 @@ def is_S(matrix: RationalMatrix) -> Verdict:
     return Verdict(YES, "S", "strictly positive x with Ax > 0", {"x": x})
 
 
-def is_P(matrix: RationalMatrix, kernel: Optional[SupportKernel] = None) -> Verdict:
-    """P: every principal minor is positive.  kernel, a SupportKernel of the
-    same matrix, shares its minor memo."""
-    if kernel is None:
-        kernel = SupportKernel(matrix)
+def is_P(matrix: RationalMatrix) -> Verdict:
+    """P: every principal minor is positive."""
     for mask, idx, _ in supports(matrix.n):
-        if kernel.minor_sign(mask, idx) <= 0:
+        if minor_sign(matrix, mask, idx) <= 0:
             return Verdict(
                 NO, "P", "nonpositive principal minor", {"indices": [i + 1 for i in idx]}
             )
@@ -177,9 +163,8 @@ def is_P(matrix: RationalMatrix, kernel: Optional[SupportKernel] = None) -> Verd
 
 def is_P0(matrix: RationalMatrix) -> Verdict:
     """P0: every principal minor is nonnegative."""
-    kernel = SupportKernel(matrix)
     for mask, idx, _ in supports(matrix.n):
-        if kernel.minor_sign(mask, idx) < 0:
+        if minor_sign(matrix, mask, idx) < 0:
             return Verdict(
                 NO, "P0", "negative principal minor", {"indices": [i + 1 for i in idx]}
             )
@@ -198,9 +183,9 @@ def is_Z(matrix: RationalMatrix) -> Verdict:
     return Verdict(YES, "Z", "off-diagonal entries nonpositive", {})
 
 
-def is_Rstar(matrix: RationalMatrix, kernel: Optional[SupportKernel] = None) -> Verdict:
+def is_Rstar(matrix: RationalMatrix) -> Verdict:
     """R* = R0 and E0; such matrices have the R property and hence Q."""
-    r0 = is_R0(matrix, kernel)
+    r0 = is_R0(matrix)
     if not r0.is_yes:
         return Verdict(NO, "R*", "R0 fails", dict(r0.data))
     e0 = is_E0(matrix)
@@ -290,16 +275,17 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
     degree is +-1, which turns the R0/degree channel into a full decision
     procedure there.
 
-    All channels share one SupportKernel, so every principal minor is
-    computed once, by is_R0.  When those minors are all positive the
-    matrix is P, and a P-matrix has exactly one solution for every q
-    (Cottle, Pang & Stone, *The Linear Complementarity Problem*, 1992,
-    ch. 3), so its degree is 1 without sampling one.  The witness search
-    asks only whether each candidate q is solvable (lcp.is_solvable),
-    which stops at the first solution.
+    Every channel reads principal-minor signs through the matrix's own
+    memo (lcp.minor_sign), so each minor is computed once, by is_R0.  When
+    those minors are all positive the matrix is P, and a P-matrix has
+    exactly one solution for every q (Cottle, Pang & Stone, *The Linear
+    Complementarity Problem*, 1992, ch. 3), so its degree is 1 without
+    sampling one.  The witness search asks only whether each candidate q
+    is solvable (lcp.is_solvable), which stops at the first solution.
+    The enumeration cap is checked first, before any channel runs.
     """
     n = matrix.n
-    kernel = SupportKernel(matrix)  # enforces the enumeration cap
+    check_cap(n)
 
     bad = nonpositive_rows(matrix)
     if bad:
@@ -310,14 +296,14 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
         return Verdict(NO, "not-S", "no positive x with Ax > 0", {})
 
     bdsw = is_bdsw_shape(matrix)
-    r0 = is_R0(matrix, kernel)
+    r0 = is_R0(matrix)
     deg: Optional[int] = None
     if r0.is_yes:
-        if is_P(matrix, kernel).is_yes:  # reads the minors is_R0 memoised
+        if is_P(matrix).is_yes:  # reads the minors is_R0 memoised
             deg = 1
         else:
             try:
-                deg = degree(matrix, rng_seed, kernel)
+                deg = degree(matrix, rng_seed)
             except DegreeSamplingError:
                 deg = None
         if deg is not None and deg != 0:
@@ -343,7 +329,7 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
             )
 
     for q in _witness_candidates(n, budget, rng_seed):
-        if not is_solvable(matrix, q, kernel):
+        if not is_solvable(matrix, q):
             return Verdict(NO, "unsolvable-q", "LCP(A,q) has no solution", {"q": q})
 
     return Verdict(UNDECIDED, "undecided", "no decision within budget", {})

@@ -31,10 +31,6 @@ def _nonzero(rng: random.Random, lo: int, hi: int) -> int:
             return v
 
 
-def _row_has_positive(row) -> bool:
-    return any(v > 0 for v in row)
-
-
 def random_triangular(
     rng: random.Random, n: int, entry_range: int = 5, side: Optional[str] = None
 ) -> RationalMatrix:
@@ -214,6 +210,9 @@ def generate(
         raise ValueError("unknown generator type %r" % (kind,))
     if count < 0:
         raise ValueError("need count >= 0")
+    if entry_range < 1:
+        # bdsw-1 would draw forever for a positive entry from [0, 0].
+        raise ValueError("need entry_range >= 1")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -145,6 +145,10 @@ def element_from_matrix(algebra: Algebra, mat: np.ndarray) -> JordanElement:
     m = algebra.size
     diag, rows, cols = _svec_indices(m)
     mat = np.asarray(mat, dtype=float)
+    if mat.shape != (m, m):
+        raise ValueError(
+            "matrix shape %r does not match sym:%d, which needs %r" % (mat.shape, m, (m, m))
+        )
     coords = np.empty(algebra.dim)
     coords[:m] = mat[diag, diag]
     coords[m:] = mat[rows, cols] * np.sqrt(2.0)

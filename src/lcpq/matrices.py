@@ -38,7 +38,7 @@ class RationalMatrix:
     definitions stated with 1-based indices say so explicitly.
     """
 
-    __slots__ = ("rows", "n", "_scaled")
+    __slots__ = ("rows", "n", "_scaled", "_signs")
 
     def __init__(self, rows: Iterable[Iterable]):
         converted = tuple(tuple(_to_fraction(v) for v in row) for row in rows)
@@ -125,6 +125,17 @@ class RationalMatrix:
             scaled = tuple(s for s, _ in pairs), tuple(tuple(ints) for _, ints in pairs)
             object.__setattr__(self, "_scaled", scaled)
             return scaled
+
+    def minor_signs(self) -> dict:
+        """The memo mask -> sgn det A_II over this matrix's principal
+        minors, which lcp.minor_sign and lcp.walk fill; the empty minor is
+        1.  Made on first use; a submatrix starts its own."""
+        try:
+            return self._signs
+        except AttributeError:
+            signs = {0: 1}
+            object.__setattr__(self, "_signs", signs)
+            return signs
 
     @classmethod
     def _of_fractions(cls, rows: tuple, scaled: tuple) -> "RationalMatrix":

@@ -11,6 +11,7 @@ the coordinates one pair (i, j) at a time (the package uses index arrays),
 with the same float operations, so both must agree bit for bit.
 """
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,6 +21,20 @@ from lcpq.jordan.algebra import JordanElement
 from lcpq.lcp import LcpSolution
 from lcpq.matrices import solve_linear
 from lcpq.simplex import FeasibilitySystem
+
+
+def count_calls(monkeypatch, function):
+    """Count calls of function through every lcpq module that holds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("lcpq") and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
+    return calls
 
 
 def cofactor_det(rows):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_lcp_solution, principal_minors
+from helpers import check_lcp_solution, count_calls, principal_minors
 from lcpq.classes import (
     NO,
     UNDECIDED,
@@ -27,10 +27,10 @@ from lcpq.classes import (
     q_oracle,
 )
 from lcpq.classifier import classify_by_rules
-from lcpq.errors import CertificateError, DegreeSamplingError
+from lcpq.errors import CertificateError, DegreeSamplingError, EnumerationCapError
 from lcpq.generate import GENERATOR_TYPES, generate
-from lcpq.lcp import LcpInstance, solve_lcp
-from lcpq.matrices import RationalMatrix, vec_to_fractions
+from lcpq.lcp import LcpInstance, degree, is_solvable, solve_lcp
+from lcpq.matrices import RationalMatrix, determinant, vec_to_fractions
 from lcpq.simplex import FeasibilitySystem, solve_feasibility
 
 
@@ -273,6 +273,67 @@ def test_q_oracle_gives_p_matrices_degree_one_without_sampling(monkeypatch):
             "condition": "R0 with nonzero LCP degree",
             "witness": {"degree": 1},
         }
+
+
+CAPPED_ENTRIES = {
+    "q_oracle": q_oracle,
+    "is_R0": is_R0,
+    "is_P": is_P,
+    "is_P0": is_P0,
+    "is_E0": is_E0,
+    "is_E": is_E,
+    "is_Rd": lambda m: is_Rd(m, [1] * m.n),
+    "solve_lcp": lambda m: solve_lcp(LcpInstance(m, [-1] * m.n)),
+    "is_solvable": lambda m: is_solvable(m, [-1] * m.n),
+    "degree": degree,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_ENTRIES))
+def test_every_enumerating_entry_enforces_the_cap(monkeypatch, name):
+    monkeypatch.setenv("LCP_ENUM_CAP", "2")
+    with pytest.raises(EnumerationCapError):
+        CAPPED_ENTRIES[name](RationalMatrix.identity(3))
+    CAPPED_ENTRIES[name](RationalMatrix.identity(2))
+
+
+def test_q_oracle_checks_the_cap_before_the_nonpositive_row_channel():
+    rows = [[1 if i == j else 0 for j in range(17)] for i in range(17)]
+    rows[0][0] = -1  # row 1 has no positive entry
+    with pytest.raises(EnumerationCapError):
+        q_oracle(RationalMatrix(rows))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 1, 1, 0], [0, 3, 1, 1], [1, 0, 2, 1], [1, 1, 0, 4]],  # P: degree 1
+        [[1, 2, 1], [1, 1, 0], [0, 0, 1]],  # R0, not P: the degree is sampled
+        [[1, -1, 1], [0, 1, -1], [1, 0, 0]],  # the witness search decides
+        [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    ],
+)
+def test_q_oracle_computes_each_principal_minor_at_most_once(monkeypatch, rows):
+    dets = count_calls(monkeypatch, determinant)
+    matrix = RationalMatrix(rows)
+    q_oracle(matrix)
+    assert 0 < len(dets) <= 2 ** matrix.n - 1
+
+
+def test_predicates_share_the_matrixs_minor_memo(monkeypatch):
+    dets = count_calls(monkeypatch, determinant)
+    matrix = RationalMatrix([[2, 1, 1], [0, 3, 1], [1, 0, 2]])
+    assert is_R0(matrix).is_yes
+    assert len(dets) == 2 ** matrix.n - 1
+    del dets[:]
+    assert is_P(matrix).is_yes and is_P0(matrix).is_yes
+    assert degree(matrix) == 1
+    assert dets == []
+    # A submatrix, or an equal matrix built again, starts a memo of its own.
+    block = matrix.principal_submatrix([0, 1])
+    assert block.minor_signs() == {0: 1}
+    assert is_P(block).is_yes and len(dets) == 3
+    assert RationalMatrix(matrix.rows).minor_signs() == {0: 1}
 
 
 def test_q_oracle_unsolvable_witness():

@@ -1,8 +1,11 @@
 """End-to-end CLI behaviour via in-process main() calls."""
 
+import argparse
 import hashlib
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,7 +13,7 @@ import pytest
 
 import lcpq
 from lcpq.classes import q_oracle
-from lcpq.cli import main
+from lcpq.cli import build_parser, main
 from lcpq.errors import DegreeSamplingError
 from lcpq.jordan.checks import IDENTITY_NAMES
 from lcpq.structure import detect_structure
@@ -200,6 +203,15 @@ def test_generate_rejects_a_negative_count(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["generate", "--type", "bdsw-2", "--count", "-1", "--out", str(out)]) == 64
     assert capsys.readouterr().err == "need count >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, entry_range", [("bdsw-1", "0"), ("tri", "-2")])
+def test_generate_rejects_an_entry_range_below_one(tmp_path, capsys, kind, entry_range):
+    out = tmp_path / "out"
+    argv = ["generate", "--type", kind, "--entry-range", entry_range, "--out", str(out)]
+    assert main(argv) == 64
+    assert capsys.readouterr().err == "need entry_range >= 1\n"
     assert not out.exists()
 
 
@@ -403,3 +415,50 @@ def test_core_commands_import_neither_numpy_nor_the_jordan_layer():
     core, checks_loaded = json.loads(done.stdout)
     assert core == []
     assert checks_loaded
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_synopsis() -> dict:
+    """Command -> (options, required options) from the README's "Command
+    line" block; options inside [...] are optional."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    entries, command = {}, None
+    for line in block.splitlines():
+        if line.startswith("lcpq "):
+            words = line.split()[1:]
+            command = " ".join(words[:2] if words[0] == "jordan" else words[:1])
+            entries[command] = ""
+            line = line.split(command, 1)[1]
+        if command is not None:
+            entries[command] += " " + line
+    out = {}
+    for command, usage in entries.items():
+        options = set(re.findall(r"--[\w-]+", usage))
+        required = set(re.findall(r"--[\w-]+", re.sub(r"\[[^\]]*\]", "", usage)))
+        out[command] = options, required
+    return out
+
+
+def _parser_options(parser, prefix=()) -> dict:
+    """Command -> (options, required options) for every leaf subcommand."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(_parser_options(sub, prefix + (name,)))
+    if prefix and not out:
+        options, required = set(), set()
+        for action in parser._actions:
+            names = set(action.option_strings) - {"-h", "--help"}
+            options |= names
+            if action.required:
+                required |= names
+        out[" ".join(prefix)] = options, required
+    return out
+
+
+def test_readme_synopsis_lists_every_parser_option():
+    assert _readme_synopsis() == _parser_options(build_parser())

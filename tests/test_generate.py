@@ -77,6 +77,13 @@ def test_entry_range_respected():
         assert all(abs(v) <= 1 for row in m.rows for v in row)
 
 
+@pytest.mark.parametrize("kind, entry_range", [("bdsw-1", 0), ("tri", -2)])
+def test_entry_range_below_one_rejected(kind, entry_range):
+    # bdsw-1 once drew forever for a positive entry from [0, 0].
+    with pytest.raises(ValueError, match="need entry_range >= 1"):
+        generate(kind, 3, 1, seed=0, entry_range=entry_range)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         generate("dense", 3, 1, seed=0)

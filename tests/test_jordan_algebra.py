@@ -146,6 +146,15 @@ def test_matrix_form_rejects_the_rn_algebra():
         element_from_matrix(RN3, np.eye(3))
 
 
+def test_matrix_shape_checked():
+    with pytest.raises(ValueError, match=r"\(3, 3\) does not match sym:2, which needs \(2, 2\)"):
+        element_from_matrix(SYM2, np.arange(9.0).reshape(3, 3))
+    with pytest.raises(ValueError, match=r"\(2, 2\) does not match sym:3, which needs \(3, 3\)"):
+        element_from_matrix(SYM3, np.eye(2))
+    with pytest.raises(ValueError, match=r"\(4,\) does not match sym:2"):
+        element_from_matrix(SYM2, np.arange(4.0))
+
+
 def test_json_round_trip():
     x = element_from_coords(RN3, [1.5, -2.0, 0.25])
     assert np.allclose(element_from_json(x.to_json_obj()).coords, x.coords)

@@ -2,7 +2,7 @@
 
 The kernel's determinant is compared with cofactor expansion, its scaled
 solutions det * x with the package's rational Gauss-Jordan solve_linear,
-and the support kernel's integer sign tests with the same quantities
+and the support walk's integer sign tests with the same quantities
 computed in Fraction arithmetic.  Inputs cover non-integer entries, zero
 rows and columns, singular and rank-deficient blocks, and right-hand sides
 of the size degree() draws (about 10^7).
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import check_lcp_solution, cofactor_det
 from lcpq.kernel import clear_denominators, eliminate
-from lcpq.lcp import LcpInstance, SupportKernel, solve_lcp, supports
+from lcpq.lcp import LcpInstance, minor_sign, solve_lcp, supports, walk
 from lcpq.matrices import RationalMatrix, determinant, solve_linear
 
 ENTRIES = st.one_of(
@@ -103,11 +103,10 @@ def test_support_kernel_signs_match_fraction_arithmetic(system, data):
     matrix = RationalMatrix(rows)
     n = matrix.n
     q = [Fraction(data.draw(RHS)) for _ in range(n)]
-    kernel = SupportKernel(matrix)
-    records = {mask: solved for mask, _, _, solved in kernel.walk(q)}
+    records = {mask: solved for mask, _, _, solved in walk(matrix, q)}
     for mask, idx, comp in supports(n):
         sub_det = cofactor_det([[rows[i][j] for j in idx] for i in idx]) if idx else 1
-        assert kernel.minor_sign(mask, idx) == (sub_det > 0) - (sub_det < 0)
+        assert minor_sign(matrix, mask, idx) == (sub_det > 0) - (sub_det < 0)
         status, xi = "unique", []
         if idx:
             status, xi = solve_linear(matrix.principal_submatrix(idx), [-q[i] for i in idx])

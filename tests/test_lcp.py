@@ -1,24 +1,30 @@
 """Support-enumeration LCP solving and the sampled degree computation."""
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_lcp_solution, principal_minors, reference_generic_degree, reference_solve_lcp
+from helpers import (
+    check_lcp_solution,
+    count_calls,
+    principal_minors,
+    reference_generic_degree,
+    reference_solve_lcp,
+)
+from lcpq import lcp
 from lcpq.errors import EnumerationCapError
 from lcpq.lcp import (
     DEFAULT_ENUM_CAP,
     LcpInstance,
-    SupportKernel,
     _generic_degree,
     degree,
     enumeration_cap,
     is_solvable,
     solve_lcp,
+    walk,
 )
 from lcpq.matrices import RationalMatrix, determinant, inverse, solve_linear
 from lcpq.simplex import solve_feasibility
@@ -251,21 +257,22 @@ def test_support_walk_matches_bitmask_order_references(case):
     assert solve_lcp(LcpInstance(matrix, q)) == reference
     assert is_solvable(matrix, q) == bool(reference)
 
-    kernel = SupportKernel(matrix)
-    total = _generic_degree(kernel, q)
+    total = _generic_degree(matrix, q)
     assert total == reference_generic_degree(matrix, q)
     if 0 in q:
         assert total is None
 
-    kernel = SupportKernel(matrix)
-    masks = [mask for mask, _, _, _ in kernel.walk(q)]
+    # The calls above filled the matrix's memo; a fresh matrix shows that
+    # the walk alone writes every mask's sign.
+    matrix = RationalMatrix(matrix.rows)
+    masks = [mask for mask, _, _, _ in walk(matrix, q)]
     assert len(masks) == len(set(masks))
-    assert sorted(kernel._signs) == list(range(1 << matrix.n))
+    assert sorted(matrix.minor_signs()) == list(range(1 << matrix.n))
     expected_masks = []
     for mask in range(1 << matrix.n):
         idx = [i for i in range(matrix.n) if mask >> i & 1]
         expected = determinant(matrix.principal_submatrix(idx)) if idx else 1
-        assert kernel._signs[mask] == (expected > 0) - (expected < 0)
+        assert matrix.minor_signs()[mask] == (expected > 0) - (expected < 0)
         if expected == 0:
             status, _ = solve_linear(matrix.principal_submatrix(idx), [-q[i] for i in idx])
             if status == "inconsistent":
@@ -274,30 +281,16 @@ def test_support_walk_matches_bitmask_order_references(case):
     assert sorted(masks) == expected_masks
 
 
-def _count_calls(monkeypatch, function):
-    """Count calls of function through every lcpq module that holds it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return function(*args, **kwargs)
-
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("lcpq") and getattr(module, function.__name__, None) is function:
-            monkeypatch.setattr(module, function.__name__, counted)
-    return calls
-
-
 def test_inconsistent_singular_supports_skip_the_lp_and_solve_linear(monkeypatch):
     # A_II x_I = -q_I has no solution on {2} (0 = -1) or on {1, 2}
     # (x_1 = 2 and x_1 = -1), so neither support needs an LP or a rational
     # consistency check; the one solution is x = (2, 0).
-    lps = _count_calls(monkeypatch, solve_feasibility)
-    solves = _count_calls(monkeypatch, solve_linear)
+    lps = count_calls(monkeypatch, solve_feasibility)
+    solves = count_calls(monkeypatch, solve_linear)
     matrix = RationalMatrix([[1, 0], [1, 0]])
     q = [-2, 1]
     assert [sol.x for sol in solve_lcp(LcpInstance(matrix, q))] == [(2, 0)]
-    assert _generic_degree(SupportKernel(matrix), q) == 1
+    assert _generic_degree(matrix, q) == 1
     assert lps == [] and solves == []
 
     # With q = (-2, -2) the system on {1, 2} is consistent (x_1 = 2): its
@@ -305,20 +298,18 @@ def test_inconsistent_singular_supports_skip_the_lp_and_solve_linear(monkeypatch
     q = [-2, -2]
     assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
     assert len(lps) == 1
-    assert _generic_degree(SupportKernel(matrix), q) is None
+    assert _generic_degree(matrix, q) is None
 
 
 def test_is_solvable_stops_at_the_first_solution(monkeypatch):
     walked = []
-    walk = SupportKernel.walk
-
-    def counted_walk(self, q):
-        for record in walk(self, q):
+    def counted_walk(matrix, q):
+        for record in walk(matrix, q):
             walked.append(record[0])
             yield record
 
-    monkeypatch.setattr(SupportKernel, "walk", counted_walk)
-    lps = _count_calls(monkeypatch, solve_feasibility)
+    monkeypatch.setattr(lcp, "walk", counted_walk)
+    lps = count_calls(monkeypatch, solve_feasibility)
 
     # q >= 0: the empty support, the walk's root, already solves it.
     matrix = RationalMatrix.identity(3)
@@ -348,16 +339,16 @@ def test_zero_pivot_children_of_nonsingular_supports_need_no_elimination(monkeyp
     # parent's tableau already tells whether x_1 + x_2 = -q_1 = -q_2 is
     # consistent.
     eliminations = []
-    eliminate = SupportKernel._eliminate
+    eliminate = lcp._eliminate
 
     def counted(rows, idx, p):
         eliminations.append(idx)
         return eliminate(rows, idx, p)
 
-    monkeypatch.setattr(SupportKernel, "_eliminate", staticmethod(counted))
+    monkeypatch.setattr(lcp, "_eliminate", counted)
     matrix = RationalMatrix([[1, 1], [1, 1]])
     for q, consistent in (([-1, -1], True), ([-1, -2], False), ([Fraction(1, 2), Fraction(1, 2)], True)):
-        masks = [mask for mask, _, _, _ in SupportKernel(matrix).walk(q)]
+        masks = [mask for mask, _, _, _ in walk(matrix, q)]
         assert (3 in masks) == consistent
         assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
     assert eliminations == []
