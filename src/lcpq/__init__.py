@@ -47,7 +47,7 @@ from .errors import (
 from .generate import GENERATOR_TYPES, generate
 from .lcp import LcpInstance, LcpSolution, degree, enumeration_cap, is_solvable, solve_lcp
 from .matrices import RationalMatrix, determinant, inverse, parse_matrix, parse_vector
-from .pivot import BlockSplit, block_split, ppt, schur_complement
+from .pivot import ppt, schur_complement
 from .simplex import FeasibilitySystem, solve_feasibility
 from .structure import (
     StructureClass,

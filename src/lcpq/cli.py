@@ -100,6 +100,8 @@ def cmd_classify(args) -> int:
     cap is reported on stderr and the remaining files still run.  verify
     runs the oracle once per file; where no structural rule applies the
     oracle's verdict is also the classifier's."""
+    if args.budget < 0:
+        return _fail("need --budget >= 0, got %d" % args.budget, EXIT_USAGE)
     verify = args.command == "verify"
     worst = EXIT_YES
     for path in args.paths:
@@ -493,7 +495,18 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(_merge_dash_values(list(argv)))
-    return args.func(args)
+    # Parsing bounds every literal (matrices.MAX_LITERAL_DIGITS), but exact
+    # results built from accepted entries, such as a determinant, may pass
+    # the interpreter's int -> str limit; print them in full.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -177,17 +177,26 @@ class SamplingReport:
 _EVIDENCE_NOTE = "sampled evidence only; absence of a violation is not a certificate"
 
 
-def _cone_samples(algebra, samples: int, rng_seed: int):
+def _search_cone(transform: LinearTransform, samples: int, rng_seed: int, measure, violates):
+    """Draw normalized cone elements z = y o y / |y o y| until violates(measure(z))
+    holds, reporting that z, or until samples of them are used up, reporting
+    the least measure seen."""
     rng = np.random.default_rng(rng_seed)
-    produced = 0
-    while produced < samples:
-        y = random_element(algebra, rng)
+    worst = np.inf
+    used = 0
+    while used < samples:
+        y = random_element(transform.algebra, rng)
         z = jordan_product(y, y)
         norm = z.norm()
         if norm < 1e-12:
             continue
-        produced += 1
-        yield z * (1.0 / norm)
+        z = z * (1.0 / norm)
+        used += 1
+        value = measure(z)
+        worst = min(worst, value)
+        if violates(value):
+            return SamplingReport(True, z, value, used, _EVIDENCE_NOTE)
+    return SamplingReport(False, None, float(worst), used, _EVIDENCE_NOTE)
 
 
 def strict_copositivity_sample(
@@ -197,15 +206,11 @@ def strict_copositivity_sample(
     tol: float = DEFAULT_TOL,
 ) -> SamplingReport:
     """Search normalized cone elements for <L(x), x> <= tol."""
-    worst = np.inf
-    used = 0
-    for z in _cone_samples(transform.algebra, samples, rng_seed):
-        used += 1
-        value = trace_inner_product(transform.apply(z), z)
-        worst = min(worst, value)
-        if value <= tol:
-            return SamplingReport(True, z, value, used, _EVIDENCE_NOTE)
-    return SamplingReport(False, None, float(worst), used, _EVIDENCE_NOTE)
+
+    def inner(z):
+        return trace_inner_product(transform.apply(z), z)
+
+    return _search_cone(transform, samples, rng_seed, inner, lambda value: value <= tol)
 
 
 def sample_positivity_violation(
@@ -216,12 +221,8 @@ def sample_positivity_violation(
 ) -> SamplingReport:
     """Search normalized cone elements for one mapped outside the cone,
     reporting the witness x with min eigenvalue of L(x) below -tol."""
-    worst = np.inf
-    used = 0
-    for z in _cone_samples(transform.algebra, samples, rng_seed):
-        used += 1
-        value = float(eigenvalues_of(transform.apply(z)).min())
-        worst = min(worst, value)
-        if value < -tol:
-            return SamplingReport(True, z, value, used, _EVIDENCE_NOTE)
-    return SamplingReport(False, None, float(worst), used, _EVIDENCE_NOTE)
+
+    def least_eigenvalue(z):
+        return float(eigenvalues_of(transform.apply(z)).min())
+
+    return _search_cone(transform, samples, rng_seed, least_eigenvalue, lambda value: value < -tol)

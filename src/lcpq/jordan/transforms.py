@@ -53,9 +53,6 @@ class LinearTransform:
             raise ValueError("transform lives in a different algebra")
         return LinearTransform(self.algebra, self.matrix @ other.matrix)
 
-    def adjoint(self) -> "LinearTransform":
-        return LinearTransform(self.algebra, self.matrix.T)
-
     def __add__(self, other: "LinearTransform") -> "LinearTransform":
         if other.algebra != self.algebra:
             raise ValueError("transform lives in a different algebra")

@@ -16,6 +16,29 @@ from .errors import MatrixFormatError, SingularPivotError
 from .kernel import clear_denominators, eliminate
 
 
+MAX_LITERAL_DIGITS = 4300
+
+
+def _checked_literal(text: str) -> str:
+    """text, if Fraction and int can read it in bounded time: at most
+    MAX_LITERAL_DIGITS digits and an exponent within +-MAX_LITERAL_DIGITS.
+    Fraction builds 10**exponent, so 1e300000000 alone would take unbounded
+    time and memory."""
+    digits = sum(map(str.isdigit, text))
+    if digits > MAX_LITERAL_DIGITS:
+        raise MatrixFormatError(
+            "literal of %d digits; at most %d are accepted" % (digits, MAX_LITERAL_DIGITS)
+        )
+    _, e, exponent = text.lower().rpartition("e")
+    try:
+        power = int(exponent) if e else 0
+    except ValueError:
+        return text  # not a number; Fraction says so
+    if abs(power) > MAX_LITERAL_DIGITS:
+        raise MatrixFormatError("exponent %d is beyond +-%d" % (power, MAX_LITERAL_DIGITS))
+    return text
+
+
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -25,7 +48,7 @@ def _to_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return Fraction(_checked_literal(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise MatrixFormatError("bad rational literal %r: %s" % (value, exc))
     raise MatrixFormatError("unsupported matrix entry type: %r" % (value,))
@@ -184,13 +207,19 @@ def parse_matrix(text: str) -> RationalMatrix:
     JSON format: {"n": int, "rows": [[entry, ...], ...]} where an entry is an
     integer, an exactly-representable decimal, or a "p/q" string.  Decimals
     are converted from their literal digits, never through binary floats.
+    A literal of more than MAX_LITERAL_DIGITS digits, or with an exponent
+    beyond +-MAX_LITERAL_DIGITS, is a MatrixFormatError.
     """
     stripped = text.strip()
     if not stripped:
         raise MatrixFormatError("empty input")
     if stripped[0] in "{[":
         try:
-            obj = json.loads(stripped, parse_float=Fraction, parse_int=int)
+            obj = json.loads(
+                stripped,
+                parse_float=lambda text: Fraction(_checked_literal(text)),
+                parse_int=lambda text: int(_checked_literal(text)),
+            )
         except json.JSONDecodeError as exc:
             raise MatrixFormatError("invalid JSON: %s" % (exc,))
         if not isinstance(obj, dict) or "rows" not in obj:

@@ -8,7 +8,10 @@ tableau (the package pivots in integers), and LCP(A, q) and the degree sum
 loop over the supports in bitmask order with a rational solve per support
 (the package walks a tree of integer pivots).  The sym svec maps loop over
 the coordinates one pair (i, j) at a time (the package uses index arrays),
-with the same float operations, so both must agree bit for bit.
+with the same float operations, so both must agree bit for bit.  The
+principal pivot transform is assembled from Fraction block products around
+a Fraction Gauss-Jordan inverse of the pivot block (the package runs one
+integer elimination).
 """
 
 import sys
@@ -17,9 +20,10 @@ from itertools import combinations
 
 import numpy as np
 
+from lcpq.errors import SingularPivotError
 from lcpq.jordan.algebra import JordanElement
 from lcpq.lcp import LcpSolution
-from lcpq.matrices import solve_linear
+from lcpq.matrices import RationalMatrix, solve_linear
 from lcpq.simplex import FeasibilitySystem
 
 
@@ -306,3 +310,75 @@ def reference_element_from_matrix(algebra, mat):
     for pos, (i, j) in enumerate(algebra.off_diagonal_pairs(), start=m):
         coords[pos] = mat[i, j] * root2
     return JordanElement(algebra, coords)
+
+
+def _fraction_inverse(rows):
+    """Inverse by Gauss-Jordan on [E | I] over Fraction; SingularPivotError
+    if E is singular."""
+    k = len(rows)
+    work = [list(row) + [Fraction(int(a == b)) for b in range(k)] for a, row in enumerate(rows)]
+    for c in range(k):
+        pivot_row = next((r for r in range(c, k) if work[r][c] != 0), None)
+        if pivot_row is None:
+            raise SingularPivotError("pivot block A_JJ is singular")
+        work[c], work[pivot_row] = work[pivot_row], work[c]
+        pivot = work[c][c]
+        work[c] = [v / pivot for v in work[c]]
+        for r in range(k):
+            factor = work[r][c]
+            if r != c and factor != 0:
+                work[r] = [v - factor * p for v, p in zip(work[r], work[c])]
+    return [row[k:] for row in work]
+
+
+def reference_ppt(matrix, j_set):
+    """lcpq.pivot.ppt by block products: with A = (B C; D E), E = A_JJ and
+    B on the complement, the transform is (B - C E^-1 D, C E^-1; -E^-1 D,
+    E^-1), placed back under A's index labels.  E^-1 comes from Fraction
+    Gauss-Jordan on [E | I].  Raises what ppt raises: ValueError for
+    an empty J or an index outside 1..n, SingularPivotError for a singular
+    A_JJ."""
+    n = matrix.n
+    j_list = sorted(set(j_set))
+    if not j_list:
+        raise ValueError("pivot set must be nonempty")
+    if j_list[0] < 1 or j_list[-1] > n:
+        raise ValueError("pivot indices must lie in 1..%d" % n)
+    j0 = [i - 1 for i in j_list]
+    comp = [i for i in range(n) if i not in j0]
+    k = len(j0)
+    m = len(comp)
+    rows = matrix.rows
+    e_inv = _fraction_inverse([[rows[i][j] for j in j0] for i in j0])
+    c = [[rows[i][j] for j in j0] for i in comp]
+    d = [[rows[i][j] for j in comp] for i in j0]
+
+    ce = [
+        [sum((c[i][a] * e_inv[a][b] for a in range(k)), Fraction(0)) for b in range(k)]
+        for i in range(m)
+    ]
+    ed = [
+        [sum((e_inv[i][a] * d[a][j] for a in range(k)), Fraction(0)) for j in range(m)]
+        for i in range(k)
+    ]
+    schur = [
+        [
+            rows[comp[i]][comp[j]] - sum((ce[i][b] * d[b][j] for b in range(k)), Fraction(0))
+            for j in range(m)
+        ]
+        for i in range(m)
+    ]
+
+    out = [[Fraction(0)] * n for _ in range(n)]
+    order = comp + j0
+    for a in range(m):
+        for b in range(m):
+            out[order[a]][order[b]] = schur[a][b]
+        for b in range(k):
+            out[order[a]][order[m + b]] = ce[a][b]
+    for a in range(k):
+        for b in range(m):
+            out[order[m + a]][order[b]] = -ed[a][b]
+        for b in range(k):
+            out[order[m + a]][order[m + b]] = e_inv[a][b]
+    return RationalMatrix(out)

@@ -169,6 +169,40 @@ def test_batch_reports_every_file_and_the_worst_exit(tmp_path, capsys):
         assert bad in captured.err and missing in captured.err
 
 
+def test_oversized_literals_are_rejected_and_the_batch_goes_on(tmp_path, capsys):
+    exponent = _write(tmp_path, "exponent.txt", "1e5000 -1\n-1 1\n")
+    digits = _write(tmp_path, "digits.json", '{"rows": [[%s, -1], [-1, 1]]}' % ("7" * 5001))
+    a = "1" + "0" * 2500  # accepted; the T9.1 det a^2 - 1 has 5,000 digits
+    product = _write(tmp_path, "product.json", '{"rows": [[%s, -1], [-1, %s]]}' % (a, a))
+    good = _write(tmp_path, "good.txt", "2 -1\n-1 1\n")
+    det = "9" * 5000
+    limit = sys.get_int_max_str_digits()
+    for command in ("classify", "verify"):
+        for fmt in ("table", "jsonl"):
+            assert main([command, "--format", fmt, exponent, digits, product, good]) == 64
+            assert sys.get_int_max_str_digits() == limit
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert err == [
+                "%s: exponent 5000 is beyond +-4300" % exponent,
+                "%s: literal of 5001 digits; at most 4300 are accepted" % digits,
+            ]
+            lines = captured.out.splitlines()
+            assert len(lines) == 2 and product in lines[0] and good in lines[1]
+            if command == "classify" or fmt == "jsonl":
+                assert det in lines[0] and "9" * 5001 not in lines[0]
+
+
+def test_classify_and_verify_reject_a_negative_budget(tmp_path, capsys):
+    path = _write(tmp_path, "cyclic.txt", "0 1 1\n1 0 1\n1 1 0\n")
+    for command in ("classify", "verify"):
+        assert main([command, "--budget", "-1", path]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "need --budget >= 0, got -1\n"
+    assert main(["verify", path]) == 0
+    assert "unsolvable-q" in capsys.readouterr().out
+
+
 def test_generate_is_reproducible(tmp_path, capsys):
     args = ["generate", "--type", "bdsw-2", "--n", "3", "--count", "2", "--seed", "5"]
     out_a = tmp_path / "a"

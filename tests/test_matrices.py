@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import cofactor_det
+from lcpq import matrices
 from lcpq.errors import MatrixFormatError, SingularPivotError
 from lcpq.matrices import (
     RationalMatrix,
@@ -67,6 +68,49 @@ def test_parse_rejects_garbage():
     for text in ("", "{", "1 2\n3 x", '{"rows": 5}'):
         with pytest.raises(MatrixFormatError):
             parse_matrix(text)
+
+
+def _literal_parsers():
+    """Each way a literal reaches Fraction or int: plain rows, a JSON number,
+    a JSON string and a vector."""
+    return (
+        parse_matrix,
+        lambda text: parse_matrix('{"rows": [[%s]]}' % text),
+        lambda text: parse_matrix('{"rows": [["%s"]]}' % text),
+        parse_vector,
+    )
+
+
+def test_literals_up_to_the_bound_are_read_exactly():
+    edge = ("1" * 4300, "1e4300", "-2.5E-4300", "0.%s" % ("3" * 4299))
+    for text in edge:
+        for parse in _literal_parsers():
+            parsed = parse(text)
+            entry = parsed[0] if isinstance(parsed, list) else parsed[0, 0]
+            assert entry == Fraction(text)
+    ratio = "%s/%s" % ("3" * 2150, "7" * 2150)
+    assert parse_matrix(ratio)[0, 0] == Fraction(ratio)
+
+
+def test_literals_past_the_bound_are_rejected_before_fraction_reads_them(monkeypatch):
+    seen = []
+
+    class RecordingFraction(Fraction):
+        def __new__(cls, *args):
+            seen.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(matrices, "Fraction", RecordingFraction)
+    rejected = ("1" * 4301, "-0.%s" % ("0" * 4300), "1e4301", "1E-4301", "2.5e+04301")
+    for text in rejected:
+        for parse in _literal_parsers():
+            with pytest.raises(MatrixFormatError, match="digits|exponent"):
+                parse(text)
+    with pytest.raises(MatrixFormatError, match="4301 digits"):
+        parse_matrix("%s/%s" % ("3" * 2151, "7" * 2150))
+    with pytest.raises(MatrixFormatError, match="exponent 4301"):
+        parse_matrix("1e4_301")  # Fraction reads underscores; JSON numbers have none
+    assert seen == []
 
 
 def test_json_round_trip():

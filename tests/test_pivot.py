@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import count_calls, reference_ppt
+from lcpq import kernel
 from lcpq.classes import NO, YES, is_R0, q_oracle
 from lcpq.errors import SingularPivotError
 from lcpq.lcp import degree
 from lcpq.matrices import RationalMatrix, determinant, inverse
-from lcpq.pivot import block_split, ppt, schur_complement
+from lcpq.pivot import ppt, schur_complement
 from lcpq.structure import Permutation
 
 TYPE4 = RationalMatrix([[-1, 1, 0], [0, -1, 1], [-2, 0, 1]])
@@ -20,27 +22,59 @@ def _random_matrix(rng, n, lo=-4, hi=4):
     return RationalMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
 
 
-def test_block_split_fields():
-    split = block_split(TYPE4, [3])
-    assert split.j_set == (3,)
-    assert split.b == RationalMatrix([[-1, 1], [0, -1]])
-    assert split.c == [[Fraction(0)], [Fraction(1)]]
-    assert split.d == [[Fraction(-2), Fraction(0)]]
-    assert split.e == RationalMatrix([[1]])
+def _random_entry(rng, style):
+    if style == "sparse" and rng.random() < 0.6:
+        return 0
+    if style == "fraction":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return rng.randint(-3, 3)
 
 
-def test_block_split_whole_matrix():
-    split = block_split(TYPE4, [1, 2, 3])
-    assert split.b is None and split.e == TYPE4
+def test_ppt_and_schur_complement_match_the_block_product_reference():
+    # Fractional, sparse and integer entries at n = 1..7; sparse and small
+    # integer blocks are often singular, where both sides must raise.
+    rng = random.Random(53)
+    singular = 0
+    for case in range(20000):
+        n = rng.randint(1, 7)
+        style = ("integer", "fraction", "sparse")[case % 3]
+        m = RationalMatrix([[_random_entry(rng, style) for _ in range(n)] for _ in range(n)])
+        j = rng.sample(range(1, n + 1), rng.randint(1, n))
+        try:
+            expected = reference_ppt(m, j)
+        except SingularPivotError:
+            singular += 1
+            with pytest.raises(SingularPivotError):
+                ppt(m, j)
+            if len(j) < n:
+                with pytest.raises(SingularPivotError):
+                    schur_complement(m, j)
+            continue
+        assert ppt(m, j) == expected
+        comp = [i for i in range(n) if i + 1 not in j]
+        if comp:
+            assert schur_complement(m, j) == expected.principal_submatrix(comp)
+    assert 2000 < singular < 10000
 
 
-def test_block_split_validation():
+def test_ppt_runs_one_integer_elimination(monkeypatch):
+    calls = count_calls(monkeypatch, kernel.eliminate)
+    m = RationalMatrix([[Fraction(1, 2), 2, 0, -1], [3, Fraction(-5, 3), 1, 0], [0, 1, 4, 2], [1, 0, -2, 3]])
+    ppt(m, [2, 4])
+    assert len(calls) == 1
+
+
+def test_pivot_set_validation():
+    for bad in ([], [0], [4]):
+        with pytest.raises(ValueError):
+            ppt(TYPE4, bad)
+        with pytest.raises(ValueError):
+            schur_complement(TYPE4, bad)
     with pytest.raises(ValueError):
-        block_split(TYPE4, [])
+        schur_complement(TYPE4, [1, 2, 3])
+    # Index errors come before the singularity check.
     with pytest.raises(ValueError):
-        block_split(TYPE4, [0])
-    with pytest.raises(ValueError):
-        block_split(TYPE4, [4])
+        ppt(RationalMatrix([[0, 1], [1, 0]]), [1, 3])
 
 
 def test_schur_identity_blocks():
