@@ -9,6 +9,7 @@ an Undecided verdict is honest, never a bug.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -213,56 +214,48 @@ def _sign_corners(n: int):
 
 
 def _witness_candidates(n: int, budget: int, rng_seed: int):
-    """Candidate q vectors for unsolvability hunting, most promising first.
+    """Candidate q vectors for unsolvability hunting, most promising first:
+    one per ray, at most budget of them (a negative budget acts as 0).
 
     Phase one: a single -1 entry with the rest constant 0 or 1 (these hit
     the witnesses of triangular-style obstructions).  Phase two: the other
     sign-pattern corners of {-1,0,1}^n holding at least one negative entry.
-    Both phases are scaled by 1 and 2.  Phase three: seeded random rational
-    vectors.  Yields at most budget candidates, without duplicates.
+    Phase three: seeded random rational vectors with a negative entry (q >= 0
+    is always solvable by x = 0).  The stream ends once budget candidates in
+    a row repeat a ray, so it ends even when fewer than budget rays exist.
     """
-    seen = set()
-    count = 0
-
-    def emit(vec):
-        nonlocal count
-        key = tuple(vec)
-        if key in seen or count >= budget:
-            return None
-        seen.add(key)
-        count += 1
-        return list(key)
-
-    phase_one = []
-    for i in range(n):
-        for rest in (0, 1):
-            vec = [Fraction(rest)] * n
-            vec[i] = Fraction(-1)
-            phase_one.append(vec)
-    for scale in (1, 2):
-        for vec in phase_one:
-            got = emit([scale * v for v in vec])
-            if got is not None:
-                yield got
-
-    for scale in (1, 2):
-        for combo in _sign_corners(n):  # q >= 0 is always solvable by x = 0
-            if count >= budget:
-                return
-            got = emit([Fraction(scale * v) for v in combo])
-            if got is not None:
-                yield got
-
+    phase_one = (
+        tuple(-1 if j == i else rest for j in range(n)) for i in range(n) for rest in (0, 1)
+    )
+    corners = ([Fraction(v) for v in c] for c in itertools.chain(phase_one, _sign_corners(n)))
     rng = random.Random(rng_seed)
-    while count < budget:
-        vec = [
-            Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)
-        ]
-        if all(v >= 0 for v in vec):
-            continue
-        got = emit(vec)
-        if got is not None:
-            yield got
+    draws = (
+        [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)]
+        for _ in itertools.count()
+    )
+    negative = (q for q in itertools.chain(corners, draws) if min(q) < 0)
+    return itertools.islice(_new_rays(negative, budget), max(budget, 0))
+
+
+def _new_rays(vectors, patience: int):
+    """The vectors whose ray (primitive integer direction) is new, in order,
+    until patience of them in a row bring none.  LCP(A, tq) is solvable iff
+    LCP(A, q) is, for every t > 0, because complementary cones are cones, so
+    one q per ray is all a witness search needs."""
+    seen = set()
+    stale = 0
+    for q in vectors:
+        _, ints = clear_denominators(q)
+        g = math.gcd(*ints)
+        ray = tuple(v // g for v in ints)
+        if ray not in seen:
+            seen.add(ray)
+            stale = 0
+            yield q
+        else:
+            stale += 1
+            if stale >= patience:
+                return
 
 
 def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Verdict:
@@ -280,9 +273,11 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
     those minors are all positive the matrix is P, and a P-matrix has
     exactly one solution for every q (Cottle, Pang & Stone, *The Linear
     Complementarity Problem*, 1992, ch. 3), so its degree is 1 without
-    sampling one.  The witness search asks only whether each candidate q
-    is solvable (lcp.is_solvable), which stops at the first solution.
-    The enumeration cap is checked first, before any channel runs.
+    sampling one.  The witness search tries at most budget candidate q,
+    one per ray (solvability is invariant under q -> tq, t > 0), and asks
+    only whether each is solvable (lcp.is_solvable), which stops at the
+    first solution.  The enumeration cap is checked first, before any
+    channel runs.
     """
     n = matrix.n
     check_cap(n)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -167,14 +168,17 @@ def cmd_generate(args) -> int:
         matrices = generate(args.type, args.n, args.count, args.seed, args.entry_range)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    os.makedirs(args.out, exist_ok=True)
-    for index, matrix in enumerate(matrices):
-        name = "%s-n%d-seed%d-%04d.json" % (args.type, matrix.n, args.seed, index)
-        path = os.path.join(args.out, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(matrix.to_json_obj(), sort_keys=True))
-            fh.write("\n")
-        print(path)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for index, matrix in enumerate(matrices):
+            name = "%s-n%d-seed%d-%04d.json" % (args.type, matrix.n, args.seed, index)
+            path = os.path.join(args.out, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(matrix.to_json_obj(), sort_keys=True))
+                fh.write("\n")
+            print(path)
+    except OSError as exc:
+        return _fail("%s: %s" % (exc.filename or args.out, exc.strerror or exc), EXIT_USAGE)
     return EXIT_YES
 
 
@@ -228,6 +232,8 @@ def cmd_jordan_identities(args) -> int:
 
     if args.samples < 1:
         return _fail("need --samples >= 1, got %d" % args.samples, EXIT_USAGE)
+    if not 0 <= args.tol < math.inf:  # nan fails too
+        return _fail("need --tol >= 0, got %g" % args.tol, EXIT_USAGE)
     try:
         algebra = _parse_algebra_arg(args.algebra)
     except ValueError as exc:
@@ -265,6 +271,8 @@ def _parse_eigs(text: str) -> list:
         raise ValueError("bad eigenvalue list %r" % (text,))
     if not values:
         raise ValueError("empty eigenvalue list %r" % (text,))
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite eigenvalue in %r" % (text,))
     return values
 
 
@@ -275,6 +283,8 @@ def cmd_jordan_rank_one(args) -> int:
 
     if args.samples < 1:
         return _fail("need --samples >= 1, got %d" % args.samples, EXIT_USAGE)
+    if not 0 <= args.tol < math.inf:  # nan fails too
+        return _fail("need --tol >= 0, got %g" % args.tol, EXIT_USAGE)
     try:
         eigs_a = _parse_eigs(args.a)
         eigs_b = _parse_eigs(args.b)
@@ -333,6 +343,8 @@ def cmd_jordan_embed_check(args) -> int:
 
     if args.n is not None and args.n < 1:
         return _fail("need --n >= 1, got %d" % args.n, EXIT_USAGE)
+    if not 0 <= args.tol < math.inf:  # nan fails too
+        return _fail("need --tol >= 0, got %g" % args.tol, EXIT_USAGE)
     try:
         matrix, digest = _read_matrix_file(args.matrix)
         qvec = parse_vector(args.q)

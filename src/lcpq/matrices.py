@@ -49,8 +49,15 @@ def _to_fraction(value) -> Fraction:
     if isinstance(value, str):
         try:
             return Fraction(_checked_literal(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MatrixFormatError("bad rational literal %r: %s" % (value, exc))
+        except ValueError:
+            reason = "not a rational number"
+        except ZeroDivisionError:
+            reason = "zero denominator"
+        # Name the literal once (Fraction's own message repeats it), cut short.
+        shown = repr(value)
+        if len(value) > 40:
+            shown = "%r... (%d characters)" % (value[:40], len(value))
+        raise MatrixFormatError("bad rational literal %s: %s" % (shown, reason))
     raise MatrixFormatError("unsupported matrix entry type: %r" % (value,))
 
 

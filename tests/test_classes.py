@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_lcp_solution, count_calls, principal_minors
+from helpers import check_lcp_solution, count_calls, principal_minors, reference_solve_lcp
 from lcpq.classes import (
     NO,
     UNDECIDED,
@@ -395,28 +395,34 @@ def test_verdict_json_shape():
     assert obj["answer"] == NO and obj["theorem"] == "nonpositive-row"
 
 
+def _direction(vec):
+    """q scaled to largest absolute entry 1: equal exactly for positive
+    multiples of one another."""
+    top = max(abs(v) for v in vec)
+    return tuple(v / top for v in vec)
+
+
 def _eager_witness_candidates(n, budget, rng_seed):
-    """The witness order as first written: all 3^n corners built and sorted."""
+    """The witness order written out eagerly: all 3^n corners built and
+    sorted, then random draws, keeping the first vector of each ray."""
     seen = set()
     out = []
 
     def emit(vec):
-        key = tuple(vec)
+        key = _direction(vec)
         if key not in seen and len(out) < budget:
             seen.add(key)
-            out.append(list(key))
+            out.append(list(vec))
 
-    for scale in (1, 2):
-        for i in range(n):
-            for rest in (0, 1):
-                vec = [Fraction(scale * rest)] * n
-                vec[i] = Fraction(-scale)
-                emit(vec)
+    for i in range(n):
+        for rest in (0, 1):
+            vec = [Fraction(rest)] * n
+            vec[i] = Fraction(-1)
+            emit(vec)
     corners = [c for c in itertools.product((-1, 0, 1), repeat=n) if min(c) < 0]
     corners.sort(key=lambda c: (sum(1 for v in c if v < 0), c))
-    for scale in (1, 2):
-        for combo in corners:
-            emit([Fraction(scale * v) for v in combo])
+    for combo in corners:
+        emit([Fraction(v) for v in combo])
     rng = random.Random(rng_seed)
     while len(out) < budget:
         vec = [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)]
@@ -429,6 +435,47 @@ def test_witness_candidates_keep_the_sorted_corner_order():
     for n in range(2, 7):
         for seed in (0, 5):
             assert list(_witness_candidates(n, 200, seed)) == _eager_witness_candidates(n, 200, seed)
+
+
+@pytest.mark.parametrize("n, budget", [(1, 64), (2, 5000)])
+def test_witness_candidates_end_when_the_rays_run_out(n, budget):
+    got = list(_witness_candidates(n, budget, 0))
+    assert 0 < len(got) < budget
+    assert all(min(q) < 0 for q in got)
+    # no candidate is a positive multiple of another
+    assert len({_direction(q) for q in got}) == len(got)
+
+
+def test_witness_candidates_budget_zero_or_negative_yields_nothing():
+    for budget in (0, -1, -64):
+        assert list(_witness_candidates(3, budget, 0)) == []
+    m = RationalMatrix([[1, 1, -1], [1, 1, 1], [-1, 1, 1]])
+    assert q_oracle(m, budget=-5) == q_oracle(m, budget=0)
+    assert q_oracle(m, budget=-5).answer == UNDECIDED
+
+
+def test_q_oracle_finds_the_unsolvable_q_past_the_phase_one_rays():
+    m = RationalMatrix([[-1, 1, 1], [1, 0, -1], [1, 1, -1]])
+    v = q_oracle(m)
+    assert v.is_no and v.rule == "unsolvable-q"
+    assert v.data["q"] == [Fraction(-11, 4), Fraction(5, 2), Fraction(12)]
+    assert reference_solve_lcp(m, v.data["q"]) == []
+
+
+def test_rules_and_oracle_decide_the_whole_small_census_alike():
+    """Every 3x3 matrix with entries in {-1, 0, 1}: the oracle decides each
+    one, and never against a structural rule."""
+    undecided = []
+    contradictions = []
+    for entries in itertools.product((-1, 0, 1), repeat=9):
+        m = RationalMatrix([entries[0:3], entries[3:6], entries[6:9]])
+        oracle = q_oracle(m)
+        rules = classify_by_rules(m)
+        if oracle.answer == UNDECIDED:
+            undecided.append(m.rows)
+        elif rules is not None and rules.answer != oracle.answer:
+            contradictions.append(m.rows)
+    assert undecided == [] and contradictions == []
 
 
 def test_witness_candidates_memory_does_not_grow_with_three_to_the_n():

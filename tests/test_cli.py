@@ -249,6 +249,20 @@ def test_generate_rejects_an_entry_range_below_one(tmp_path, capsys, kind, entry
     assert not out.exists()
 
 
+def test_generate_reports_an_unwritable_out_path(tmp_path, capsys):
+    taken = _write(tmp_path, "taken", "")
+    assert main(["generate", "--type", "tri", "--out", taken]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "%s: File exists\n" % taken
+    out = tmp_path / "out"
+    blocked = out / "tri-n3-seed0-0001.json"
+    blocked.mkdir(parents=True)
+    assert main(["generate", "--type", "tri", "--count", "3", "--out", str(out)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "%s\n" % (out / "tri-n3-seed0-0000.json")
+    assert captured.err == "%s: Is a directory\n" % blocked
+
+
 def test_degree_values(tmp_path, capsys):
     eye = _write(tmp_path, "eye.txt", "1 0\n0 1\n")
     assert main(["degree", eye]) == 0
@@ -354,6 +368,37 @@ def test_jordan_rank_one_rejects_fewer_than_one_sample(capsys, samples):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "need --samples >= 1, got %s\n" % samples
+
+
+@pytest.mark.parametrize(
+    "a, b, bad",
+    [
+        ("eigs:nan,1", "eigs:1,1", "eigs:nan,1"),
+        ("eigs:inf,1", "1,1", "eigs:inf,1"),
+        ("1,1", "1,-inf", "1,-inf"),
+    ],
+)
+def test_jordan_rank_one_rejects_non_finite_eigenvalues(capsys, a, b, bad):
+    assert main(["jordan", "rank-one", "--a", a, "--b", b]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "non-finite eigenvalue in %r\n" % bad
+
+
+@pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("-1", "-1"), ("inf", "inf"), ("-1e-3", "-0.001")])
+def test_jordan_commands_reject_a_tol_that_is_not_finite_and_nonnegative(
+    tmp_path, capsys, tol, shown
+):
+    path = _write(tmp_path, "t3.txt", "-1 2\n1 -1\n")
+    for argv in (
+        ["jordan", "identities", "--algebra", "rn:3"],
+        ["jordan", "rank-one", "--a", "eigs:1,2", "--b", "eigs:3,1"],
+        ["jordan", "embed-check", "--matrix", path, "--q", "-1,-1"],
+    ):
+        assert main(argv + ["--tol=" + tol]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "need --tol >= 0, got %s\n" % shown
+        assert main(argv + ["--tol", "0"]) != 64  # zero is a tolerance
+        capsys.readouterr()
 
 
 def test_jordan_rank_one_json_includes_sampler(capsys):

@@ -113,6 +113,26 @@ def test_literals_past_the_bound_are_rejected_before_fraction_reads_them(monkeyp
     assert seen == []
 
 
+def test_a_bad_literal_is_named_once_and_cut_short():
+    cases = [
+        ("x", "bad rational literal 'x': not a rational number"),
+        ("1/0", "bad rational literal '1/0': zero denominator"),
+        (
+            "y" * 5000,
+            "bad rational literal %r... (5000 characters): not a rational number" % ("y" * 40),
+        ),
+    ]
+    for literal, message in cases:
+        for parse in (
+            lambda: parse_matrix("1 %s\n0 1\n" % literal),
+            lambda: parse_matrix('{"rows": [[1, "%s"], [0, 1]]}' % literal),
+            lambda: parse_vector("1,%s" % literal),
+        ):
+            with pytest.raises(MatrixFormatError) as exc:
+                parse()
+            assert str(exc.value) == message
+
+
 def test_json_round_trip():
     m = parse_matrix('{"rows": [[1, "1/3"], [0, -2]]}')
     again = parse_matrix(__import__("json").dumps(m.to_json_obj()))
