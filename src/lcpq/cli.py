@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DASH_VALUE_FLAGS = ("--q", "--a", "--b")
+_DASH_VALUE_FLAGS = ("--q", "--a", "--b", "--tol")
 
 
 def _merge_dash_values(argv):

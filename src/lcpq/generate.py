@@ -24,13 +24,6 @@ GENERATOR_TYPES = (
 )
 
 
-def _nonzero(rng: random.Random, lo: int, hi: int) -> int:
-    while True:
-        v = rng.randint(lo, hi)
-        if v != 0:
-            return v
-
-
 def random_triangular(
     rng: random.Random, n: int, entry_range: int = 5, side: Optional[str] = None
 ) -> RationalMatrix:

@@ -216,9 +216,7 @@ class JordanFrame:
                 worst = max(
                     worst, _max_abs(jordan_product(e, self.elements[j]))
                 )
-        total = self.elements[0]
-        for e in self.elements[1:]:
-            total = total + e
+        total = element_from_eigenvalues(self, np.ones(len(self)))
         worst = max(worst, _max_abs(total - identity_element(self.algebra)))
         if worst > tol:
             raise ValueError("frame residual %.3e exceeds tolerance %.3e" % (worst, tol))
@@ -296,12 +294,14 @@ def in_interior(x: JordanElement, tol: float = DEFAULT_TOL) -> bool:
 def element_from_eigenvalues(
     frame: JordanFrame, eigenvalues: Sequence[float]
 ) -> JordanElement:
+    """sum of lam_i e_i over the frame (hat_vector is this sum too),
+    accumulated from +0.0, so a coordinate that sums to zero is +0.0."""
     if len(eigenvalues) != len(frame):
         raise ValueError("need one eigenvalue per frame element")
-    out = float(eigenvalues[0]) * frame[0]
-    for lam, e in zip(eigenvalues[1:], frame.elements[1:]):
-        out = out + float(lam) * e
-    return out
+    coords = np.zeros(frame.algebra.dim)
+    for lam, e in zip(eigenvalues, frame):
+        coords += float(lam) * e.coords
+    return JordanElement(frame.algebra, coords)
 
 
 def _spectral_map(x: JordanElement, func, precondition=None) -> JordanElement:

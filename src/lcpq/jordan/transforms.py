@@ -17,6 +17,7 @@ from .algebra import (
     Algebra,
     JordanElement,
     JordanFrame,
+    element_from_eigenvalues,
     jordan_product,
     trace_inner_product,
 )
@@ -86,10 +87,7 @@ def hat_vector(r, frame: JordanFrame) -> JordanElement:
     r = np.asarray(r, dtype=float)
     if r.shape != (len(frame),):
         raise ValueError("vector length %d does not match frame rank %d" % (r.size, len(frame)))
-    coords = np.zeros(frame.algebra.dim)
-    for value, e in zip(r, frame):
-        coords += value * e.coords
-    return JordanElement(frame.algebra, coords)
+    return element_from_eigenvalues(frame, r)
 
 
 def bracket(x: JordanElement, frame: JordanFrame) -> np.ndarray:
@@ -97,11 +95,6 @@ def bracket(x: JordanElement, frame: JordanFrame) -> np.ndarray:
     if x.algebra != frame.algebra:
         raise ValueError("element lives in a different algebra")
     return np.array([trace_inner_product(x, e) for e in frame])
-
-
-def frame_matrix(frame: JordanFrame) -> np.ndarray:
-    """dim x rank matrix whose columns are the frame elements' coordinates."""
-    return np.column_stack([e.coords for e in frame])
 
 
 def _as_float_array(matrix, rank: int) -> np.ndarray:
@@ -121,7 +114,7 @@ def hat_transform(matrix, frame: JordanFrame) -> LinearTransform:
     components (they are orthogonal to every frame element).
     """
     a = _as_float_array(matrix, len(frame))
-    e = frame_matrix(frame)
+    e = np.column_stack([f.coords for f in frame])
     return LinearTransform(frame.algebra, e @ a @ e.T)
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence
 
-from .errors import MatrixFormatError, SingularPivotError
+from .errors import MatrixFormatError
 from .kernel import clear_denominators, eliminate
 
 
@@ -103,16 +103,6 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, n: int) -> "RationalMatrix":
-        return cls([[0] * n for _ in range(n)])
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.rows[i][j] for i in range(self.n))
-
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(
             [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)]
@@ -120,10 +110,6 @@ class RationalMatrix:
 
     def neg(self) -> "RationalMatrix":
         return RationalMatrix([[-v for v in row] for row in self.rows])
-
-    def scale(self, c) -> "RationalMatrix":
-        c = _to_fraction(c)
-        return RationalMatrix([[c * v for v in row] for row in self.rows])
 
     def matvec(self, x: Sequence[Fraction]) -> list:
         if len(x) != self.n:
@@ -258,18 +244,11 @@ def determinant(matrix: RationalMatrix) -> Fraction:
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:
-    """Exact inverse by fraction-free elimination on [A | I] (see kernel);
-    raises SingularPivotError if singular.  Scaling a row of [A | I] leaves
-    the solution X of A X = I unchanged."""
-    n = matrix.n
-    work = [
-        clear_denominators(row + tuple(int(i == j) for j in range(n)))[1]
-        for i, row in enumerate(matrix.rows)
-    ]
-    det = eliminate(work, n)
-    if det == 0:
-        raise SingularPivotError("matrix is singular")
-    return RationalMatrix([[Fraction(v, det) for v in row[n:]] for row in work])
+    """Exact inverse: the principal pivot transform on the whole index set
+    (see pivot); raises SingularPivotError if singular."""
+    from .pivot import ppt
+
+    return ppt(matrix, range(1, matrix.n + 1))
 
 
 def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction]):

@@ -13,7 +13,9 @@ determinant of the scaled pivot block, it leaves -det times row j of M in
 the trailing columns of each row j in J, and det * s_c times row c of M in
 those of each row c in C, s_c being the scale of row c.  The transform is
 an involution and preserves Q-membership and R0; the LCP degree picks up
-the factor sgn det A_JJ.
+the factor sgn det A_JJ.  On the whole index set (C empty) the transform is
+A^-1 (M. Tsatsomeros, *Principal pivot transforms: properties and
+applications*, LAA 307, 2000), and matrices.inverse is that call.
 """
 
 from __future__ import annotations

@@ -158,10 +158,7 @@ def rotate_conjugate(matrix: RationalMatrix, k: int) -> RationalMatrix:
 
 def antidiagonal_conjugate(matrix: RationalMatrix) -> RationalMatrix:
     """J A J with J the antidiagonal identity: reverses both index orders."""
-    n = matrix.n
-    return RationalMatrix(
-        [[matrix.rows[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-    )
+    return Permutation(tuple(range(matrix.n, 0, -1))).conjugate(matrix)
 
 
 def triangular_plus_row_split(matrix: RationalMatrix):

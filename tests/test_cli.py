@@ -384,19 +384,25 @@ def test_jordan_rank_one_rejects_non_finite_eigenvalues(capsys, a, b, bad):
     assert captured.out == "" and captured.err == "non-finite eigenvalue in %r\n" % bad
 
 
-@pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("-1", "-1"), ("inf", "inf"), ("-1e-3", "-0.001")])
+@pytest.mark.parametrize(
+    "tol, shown",
+    [("nan", "nan"), ("-1", "-1"), ("inf", "inf"), ("-1e-3", "-0.001"), ("-inf", "-inf")],
+)
 def test_jordan_commands_reject_a_tol_that_is_not_finite_and_nonnegative(
     tmp_path, capsys, tol, shown
 ):
+    # The value is checked whether it is joined to the flag or follows it;
+    # "--tol -1e-3" must not be read by argparse as a flag of its own.
     path = _write(tmp_path, "t3.txt", "-1 2\n1 -1\n")
     for argv in (
         ["jordan", "identities", "--algebra", "rn:3"],
         ["jordan", "rank-one", "--a", "eigs:1,2", "--b", "eigs:3,1"],
         ["jordan", "embed-check", "--matrix", path, "--q", "-1,-1"],
     ):
-        assert main(argv + ["--tol=" + tol]) == 64
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "need --tol >= 0, got %s\n" % shown
+        for given in (["--tol=" + tol], ["--tol", tol]):
+            assert main(argv + given) == 64
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == "need --tol >= 0, got %s\n" % shown
         assert main(argv + ["--tol", "0"]) != 64  # zero is a tolerance
         capsys.readouterr()
 

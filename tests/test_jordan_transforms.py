@@ -6,6 +6,7 @@ import pytest
 from lcpq.jordan.algebra import (
     JordanFrame,
     element_from_coords,
+    element_from_eigenvalues,
     element_from_matrix,
     identity_element,
     inverse_element,
@@ -62,6 +63,21 @@ def test_hat_vector_bracket_round_trip():
         for frame in (standard_frame(algebra), random_frame(algebra, rng)):
             r = rng.standard_normal(len(frame))
             assert np.allclose(bracket(hat_vector(r, frame), frame), r)
+
+
+def test_hat_vector_is_the_frame_sum_bit_for_bit():
+    # hat_vector(r, f) and element_from_eigenvalues(f, r) are one sum of
+    # r_i e_i, accumulated from +0.0, so a zero coordinate is never -0.0.
+    rng = np.random.default_rng(17)
+    weights = ([0.0, 0.0, 0.0], [-1.0, -2.0, -0.5], [-0.0, -1.0, 0.0], [1.0, -1.0, 2.0])
+    for algebra in (rn_algebra(3), SYM3):
+        for frame in (standard_frame(algebra), random_frame(algebra, rng)):
+            for r in weights + (list(rng.standard_normal(3)),):
+                hat = hat_vector(r, frame).coords
+                summed = element_from_eigenvalues(frame, r).coords
+                assert np.array_equal(hat.view(np.uint64), summed.view(np.uint64))
+                assert np.array_equal(np.signbit(hat), np.signbit(summed))
+                assert not np.signbit(hat[hat == 0.0]).any()
 
 
 def test_hat_vector_length_check():

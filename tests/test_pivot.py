@@ -40,19 +40,26 @@ def test_ppt_and_schur_complement_match_the_block_product_reference():
         style = ("integer", "fraction", "sparse")[case % 3]
         m = RationalMatrix([[_random_entry(rng, style) for _ in range(n)] for _ in range(n)])
         j = rng.sample(range(1, n + 1), rng.randint(1, n))
+        # On the whole index set the transform is the inverse.
+        whole = len(j) == n
         try:
             expected = reference_ppt(m, j)
         except SingularPivotError:
             singular += 1
             with pytest.raises(SingularPivotError):
                 ppt(m, j)
-            if len(j) < n:
+            if whole:
+                with pytest.raises(SingularPivotError):
+                    inverse(m)
+            else:
                 with pytest.raises(SingularPivotError):
                     schur_complement(m, j)
             continue
         assert ppt(m, j) == expected
-        comp = [i for i in range(n) if i + 1 not in j]
-        if comp:
+        if whole:
+            assert inverse(m) == expected
+        else:
+            comp = [i for i in range(n) if i + 1 not in j]
             assert schur_complement(m, j) == expected.principal_submatrix(comp)
     assert 2000 < singular < 10000
 

@@ -121,6 +121,16 @@ def test_antidiagonal_conjugate_involution():
     m = RationalMatrix([[1, 2], [3, 4]])
     assert antidiagonal_conjugate(m) == RationalMatrix([[4, 3], [2, 1]])
     assert antidiagonal_conjugate(antidiagonal_conjugate(m)) == m
+    rng = random.Random(61)
+    for n in range(1, 7):
+        for _ in range(5):
+            a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+            m = RationalMatrix(a)
+            flipped = antidiagonal_conjugate(m)
+            assert flipped == RationalMatrix(
+                [[a[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
+            )
+            assert antidiagonal_conjugate(flipped) == m
 
 
 def test_detect_type1_with_normalised_last_row():
