@@ -129,15 +129,19 @@ def is_E(matrix: RationalMatrix) -> Verdict:
 
 
 def is_S(matrix: RationalMatrix) -> Verdict:
-    """S: some x > 0 has Ax > 0 (tested as x >= 0, Ax >= 1, then shifted)."""
+    """S: some x > 0 has Ax > 0.  When every row sum is positive, A1 > 0
+    and x = 1 certifies it; otherwise it is tested as x >= 0, Ax >= 1 by
+    LP, and the point found is shifted."""
     n = matrix.n
+    scales, ints = matrix.scaled_rows()
+    if all(sum(row) > 0 for row in ints):  # ints[i] is A_i times scales[i] > 0
+        return Verdict(YES, "S", "strictly positive x with Ax > 0", {"x": [Fraction(1)] * n})
     system = FeasibilitySystem(n)
     for i in range(n):
         system.add_ge(matrix.rows[i], 1)
     point = solve_feasibility(system)
     if point is None:
         return Verdict(NO, "S", "no x >= 0 with Ax >= 1", {})
-    scales, ints = matrix.scaled_rows()
     max_abs_row_sum = max(Fraction(abs(sum(row)), scale) for scale, row in zip(scales, ints))
     eps = Fraction(1, 2) / (1 + max_abs_row_sum)
     x = [v + eps for v in point]
@@ -227,25 +231,29 @@ def _witness_candidates(n: int, budget: int, rng_seed: int):
     phase_one = (
         tuple(-1 if j == i else rest for j in range(n)) for i in range(n) for rest in (0, 1)
     )
-    corners = ([Fraction(v) for v in c] for c in itertools.chain(phase_one, _sign_corners(n)))
+    corners = ([(v, 1) for v in c] for c in itertools.chain(phase_one, _sign_corners(n)))
     rng = random.Random(rng_seed)
     draws = (
-        [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)]
+        [(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)]
         for _ in itertools.count()
     )
-    negative = (q for q in itertools.chain(corners, draws) if min(q) < 0)
-    return itertools.islice(_new_rays(negative, budget), max(budget, 0))
+    negative = (q for q in itertools.chain(corners, draws) if min(a for a, _ in q) < 0)
+    rays = _new_rays(negative, budget)
+    return itertools.islice(([Fraction(a, b) for a, b in q] for q in rays), max(budget, 0))
 
 
 def _new_rays(vectors, patience: int):
-    """The vectors whose ray (primitive integer direction) is new, in order,
-    until patience of them in a row bring none.  LCP(A, tq) is solvable iff
-    LCP(A, q) is, for every t > 0, because complementary cones are cones, so
-    one q per ray is all a witness search needs."""
+    """The vectors, each a list of (numerator, positive denominator) int
+    pairs, whose ray (primitive integer direction) is new, in order, until
+    patience of them in a row bring none.  LCP(A, tq) is solvable iff
+    LCP(A, q) is, for every t > 0, because complementary cones are cones,
+    so one q per ray is all a witness search needs.  The ray is read from
+    the ints alone, so a repeated draw builds no Fraction."""
     seen = set()
     stale = 0
     for q in vectors:
-        _, ints = clear_denominators(q)
+        scale = math.lcm(*(b for _, b in q))
+        ints = [a * (scale // b) for a, b in q]
         g = math.gcd(*ints)
         ray = tuple(v // g for v in ints)
         if ray not in seen:
@@ -269,15 +277,18 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
     procedure there.
 
     Every channel reads principal-minor signs through the matrix's own
-    memo (lcp.minor_sign), so each minor is computed once, by is_R0.  When
-    those minors are all positive the matrix is P, and a P-matrix has
-    exactly one solution for every q (Cottle, Pang & Stone, *The Linear
-    Complementarity Problem*, 1992, ch. 3), so its degree is 1 without
-    sampling one.  The witness search tries at most budget candidate q,
-    one per ray (solvability is invariant under q -> tq, t > 0), and asks
-    only whether each is solvable (lcp.is_solvable), which stops at the
-    first solution.  The enumeration cap is checked first, before any
-    channel runs.
+    memo (lcp.minor_sign), so each minor is computed once, by is_P or
+    is_R0.  is_P runs first, right after the S check: a P-matrix is R0
+    and has exactly one solution for every q (Cottle, Pang & Stone, *The
+    Linear Complementarity Problem*, 1992, ch. 3), so its degree is 1 and
+    its minors alone decide it, with no R0 scan and no sampled degree.
+    is_P stops at the first minor <= 0, which in bitmask order comes no
+    later than where is_R0 stops, so the R0 scan that follows computes
+    no minor it would not have computed alone.  The witness search tries
+    at most budget candidate q, one per ray (solvability is invariant
+    under q -> tq, t > 0), and asks only whether each is solvable
+    (lcp.is_solvable), which stops at the first solution.  The
+    enumeration cap is checked first, before any channel runs.
     """
     n = matrix.n
     check_cap(n)
@@ -286,21 +297,19 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
     if bad:
         return Verdict(NO, "nonpositive-row", "row without positive entry", {"row": bad[0] + 1})
 
-    s = is_S(matrix)
-    if s.is_no:
+    if is_S(matrix).is_no:
         return Verdict(NO, "not-S", "no positive x with Ax > 0", {})
+
+    if is_P(matrix).is_yes:  # R0 with degree 1
+        return Verdict(YES, "degree-nonzero", "R0 with nonzero LCP degree", {"degree": 1})
 
     bdsw = is_bdsw_shape(matrix)
     r0 = is_R0(matrix)
-    deg: Optional[int] = None
     if r0.is_yes:
-        if is_P(matrix).is_yes:  # reads the minors is_R0 memoised
-            deg = 1
-        else:
-            try:
-                deg = degree(matrix, rng_seed)
-            except DegreeSamplingError:
-                deg = None
+        try:
+            deg: Optional[int] = degree(matrix, rng_seed)
+        except DegreeSamplingError:
+            deg = None
         if deg is not None and deg != 0:
             return Verdict(
                 YES, "degree-nonzero", "R0 with nonzero LCP degree", {"degree": deg}

@@ -30,7 +30,7 @@ from .errors import (
     MatrixFormatError,
 )
 from .generate import GENERATOR_TYPES, generate
-from .lcp import degree
+from .lcp import check_cap, degree
 from .matrices import RationalMatrix, parse_matrix, parse_vector
 from .structure import detect_structure
 
@@ -217,6 +217,11 @@ def _parse_algebra_arg(text: str) -> Algebra:
         raise ValueError("bad --algebra %r: %s" % (text, exc))
 
 
+# The jordan commands seed numpy's default_rng, which refuses a negative
+# seed; random.Random, behind the other commands, takes any int.
+_SEED_MESSAGE = "need --seed >= 0, got %d"
+
+
 def _build_frame(algebra: Algebra, which: str, seed: int):
     import numpy as np
 
@@ -232,6 +237,8 @@ def cmd_jordan_identities(args) -> int:
 
     if args.samples < 1:
         return _fail("need --samples >= 1, got %d" % args.samples, EXIT_USAGE)
+    if args.seed < 0:
+        return _fail(_SEED_MESSAGE % args.seed, EXIT_USAGE)
     if not 0 <= args.tol < math.inf:  # nan fails too
         return _fail("need --tol >= 0, got %g" % args.tol, EXIT_USAGE)
     try:
@@ -283,6 +290,8 @@ def cmd_jordan_rank_one(args) -> int:
 
     if args.samples < 1:
         return _fail("need --samples >= 1, got %d" % args.samples, EXIT_USAGE)
+    if args.seed < 0:
+        return _fail(_SEED_MESSAGE % args.seed, EXIT_USAGE)
     if not 0 <= args.tol < math.inf:  # nan fails too
         return _fail("need --tol >= 0, got %g" % args.tol, EXIT_USAGE)
     try:
@@ -343,6 +352,8 @@ def cmd_jordan_embed_check(args) -> int:
 
     if args.n is not None and args.n < 1:
         return _fail("need --n >= 1, got %d" % args.n, EXIT_USAGE)
+    if args.seed < 0:
+        return _fail(_SEED_MESSAGE % args.seed, EXIT_USAGE)
     if not 0 <= args.tol < math.inf:  # nan fails too
         return _fail("need --tol >= 0, got %g" % args.tol, EXIT_USAGE)
     try:
@@ -367,11 +378,14 @@ def cmd_jordan_embed_check(args) -> int:
             "algebra rank %d does not match matrix order %d" % (algebra.rank, matrix.n),
             EXIT_USAGE,
         )
-    frame = _build_frame(algebra, args.frame, args.seed)
+    # The cap goes first: a sym frame of order n holds n matrices of
+    # n x n floats, so an order far past the cap would not fit in memory.
     try:
-        outcome = embed_solve(matrix, qvec, frame, tol=args.tol)
+        check_cap(matrix.n)
     except EnumerationCapError as exc:
         return _fail(str(exc), EXIT_CAP)
+    frame = _build_frame(algebra, args.frame, args.seed)
+    outcome = embed_solve(matrix, qvec, frame, tol=args.tol)
     if args.json:
         record = {
             "input": args.matrix,

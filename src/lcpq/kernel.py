@@ -37,14 +37,17 @@ def eliminate(work: List[List[int]], k: int) -> int:
 
     With no columns past k (work is k x k) only the rows below each pivot
     are reduced (plain Bareiss), which is all the determinant needs, and a
-    zero column ends the run.  Otherwise the run is Gauss-Jordan over every
-    row: pivots come from the first k rows only, a column without one is
-    skipped, and a reduced column is zero outside its pivot row.  For a
-    nonsingular block, work[i][k:] then holds det * x_i for i < k, x
-    solving the system whose right-hand sides are the trailing columns, and
-    a row r past k holds det * (b_r - a_r x).  For a singular block, the
-    first k rows left without a pivot are zero on the block, so the system
-    is consistent iff their trailing entries are zero.
+    zero column ends the run.  This determinant mode updates only the
+    entries right of each pivot column, so the entries below a pivot are
+    not maintained and hold no meaning afterwards.  Otherwise the run is
+    Gauss-Jordan over every row: pivots come from the first k rows only,
+    a column without one is skipped, and a reduced column is zero outside
+    its pivot row.  For a nonsingular block, work[i][k:] then holds
+    det * x_i for i < k, x solving the system whose right-hand sides are
+    the trailing columns, and a row r past k holds det * (b_r - a_r x).
+    For a singular block, the first k rows left without a pivot are zero
+    on the block, so the system is consistent iff their trailing entries
+    are zero.
     """
     width = len(work[0]) if k else 0
     gauss_jordan = width > k
@@ -62,14 +65,21 @@ def eliminate(work: List[List[int]], k: int) -> int:
         if pivot_row != r:
             work[r], work[pivot_row] = work[pivot_row], work[r]
             sign = -sign
-        tail = work[r][c:]
-        p = tail[0]
-        for i in range(len(work)) if gauss_jordan else range(r + 1, k):
-            if i == r:
-                continue
-            row = work[i]
-            f = row[c]
-            row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], tail)]
+        p = work[r][c]
+        if gauss_jordan:
+            tail = work[r][c:]
+            for i, row in enumerate(work):
+                if i != r:
+                    f = row[c]
+                    row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], tail)]
+        else:
+            # Column c below the pivot is never read again, and a row
+            # with a zero multiplier under an unchanged pivot stays as it is.
+            tail = work[r][c + 1 :]
+            for row in work[r + 1 :]:
+                f = row[c]
+                if f or p != prev:
+                    row[c + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[c + 1 :], tail)]
         prev = p
         r += 1
     if r < k:

@@ -125,8 +125,9 @@ def minor_sign(matrix: RationalMatrix, mask: int, idx: Sequence[int]) -> int:
         # matrices.determinant is fraction-free too; going through it
         # keeps one determinant routine, which perfbench's trace counts.
         # The block inherits the matrix's cached scaled integer rows, so
-        # no row's denominators are cleared again per minor.
-        sign = _sign(determinant(matrix.principal_submatrix(idx)))
+        # no row's denominators are cleared again per minor, and the sign
+        # is read from the numerator, an int.
+        sign = _sign(determinant(matrix.principal_submatrix(idx)).numerator)
         signs[mask] = sign
     return sign
 

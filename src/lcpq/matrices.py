@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import prod
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import MatrixFormatError
@@ -173,11 +174,12 @@ class RationalMatrix:
                 "matrix is not square: %d rows but a row of length %d" % (len(row_idx), len(col_idx))
             )
         scales, ints = self.scaled_rows()
-        rows = tuple([tuple([self.rows[i][j] for j in col_idx]) for i in row_idx])
-        scaled = (
-            tuple([scales[i] for i in row_idx]),
-            tuple([tuple([ints[i][j] for j in col_idx]) for i in row_idx]),
-        )
+        # itemgetter of one index returns the entry itself, so one column
+        # is picked as a slice, which keeps the row a tuple.
+        j = col_idx[0]
+        pick = itemgetter(*col_idx) if len(col_idx) > 1 else itemgetter(slice(j, j + 1))
+        rows = tuple([pick(self.rows[i]) for i in row_idx])
+        scaled = tuple([scales[i] for i in row_idx]), tuple([pick(ints[i]) for i in row_idx])
         return RationalMatrix._of_fractions(rows, scaled)
 
     def principal_submatrix(self, idx: Sequence[int]) -> "RationalMatrix":
@@ -222,6 +224,8 @@ def parse_matrix(text: str) -> RationalMatrix:
             raise MatrixFormatError('"rows" must be a list of lists')
         matrix = RationalMatrix(rows)
         declared = obj.get("n")
+        if declared is not None and (isinstance(declared, bool) or not isinstance(declared, int)):
+            raise MatrixFormatError("declared order n=%r is not an integer" % (declared,))
         if declared is not None and declared != matrix.n:
             raise MatrixFormatError(
                 'declared order n=%r does not match %d rows' % (declared, matrix.n)

@@ -11,20 +11,28 @@ the coordinates one pair (i, j) at a time (the package uses index arrays),
 with the same float operations, so both must agree bit for bit.  The
 principal pivot transform is assembled from Fraction block products around
 a Fraction Gauss-Jordan inverse of the pivot block (the package runs one
-integer elimination).
+integer elimination).  The witness stream builds its Fractions before it
+reads a ray (the package reads rays from the drawn ints), and the Q oracle
+decides S by LP alone and scans R0 before it asks for P (the package takes
+x = 1 when A1 > 0 and asks for P first).
 """
 
+import math
+import random
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, count, islice
 
 import numpy as np
 
-from lcpq.errors import SingularPivotError
+from lcpq.classes import NO, UNDECIDED, YES, Verdict, _sign_corners, is_E0, is_P, is_R0
+from lcpq.errors import DegreeSamplingError, SingularPivotError
 from lcpq.jordan.algebra import JordanElement
-from lcpq.lcp import LcpSolution
-from lcpq.matrices import RationalMatrix, solve_linear
+from lcpq.kernel import clear_denominators
+from lcpq.lcp import LcpSolution, check_cap, degree, is_solvable
+from lcpq.matrices import RationalMatrix, nonpositive_rows, solve_linear
 from lcpq.simplex import FeasibilitySystem
+from lcpq.structure import is_bdsw_shape
 
 
 def count_calls(monkeypatch, function):
@@ -382,3 +390,73 @@ def reference_ppt(matrix, j_set):
         for b in range(k):
             out[order[m + a]][order[m + b]] = e_inv[a][b]
     return RationalMatrix(out)
+
+
+def reference_witness_candidates(n, budget, rng_seed):
+    """lcpq.classes._witness_candidates as it was when every draw built its
+    Fractions first and read its ray from them."""
+    phase_one = (
+        tuple(-1 if j == i else rest for j in range(n)) for i in range(n) for rest in (0, 1)
+    )
+    corners = ([Fraction(v) for v in c] for c in chain(phase_one, _sign_corners(n)))
+    rng = random.Random(rng_seed)
+    draws = (
+        [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)]
+        for _ in count()
+    )
+    negative = (q for q in chain(corners, draws) if min(q) < 0)
+
+    def new_rays(vectors, patience):
+        seen = set()
+        stale = 0
+        for q in vectors:
+            _, ints = clear_denominators(q)
+            g = math.gcd(*ints)
+            ray = tuple(v // g for v in ints)
+            if ray not in seen:
+                seen.add(ray)
+                stale = 0
+                yield q
+            else:
+                stale += 1
+                if stale >= patience:
+                    return
+
+    return islice(new_rays(negative, budget), max(budget, 0))
+
+
+def reference_q_oracle(matrix, budget=64, rng_seed=0):
+    """lcpq.classes.q_oracle with its earlier prologue: S by LP alone, then
+    the R0 scan, then P on the minors that scan memoised."""
+    n = matrix.n
+    check_cap(n)
+    bad = nonpositive_rows(matrix)
+    if bad:
+        return Verdict(NO, "nonpositive-row", "row without positive entry", {"row": bad[0] + 1})
+    system = FeasibilitySystem(n)
+    for row in matrix.rows:
+        system.add_ge(row, 1)
+    if reference_feasibility(system) is None:
+        return Verdict(NO, "not-S", "no positive x with Ax > 0", {})
+    bdsw = is_bdsw_shape(matrix)
+    r0 = is_R0(matrix)
+    if r0.is_yes:
+        if is_P(matrix).is_yes:
+            deg = 1
+        else:
+            try:
+                deg = degree(matrix, rng_seed)
+            except DegreeSamplingError:
+                deg = None
+        if deg:
+            return Verdict(YES, "degree-nonzero", "R0 with nonzero LCP degree", {"degree": deg})
+        if deg == 0 and bdsw:
+            return Verdict(NO, "bdsw-degree-zero", "bdsw shape with R0 and degree 0", {"degree": 0})
+        if deg is None and is_E0(matrix).is_yes:
+            return Verdict(YES, "R-star", "R0 and E0 hold", {})
+    elif bdsw:
+        return Verdict(NO, "bdsw-not-R0", "bdsw shape without the R0 property", dict(r0.data))
+    for q in reference_witness_candidates(n, budget, rng_seed):
+        if not is_solvable(matrix, q):
+            return Verdict(NO, "unsolvable-q", "LCP(A,q) has no solution", {"q": q})
+    return Verdict(UNDECIDED, "undecided", "no decision within budget", {})

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_lcp_solution, count_calls, principal_minors, reference_solve_lcp
+from helpers import (
+    check_lcp_solution,
+    count_calls,
+    principal_minors,
+    reference_q_oracle,
+    reference_solve_lcp,
+    reference_witness_candidates,
+)
 from lcpq.classes import (
     NO,
     UNDECIDED,
@@ -192,6 +199,28 @@ def test_s_no_for_negative_identity():
     assert is_S(RationalMatrix([[-1, 0], [0, -1]])).is_no
 
 
+def test_s_takes_the_all_ones_witness_exactly_when_every_row_sum_is_positive(monkeypatch):
+    lps = count_calls(monkeypatch, solve_feasibility)
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        m = RationalMatrix(
+            [[Fraction(rng.randint(-4, 6), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        )
+        positive_sums = all(sum(row) > 0 for row in m.rows)
+        del lps[:]
+        v = is_S(m)
+        seen.add((positive_sums, v.answer))
+        if positive_sums:
+            assert v.is_yes and v.data["x"] == [Fraction(1)] * n and lps == []
+        else:
+            assert len(lps) == 1
+            assert v.is_no or v.data["x"] != [Fraction(1)] * n
+    # Both branches ran, and the LP branch answered both ways.
+    assert seen == {(True, YES), (False, YES), (False, NO)}
+
+
 def test_p_and_p0_match_minor_enumeration():
     for m in _mixed_corpus():
         minors = [d for _, d in principal_minors(m.rows)]
@@ -320,6 +349,56 @@ def test_q_oracle_computes_each_principal_minor_at_most_once(monkeypatch, rows):
     assert 0 < len(dets) <= 2 ** matrix.n - 1
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 1, 1, 0], [0, 3, 1, 1], [1, 0, 2, 1], [1, 1, 0, 4]],
+        [[2, -1], [-1, 2]],
+        [[1, 2, 0], [0, 1, 2], [0, 0, 1]],  # triangular, unit diagonal
+    ],
+)
+def test_q_oracle_decides_a_p_matrix_by_its_minors_alone(monkeypatch, rows):
+    dets = count_calls(monkeypatch, determinant)
+    r0_scans = count_calls(monkeypatch, is_R0)
+    degrees = count_calls(monkeypatch, degree)
+    matrix = RationalMatrix(rows)
+    v = q_oracle(matrix)
+    assert (v.answer, v.rule, v.data) == (YES, "degree-nonzero", {"degree": 1})
+    assert r0_scans == [] and degrees == []
+    assert len(dets) == 2 ** matrix.n - 1  # every minor, each once
+
+
+def _oracle_corpus():
+    """The mixed corpus plus seeded dense and diagonally dominant matrices:
+    P and not P, S and not S, R0 and not R0."""
+    rng = random.Random(7)
+    out = [m.rows for m in _mixed_corpus()]
+    out.append([[1, 2, 1], [1, 1, 0], [0, 0, 1]])  # R0, not P: a sampled degree
+    out.append([[1, -1, 1], [0, 1, -1], [1, 0, 0]])  # the witness search decides
+    for n in (2, 3, 3, 4, 4, 5):
+        out.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        dominant = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            dominant[i][i] = 2 * n + 1
+        out.append(dominant)
+    return out
+
+
+def test_q_oracle_computes_the_minors_the_r0_first_reference_computes(monkeypatch):
+    dets = count_calls(monkeypatch, determinant)
+    rules = set()
+    for rows in _oracle_corpus():
+        del dets[:]
+        expected = reference_q_oracle(RationalMatrix(rows), budget=16)
+        reference_blocks = sorted(block.rows for (block,) in dets)
+        del dets[:]
+        got = q_oracle(RationalMatrix(rows), budget=16)
+        assert got == expected
+        assert sorted(block.rows for (block,) in dets) == reference_blocks
+        rules.add(got.rule)
+    assert {"not-S", "degree-nonzero", "unsolvable-q", "bdsw-not-R0"} <= rules, rules
+
+
 def test_predicates_share_the_matrixs_minor_memo(monkeypatch):
     dets = count_calls(monkeypatch, determinant)
     matrix = RationalMatrix([[2, 1, 1], [0, 3, 1], [1, 0, 2]])
@@ -429,6 +508,17 @@ def _eager_witness_candidates(n, budget, rng_seed):
         if any(v < 0 for v in vec):
             emit(vec)
     return out
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_witness_candidates_equal_the_stream_that_built_fractions_first(n):
+    for seed in (0, 3, -2):
+        for budget in (-1, 0, 1, 7, 64, 300):
+            got = list(_witness_candidates(n, budget, seed))
+            assert got == list(reference_witness_candidates(n, budget, seed))
+            assert all(type(v) is Fraction for q in got for v in q)
+    # Long enough for the rays to run out and the stale rule to end it.
+    assert list(_witness_candidates(2, 3000, 1)) == list(reference_witness_candidates(2, 3000, 1))
 
 
 def test_witness_candidates_keep_the_sorted_corner_order():

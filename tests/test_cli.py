@@ -480,6 +480,57 @@ def test_jordan_embed_check_rejects_n_below_one(tmp_path, capsys, n):
     assert captured.err == "need --n >= 1, got %s\n" % n
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jordan", "identities", "--algebra", "sym:2", "--samples", "2"],
+        ["jordan", "rank-one", "--a", "eigs:1,-1", "--b", "eigs:1,1"],
+        ["jordan", "rank-one", "--a", "eigs:1,2", "--b", "eigs:3,1", "--frame", "rotated"],
+        ["jordan", "embed-check", "--q", "-1,-1", "--frame", "rotated"],
+    ],
+    ids=["identities", "rank-one-no", "rank-one-rotated", "embed-check-rotated"],
+)
+def test_jordan_commands_reject_a_negative_seed(tmp_path, capsys, argv):
+    # numpy's default_rng refuses a negative seed; the command says so
+    # itself instead of dying in a traceback.
+    if "embed-check" in argv:
+        argv = argv + ["--matrix", _write(tmp_path, "t3.txt", "-1 2\n1 -1\n")]
+    assert main(argv + ["--seed", "-1"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "need --seed >= 0, got -1\n"
+    assert main(argv + ["--seed", "0"]) in (0, 1)
+
+
+def test_core_commands_accept_a_negative_seed(tmp_path, capsys):
+    # random.Random takes any int, so classify, verify, generate and
+    # degree keep accepting negative seeds.
+    path = _write(tmp_path, "p.txt", "2 1\n1 2\n")
+    assert main(["classify", "--seed", "-1", path]) == 0
+    assert main(["verify", "--seed", "-1", path]) == 0
+    assert main(["degree", "--seed", "-1", path]) == 0
+    out = str(tmp_path / "gen")
+    assert main(["generate", "--type", "tri", "--seed", "-1", "--out", out]) == 0
+    capsys.readouterr()
+
+
+def test_embed_check_refuses_an_order_past_the_cap_before_building_a_frame(
+    tmp_path, capsys, monkeypatch
+):
+    from lcpq.jordan import algebra
+
+    frames = []
+    monkeypatch.setattr(algebra, "random_frame", lambda *args: frames.append(args))
+    monkeypatch.setenv("LCP_ENUM_CAP", "2")
+    path = _write(tmp_path, "dense.txt", "1 -1 1\n0 1 -1\n1 0 0\n")
+    argv = ["jordan", "embed-check", "--matrix", path, "--q", "-1,-1,-1", "--frame", "rotated"]
+    assert main(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "order 3 exceeds the support-enumeration cap 2\n"
+    assert frames == []
+
+
 def test_core_commands_import_neither_numpy_nor_the_jordan_layer():
     """Only the jordan commands need numpy; classify and verify start
     without it.  Importing lcpq.jordan loads every jordan module."""

@@ -12,7 +12,7 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_lcp_solution, cofactor_det
@@ -94,6 +94,22 @@ def test_kernel_matches_cofactor_det_and_solve_linear(system, data):
         for (a, b), scale, row in zip(extra, scales[k:], work[k:]):
             w = b - sum(u * v for u, v in zip(a, x))
             assert row[-1] == det * scale * w
+
+
+SPARSE = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(st.lists(SPARSE, min_size=k, max_size=k), min_size=k, max_size=k)))
+@example([[0, 1], [1, 0]])  # a zero leading entry: the rows swap
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+@example([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # zero multipliers under unchanged pivots
+@example([[2, 0, 1], [0, 2, 0], [1, 0, 2]])
+@example([[1, 2], [2, 4]])  # singular
+def test_determinant_mode_matches_cofactor_expansion_on_sparse_blocks(rows):
+    # Determinant mode reduces only right of each pivot column and skips a
+    # row whose multiplier is 0 under an unchanged pivot.
+    assert eliminate([list(row) for row in rows], len(rows)) == cofactor_det(rows)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -64,6 +64,14 @@ def test_parse_json_order_mismatch():
         parse_matrix('{"n": 3, "rows": [[1, 0], [0, 1]]}')
 
 
+@pytest.mark.parametrize("declared", ["true", "false", "1.0", '"1"', "[1]"])
+def test_parse_json_rejects_a_declared_order_that_is_not_an_integer(declared):
+    # True == 1 and Fraction(1) == 1, so comparing alone would accept them.
+    with pytest.raises(MatrixFormatError, match="not an integer"):
+        parse_matrix('{"n": %s, "rows": [[1]]}' % declared)
+    assert parse_matrix('{"n": 1, "rows": [[1]]}').n == 1
+
+
 def test_parse_rejects_garbage():
     for text in ("", "{", "1 2\n3 x", '{"rows": 5}'):
         with pytest.raises(MatrixFormatError):
