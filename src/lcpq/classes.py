@@ -17,7 +17,17 @@ from typing import Optional, Sequence
 
 from .errors import CertificateError, DegreeSamplingError
 from .kernel import clear_denominators
-from .lcp import LcpInstance, check_cap, degree, embed, is_solvable, minor_sign, solve_lcp, supports
+from .lcp import (
+    LcpInstance,
+    check_cap,
+    degree,
+    embed,
+    is_solvable,
+    minor_sign,
+    solve_lcp,
+    supports,
+    walk,
+)
 from .matrices import RationalMatrix, nonpositive_rows, vec_to_fractions
 from .simplex import FeasibilitySystem, solve_feasibility
 from .structure import is_bdsw_shape
@@ -64,21 +74,28 @@ class Verdict:
 def is_R0(matrix: RationalMatrix) -> Verdict:
     """R0: x = 0 is the only solution of LCP(A, 0).
 
-    For each nonempty support I the system A_II x_I = 0, x_I >= 0,
-    sum x_I = 1, A_(I^c,I) x_I >= 0 must be infeasible.
+    A nonzero solution on support I has A_II x_I = 0, so A_II is singular.
+    One walk of LCP(A, 0) (lcp.walk) yields the singular supports, and
+    fills the matrix's minor memo on the way with no determinant call.
+    They are tried in bitmask order: A_II x_I = 0, sum x_I = 1, x_I >= 0,
+    A_(I^c,I) x_I >= 0 must be infeasible, and the first feasible one
+    gives the witness x.
     """
-    for mask, idx, comp in supports(matrix.n):
-        if minor_sign(matrix, mask, idx) != 0:
-            continue  # homogeneous system only has x_I = 0, normalisation fails
+    n = matrix.n
+    singular = sorted(
+        (mask, idx, comp) for mask, idx, comp, solved in walk(matrix, [0] * n) if solved is None
+    )
+    scale, rows = matrix.common_rows()
+    for _, idx, comp in singular:
         system = FeasibilitySystem(len(idx))
         for i in idx:
-            system.add_eq([matrix.rows[i][j] for j in idx], 0)
-        system.add_eq([Fraction(1)] * len(idx), 1)
+            system.add_eq([rows[i][j] for j in idx], 0)
+        system.add_eq([scale] * len(idx), scale)
         for j in comp:
-            system.add_ge([matrix.rows[j][i] for i in idx], 0)
+            system.add_ge([rows[j][i] for i in idx], 0)
         point = solve_feasibility(system)
         if point is not None:
-            x = embed(matrix.n, idx, point)
+            x = embed(n, idx, point)
             return Verdict(NO, "R0", "nonzero solution of LCP(A,0)", {"x": x})
     return Verdict(YES, "R0", "LCP(A,0) has only the zero solution", {})
 
@@ -103,10 +120,11 @@ def is_Rd(matrix: RationalMatrix, d: Sequence) -> Verdict:
 
 def is_E0(matrix: RationalMatrix) -> Verdict:
     """E0 (semimonotone): no 0 != x >= 0 has x_i (Ax)_i < 0 on all of supp x."""
+    scale, rows = matrix.common_rows()
     for _, idx, _ in itertools.islice(supports(matrix.n), 1, None):
         system = FeasibilitySystem(len(idx))
         for i in idx:
-            system.add_ge([-matrix.rows[i][j] for j in idx], 1)
+            system.add_ge([-rows[i][j] for j in idx], scale)
         point = solve_feasibility(system)
         if point is not None:
             x = embed(matrix.n, idx, point)
@@ -116,11 +134,12 @@ def is_E0(matrix: RationalMatrix) -> Verdict:
 
 def is_E(matrix: RationalMatrix) -> Verdict:
     """E (strictly semimonotone): every 0 != x >= 0 has x_i (Ax)_i > 0 somewhere."""
+    scale, rows = matrix.common_rows()
     for _, idx, _ in itertools.islice(supports(matrix.n), 1, None):
         system = FeasibilitySystem(len(idx))
         for i in idx:
-            system.add_ge([-matrix.rows[i][j] for j in idx], 0)
-        system.add_eq([Fraction(1)] * len(idx), 1)
+            system.add_ge([-rows[i][j] for j in idx], 0)
+        system.add_eq([scale] * len(idx), scale)
         point = solve_feasibility(system)
         if point is not None:
             x = embed(matrix.n, idx, point)
@@ -133,24 +152,24 @@ def is_S(matrix: RationalMatrix) -> Verdict:
     and x = 1 certifies it; otherwise it is tested as x >= 0, Ax >= 1 by
     LP, and the point found is shifted."""
     n = matrix.n
-    scales, ints = matrix.scaled_rows()
-    if all(sum(row) > 0 for row in ints):  # ints[i] is A_i times scales[i] > 0
+    scale, rows = matrix.common_rows()  # A times scale > 0
+    if all(sum(row) > 0 for row in rows):
         return Verdict(YES, "S", "strictly positive x with Ax > 0", {"x": [Fraction(1)] * n})
     system = FeasibilitySystem(n)
-    for i in range(n):
-        system.add_ge(matrix.rows[i], 1)
+    for row in rows:
+        system.add_ge(row, scale)
     point = solve_feasibility(system)
     if point is None:
         return Verdict(NO, "S", "no x >= 0 with Ax >= 1", {})
-    max_abs_row_sum = max(Fraction(abs(sum(row)), scale) for scale, row in zip(scales, ints))
+    max_abs_row_sum = Fraction(max(abs(sum(row)) for row in rows), scale)
     eps = Fraction(1, 2) / (1 + max_abs_row_sum)
     x = [v + eps for v in point]
-    # Row i of ints and x_ints are positive multiples of A_i and x, so
+    # Row i of rows and x_ints are positive multiples of A_i and x, so
     # their dot product has the sign of (Ax)_i.
     _, x_ints = clear_denominators(x)
     if not (
         all(v > 0 for v in x)
-        and all(sum(a * b for a, b in zip(row, x_ints)) > 0 for row in ints)
+        and all(sum(a * b for a, b in zip(row, x_ints)) > 0 for row in rows)
     ):
         raise CertificateError("shifted S point is not strictly positive")
     return Verdict(YES, "S", "strictly positive x with Ax > 0", {"x": x})
@@ -277,14 +296,16 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
     procedure there.
 
     Every channel reads principal-minor signs through the matrix's own
-    memo (lcp.minor_sign), so each minor is computed once, by is_P or
-    is_R0.  is_P runs first, right after the S check: a P-matrix is R0
-    and has exactly one solution for every q (Cottle, Pang & Stone, *The
-    Linear Complementarity Problem*, 1992, ch. 3), so its degree is 1 and
-    its minors alone decide it, with no R0 scan and no sampled degree.
-    is_P stops at the first minor <= 0, which in bitmask order comes no
-    later than where is_R0 stops, so the R0 scan that follows computes
-    no minor it would not have computed alone.  The witness search tries
+    memo.  is_P runs first, right after the S check, and computes minors
+    one determinant each (lcp.minor_sign) until the first one <= 0: a
+    P-matrix is R0 and has exactly one solution for every q (Cottle, Pang
+    & Stone, *The Linear Complementarity Problem*, 1992, ch. 3), so its
+    degree is 1 and its minors alone decide it, with no R0 scan and no
+    sampled degree.  Any other matrix goes on to is_R0, which walks
+    LCP(A, 0) once (lcp.walk) and so learns every minor's sign as a pivot
+    of the walk, with no determinant call; the degree then reads the
+    memo.  So each minor is computed at most once by determinant, and
+    only by is_P.  The witness search tries
     at most budget candidate q, one per ray (solvability is invariant
     under q -> tq, t > 0), and asks only whether each is solvable
     (lcp.is_solvable), which stops at the first solution.  The

@@ -29,7 +29,7 @@ from .errors import (
     EnumerationCapError,
     MatrixFormatError,
 )
-from .generate import GENERATOR_TYPES, generate
+from .generate import GENERATOR_TYPES, MAX_ORDER, draw_instances
 from .lcp import check_cap, degree
 from .matrices import RationalMatrix, parse_matrix, parse_vector
 from .structure import detect_structure
@@ -165,7 +165,7 @@ def cmd_classify(args) -> int:
 
 def cmd_generate(args) -> int:
     try:
-        matrices = generate(args.type, args.n, args.count, args.seed, args.entry_range)
+        matrices = draw_instances(args.type, args.n, args.count, args.seed, args.entry_range)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     try:
@@ -445,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write seeded structured instances")
     p.add_argument("--type", required=True, choices=GENERATOR_TYPES)
-    p.add_argument("--n", type=int, default=3, help="matrix order (2x2 ignores it)")
+    p.add_argument(
+        "--n", type=int, default=3, help="matrix order, at most %d (2x2 ignores it)" % MAX_ORDER
+    )
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--entry-range", type=int, default=5)

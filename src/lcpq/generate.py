@@ -23,6 +23,10 @@ GENERATOR_TYPES = (
     "2x2",
 )
 
+# The largest order generate accepts.  One n = 1000 tri matrix takes a few
+# seconds and about 150 MB to build and write, every Fraction included.
+MAX_ORDER = 1000
+
 
 def random_triangular(
     rng: random.Random, n: int, entry_range: int = 5, side: Optional[str] = None
@@ -191,6 +195,44 @@ def random_q(rng: random.Random, n: int, entry_range: int = 5) -> list:
     return [Fraction(rng.randint(-entry_range, entry_range)) for _ in range(n)]
 
 
+def draw_instances(
+    kind: str,
+    n: int,
+    count: int,
+    seed: int,
+    entry_range: int = 5,
+):
+    """The instances generate() returns, drawn one at a time from the same
+    seeded stream, so a caller can write each before the next is built.
+    The arguments are checked here, before the first draw: the order must
+    lie in 1..MAX_ORDER for tri and 2..MAX_ORDER for the other families
+    that take one (2x2 ignores n)."""
+    if kind not in GENERATOR_TYPES:
+        raise ValueError("unknown generator type %r" % (kind,))
+    if count < 0:
+        raise ValueError("need count >= 0")
+    if entry_range < 1:
+        # bdsw-1 would draw forever for a positive entry from [0, 0].
+        raise ValueError("need entry_range >= 1")
+    if kind != "2x2":
+        least = 1 if kind == "tri" else 2
+        if n < least:
+            raise ValueError("need n >= %d" % least)
+        if n > MAX_ORDER:
+            raise ValueError("need n <= %d" % MAX_ORDER)
+    draw = {
+        "tri": lambda rng: random_triangular(rng, n, entry_range),
+        "tri-plus-row": lambda rng: random_triangular_plus_row(rng, n, entry_range),
+        "bdsw-1": lambda rng: random_bdsw_type1(rng, n, entry_range),
+        "bdsw-2": lambda rng: random_bdsw_type2(rng, n, entry_range),
+        "bdsw-3": lambda rng: random_bdsw_type3(rng, n, entry_range),
+        "bdsw-4": lambda rng: random_bdsw_type4(rng, n, entry_range),
+        "2x2": lambda rng: random_2x2(rng, entry_range),
+    }[kind]
+    rng = random.Random(seed)
+    return (draw(rng) for _ in range(count))
+
+
 def generate(
     kind: str,
     n: int,
@@ -199,28 +241,4 @@ def generate(
     entry_range: int = 5,
 ) -> list:
     """Generate count instances of the named family with one seeded stream."""
-    if kind not in GENERATOR_TYPES:
-        raise ValueError("unknown generator type %r" % (kind,))
-    if count < 0:
-        raise ValueError("need count >= 0")
-    if entry_range < 1:
-        # bdsw-1 would draw forever for a positive entry from [0, 0].
-        raise ValueError("need entry_range >= 1")
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        if kind == "tri":
-            out.append(random_triangular(rng, n, entry_range))
-        elif kind == "tri-plus-row":
-            out.append(random_triangular_plus_row(rng, n, entry_range))
-        elif kind == "bdsw-1":
-            out.append(random_bdsw_type1(rng, n, entry_range))
-        elif kind == "bdsw-2":
-            out.append(random_bdsw_type2(rng, n, entry_range))
-        elif kind == "bdsw-3":
-            out.append(random_bdsw_type3(rng, n, entry_range))
-        elif kind == "bdsw-4":
-            out.append(random_bdsw_type4(rng, n, entry_range))
-        else:
-            out.append(random_2x2(rng, entry_range))
-    return out
+    return list(draw_instances(kind, n, count, seed, entry_range))

@@ -14,13 +14,15 @@ whether its system A_II x_I = -q_I is consistent.  Below a singular
 support, one fresh elimination reduces each child's block to its rank,
 which also tells whether its system is consistent.  Only the consistent
 singular supports go to the exact LP (see simplex), which pivots in
-integers too.  Fraction values are built only at the boundaries, for the
-solutions returned.
+integers too and takes integer rows at one common scale.  Fraction values
+are built only at the boundaries, for the solutions returned.
 
-The class predicates read sgn det A_II through minor_sign.  Both it and
-walk keep every sign they learn in the matrix's own memo
+The class predicates read sgn det A_II from the walk or through
+minor_sign.  Both keep every sign they learn in the matrix's own memo
 (RationalMatrix.minor_signs), so the calls that one oracle run makes on a
-matrix compute each principal minor once.
+matrix compute each principal minor once.  classes.is_R0 is one walk of
+LCP(A, 0): a nonzero solution needs a singular support, and the walk
+yields exactly those, with every minor's sign as a by-product.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence
 
 from .errors import DegreeSamplingError, EnumerationCapError
-from .kernel import clear_denominators, eliminate
+from .kernel import eliminate
 from .matrices import RationalMatrix, determinant, vec_to_fractions
 from .simplex import FeasibilitySystem, solve_feasibility
 
@@ -162,7 +165,7 @@ def walk(matrix: RationalMatrix, q: Sequence):
     n = matrix.n
     check_cap(n)
     signs = matrix.minor_signs()
-    rows = [clear_denominators(row + (qi,))[1] for row, qi in zip(matrix.rows, q)]
+    rows = _augmented_rows(matrix, q)
     # (mask, idx, last pivot, det of the block, tableau); a singular
     # node's tableau is whether its system is consistent instead.
     stack = [(0, [], -1, 1, [list(column) for column in zip(*rows)])]
@@ -199,6 +202,16 @@ def walk(matrix: RationalMatrix, q: Sequence):
             stack.append((child, idx + [p], p, piv, child_tableau))
 
 
+def _augmented_rows(matrix: RationalMatrix, q: Sequence) -> List[List[int]]:
+    """Row i is [A_i | q_i] times the lcm of that row's denominators, read
+    from the matrix's scaled rows."""
+    rows = []
+    for s, row, qi in zip(*matrix.scaled_rows(), q):
+        t = lcm(s, qi.denominator)
+        rows.append([v * (t // s) for v in row] + [qi.numerator * (t // qi.denominator)])
+    return rows
+
+
 def _eliminate(rows: List[List[int]], idx: List[int], p: int):
     """(det, tableau) for support idx, whose highest index is p, from one
     elimination of the row-scaled [A_{:,I} | A_{:,>p} | q] over all n
@@ -217,18 +230,18 @@ def _eliminate(rows: List[List[int]], idx: List[int], p: int):
     return det, [list(column) for column in zip(*placed)]
 
 
-def _family_point(matrix: RationalMatrix, q: Sequence, idx: List[int], comp: List[int]):
-    """For a singular A_II: a point x >= 0 (a tuple) on support idx with (Ax+q)_idx = 0
-    and (Ax+q)_comp >= 0, found by exact LP, or None.  Any such x represents
-    an affine family of solutions.  walk yields singular supports only when
-    A_II x_I = -q_I is consistent, so the LP runs only then."""
+def _family_point(rows: List[List[int]], idx: List[int], comp: List[int]):
+    """For a singular A_II: a point x_I >= 0 with (Ax+q)_idx = 0 and
+    (Ax+q)_comp >= 0, found by exact LP, or None.  rows is [A | q] times
+    one common scale.  Any such x represents an affine family of
+    solutions.  walk yields singular supports only when A_II x_I = -q_I
+    is consistent, so the LP runs only then."""
     system = FeasibilitySystem(len(idx))
     for i in idx:
-        system.add_eq([matrix.rows[i][j] for j in idx], -q[i])
+        system.add_eq([rows[i][j] for j in idx], -rows[i][-1])
     for j in comp:
-        system.add_ge([matrix.rows[j][i] for i in idx], -q[j])
-    point = solve_feasibility(system)
-    return None if point is None else tuple(embed(matrix.n, idx, point))
+        system.add_ge([rows[j][i] for i in idx], -rows[j][-1])
+    return solve_feasibility(system)
 
 
 def _solution(matrix: RationalMatrix, q: Sequence, x: tuple) -> LcpSolution:
@@ -253,10 +266,17 @@ def _solutions(matrix: RationalMatrix, q: Sequence):
         d, y, w = solved
         if not any(v < 0 for v in y) and not any(v < 0 for v in w):
             yield mask, tuple(embed(matrix.n, idx, [Fraction(v, d) for v in y]))
+    if singular:  # [A | q] at one common scale, for the LPs
+        scale, rows = matrix.common_rows()
+        common = lcm(scale, *(qi.denominator for qi in q))
+        rows = [
+            [v * (common // scale) for v in row] + [qi.numerator * (common // qi.denominator)]
+            for row, qi in zip(rows, q)
+        ]
     for mask, idx, comp in singular:
-        x = _family_point(matrix, q, idx, comp)
-        if x is not None:
-            yield mask, x
+        point = _family_point(rows, idx, comp)
+        if point is not None:
+            yield mask, tuple(embed(matrix.n, idx, point))
 
 
 def solve_lcp(inst: LcpInstance) -> List[LcpSolution]:

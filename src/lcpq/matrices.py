@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -142,6 +142,17 @@ class RationalMatrix:
             scaled = tuple(s for s, _ in pairs), tuple(tuple(ints) for _, ints in pairs)
             object.__setattr__(self, "_scaled", scaled)
             return scaled
+
+    def common_rows(self) -> tuple:
+        """(scale, rows): rows[i] is row i times scale, the lcm of the
+        scaled_rows() scales, so every row shares one positive scale, as
+        simplex.FeasibilitySystem needs.  An integer matrix has scale 1
+        and its scaled rows as they are."""
+        scales, ints = self.scaled_rows()
+        scale = lcm(*scales)
+        if scale == 1:
+            return 1, ints
+        return scale, tuple(tuple(v * (scale // s) for v in row) for s, row in zip(scales, ints))
 
     def minor_signs(self) -> dict:
         """The memo mask -> sgn det A_II over this matrix's principal
@@ -299,32 +310,30 @@ def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction]):
     return "unique", x
 
 
+# The sign predicates below read the scaled integer rows: a row times a
+# positive scale keeps the sign of every entry, and ints compare fast.
+
+
 def nonpositive_rows(matrix: RationalMatrix) -> list:
     """0-based indices of rows with no positive entry (zero rows included)."""
-    out = []
-    for i, row in enumerate(matrix.rows):
-        if all(v <= 0 for v in row):
-            out.append(i)
-    return out
+    _, ints = matrix.scaled_rows()
+    return [i for i, row in enumerate(ints) if max(row) <= 0]
 
 
 def nonnegative_rows(matrix: RationalMatrix) -> list:
     """0-based indices of nonzero rows with no negative entry."""
-    out = []
-    for i, row in enumerate(matrix.rows):
-        if all(v >= 0 for v in row) and any(v != 0 for v in row):
-            out.append(i)
-    return out
+    _, ints = matrix.scaled_rows()
+    return [i for i, row in enumerate(ints) if min(row) >= 0 and max(row) > 0]
 
 
 def is_upper_triangular(matrix: RationalMatrix) -> bool:
-    n = matrix.n
-    return all(matrix.rows[i][j] == 0 for i in range(n) for j in range(i))
+    _, ints = matrix.scaled_rows()
+    return not any(any(row[:i]) for i, row in enumerate(ints))
 
 
 def is_lower_triangular(matrix: RationalMatrix) -> bool:
-    n = matrix.n
-    return all(matrix.rows[i][j] == 0 for i in range(n) for j in range(i + 1, n))
+    _, ints = matrix.scaled_rows()
+    return not any(any(row[i + 1 :]) for i, row in enumerate(ints))
 
 
 def vec_to_fractions(values: Iterable) -> list:

@@ -7,9 +7,13 @@ removes every tolerance question.
 
 The tableau is kept in integers (J. Edmonds, *Systems of distinct
 representatives and linear algebra*, J. Res. NBS 71B, 1967; the scheme of
-lrs).  The system is scaled by one positive common denominator L, so every
-row and the phase-one objective are scaled alike and the simplex makes the
-sign and ratio decisions of the rational run.  Each pivot on entry p updates
+lrs).  Callers pass integer rows: the rational system times one positive
+common scale, the lcm of their matrix's row scales, which
+RationalMatrix.common_rows applies to its row-scaled integer rows.  A
+common scale scales every row and the phase-one objective alike, so the
+simplex makes the sign and ratio decisions of the rational run and returns
+its point.  Per-row scales would reweight the objective and change Bland's
+path, so they must not be passed.  Each pivot on entry p updates
 
     T[i][j] <- (p * T[i][j] - T[i][c] * T[r][j]) // d,   d <- p
 
@@ -22,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from operator import index
+from typing import List, Optional, Tuple
 
-Row = Tuple[Sequence[Fraction], Fraction]
+Row = Tuple[List[int], int]
 
 
 @dataclass
@@ -34,6 +38,9 @@ class FeasibilitySystem:
 
     eq_rows are (coeffs, rhs) meaning coeffs . x == rhs;
     ge_rows are (coeffs, rhs) meaning coeffs . x >= rhs.
+    Coefficients and right-hand sides are ints: the rational system times
+    one positive scale shared by every row (see the module docstring).
+    A Fraction is refused with TypeError.
     """
 
     n_vars: int
@@ -41,10 +48,10 @@ class FeasibilitySystem:
     ge_rows: List[Row] = field(default_factory=list)
 
     def add_eq(self, coeffs, rhs) -> None:
-        self.eq_rows.append(([Fraction(c) for c in coeffs], Fraction(rhs)))
+        self.eq_rows.append((list(map(index, coeffs)), index(rhs)))
 
     def add_ge(self, coeffs, rhs) -> None:
-        self.ge_rows.append(([Fraction(c) for c in coeffs], Fraction(rhs)))
+        self.ge_rows.append((list(map(index, coeffs)), index(rhs)))
 
 
 def solve_feasibility(system: FeasibilitySystem) -> Optional[List[Fraction]]:
@@ -58,22 +65,23 @@ def solve_feasibility(system: FeasibilitySystem) -> Optional[List[Fraction]]:
     if m == 0:
         return [Fraction(0)] * n
 
-    # Tableau rows [L*A | -L*surplus | L*b], rhs >= 0 after sign
-    # normalisation, then one unit artificial column per row.
-    scale = lcm(*(v.denominator for coeffs, rhs in rows for v in (*coeffs, rhs)))
+    # Tableau rows [A | -surplus | b], rhs >= 0 after sign normalisation,
+    # then one unit artificial column per row.  A unit surplus column is a
+    # rescaled surplus variable, which moves no sign or ratio decision.
     n_eq = len(system.eq_rows)
     width = n + m - n_eq
     total = width + m
     tableau = []
     for r, (coeffs, rhs) in enumerate(rows):
-        row = [v.numerator * (scale // v.denominator) for v in (*coeffs, rhs)]
         surplus = [0] * (m - n_eq)
         if r >= n_eq:
-            surplus[r - n_eq] = -scale
+            surplus[r - n_eq] = -1
         art = [0] * m
         art[r] = 1
-        sign = -1 if row[-1] < 0 else 1
-        tableau.append([sign * v for v in row[:n] + surplus] + art + [sign * row[-1]])
+        if rhs < 0:
+            tableau.append([-v for v in coeffs + surplus] + art + [-rhs])
+        else:
+            tableau.append(coeffs + surplus + art + [rhs])
     basis = [width + r for r in range(m)]
 
     # Objective row: reduced costs for min sum of artificials, which start

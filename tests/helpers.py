@@ -14,7 +14,10 @@ a Fraction Gauss-Jordan inverse of the pivot block (the package runs one
 integer elimination).  The witness stream builds its Fractions before it
 reads a ray (the package reads rays from the drawn ints), and the Q oracle
 decides S by LP alone and scans R0 before it asks for P (the package takes
-x = 1 when A1 > 0 and asks for P first).
+x = 1 when A1 > 0 and asks for P first).  R0 is a scan of the supports in
+bitmask order with a cofactor sign per minor (the package walks LCP(A, 0)
+once).  LP systems are written over Fractions (RationalSystem) and handed
+to the package as integer rows at one common scale.
 """
 
 import math
@@ -25,13 +28,13 @@ from itertools import chain, combinations, count, islice
 
 import numpy as np
 
-from lcpq.classes import NO, UNDECIDED, YES, Verdict, _sign_corners, is_E0, is_P, is_R0
+from lcpq.classes import NO, UNDECIDED, YES, Verdict, _sign_corners, is_E0, is_P
 from lcpq.errors import DegreeSamplingError, SingularPivotError
 from lcpq.jordan.algebra import JordanElement
 from lcpq.kernel import clear_denominators
 from lcpq.lcp import LcpSolution, check_cap, degree, is_solvable
 from lcpq.matrices import RationalMatrix, nonpositive_rows, solve_linear
-from lcpq.simplex import FeasibilitySystem
+from lcpq.simplex import FeasibilitySystem, solve_feasibility
 from lcpq.structure import is_bdsw_shape
 
 
@@ -88,6 +91,35 @@ def principal_minors(rows):
             sub = [[rows[i][j] for j in idx] for i in idx]
             out.append((idx, cofactor_det(sub)))
     return out
+
+
+class RationalSystem:
+    """A feasibility system over Fraction rows, with the add_eq/add_ge and
+    eq_rows/ge_rows of lcpq.simplex.FeasibilitySystem, which takes ints.
+    reference_feasibility reads it as it is; integer() is the system the
+    package solves: every row times the one common scale, the lcm of all
+    denominators."""
+
+    def __init__(self, n_vars):
+        self.n_vars = n_vars
+        self.eq_rows = []
+        self.ge_rows = []
+
+    def add_eq(self, coeffs, rhs):
+        self.eq_rows.append(([Fraction(c) for c in coeffs], Fraction(rhs)))
+
+    def add_ge(self, coeffs, rhs):
+        self.ge_rows.append(([Fraction(c) for c in coeffs], Fraction(rhs)))
+
+    def integer(self):
+        rows = self.eq_rows + self.ge_rows
+        scale = math.lcm(*(v.denominator for coeffs, rhs in rows for v in (*coeffs, rhs)))
+        system = FeasibilitySystem(self.n_vars)
+        for add, part in ((system.add_eq, self.eq_rows), (system.add_ge, self.ge_rows)):
+            for coeffs, rhs in part:
+                add([c.numerator * (scale // c.denominator) for c in coeffs],
+                    rhs.numerator * (scale // rhs.denominator))
+        return system
 
 
 def reference_feasibility(system):
@@ -234,7 +266,7 @@ def reference_solve_lcp(matrix, q):
         comp = [j for j in range(n) if not mask >> j & 1]
         status, x = _support_solution(matrix, q, idx)
         if status != "unique":
-            system = FeasibilitySystem(len(idx))
+            system = RationalSystem(len(idx))
             for i in idx:
                 system.add_eq([matrix.rows[i][j] for j in idx], -q[i])
             for j in comp:
@@ -425,21 +457,48 @@ def reference_witness_candidates(n, budget, rng_seed):
     return islice(new_rays(negative, budget), max(budget, 0))
 
 
+def reference_is_R0(matrix):
+    """lcpq.classes.is_R0 as it was before it walked LCP(A, 0): a scan of
+    the supports in bitmask order that takes each minor's sign from
+    cofactor expansion and runs the LP of each singular support in turn.
+    The LP is the package's (test_simplex holds it to the Fraction
+    tableau), so the census comparison stays fast."""
+    n = matrix.n
+    for mask in range(1, 1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        comp = [j for j in range(n) if not mask >> j & 1]
+        if _principal_sign(matrix, idx) != 0:
+            continue  # x_I = 0 is the only solution, and sum x_I = 1 fails
+        system = RationalSystem(len(idx))
+        for i in idx:
+            system.add_eq([matrix.rows[i][j] for j in idx], 0)
+        system.add_eq([1] * len(idx), 1)
+        for j in comp:
+            system.add_ge([matrix.rows[j][i] for i in idx], 0)
+        point = solve_feasibility(system.integer())
+        if point is not None:
+            x = [Fraction(0)] * n
+            for i, v in zip(idx, point):
+                x[i] = v
+            return Verdict(NO, "R0", "nonzero solution of LCP(A,0)", {"x": x})
+    return Verdict(YES, "R0", "LCP(A,0) has only the zero solution", {})
+
+
 def reference_q_oracle(matrix, budget=64, rng_seed=0):
     """lcpq.classes.q_oracle with its earlier prologue: S by LP alone, then
-    the R0 scan, then P on the minors that scan memoised."""
+    the R0 scan (reference_is_R0), then P."""
     n = matrix.n
     check_cap(n)
     bad = nonpositive_rows(matrix)
     if bad:
         return Verdict(NO, "nonpositive-row", "row without positive entry", {"row": bad[0] + 1})
-    system = FeasibilitySystem(n)
+    system = RationalSystem(n)
     for row in matrix.rows:
         system.add_ge(row, 1)
     if reference_feasibility(system) is None:
         return Verdict(NO, "not-S", "no positive x with Ax > 0", {})
     bdsw = is_bdsw_shape(matrix)
-    r0 = is_R0(matrix)
+    r0 = reference_is_R0(matrix)
     if r0.is_yes:
         if is_P(matrix).is_yes:
             deg = 1

@@ -10,13 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    RationalSystem,
     check_lcp_solution,
+    cofactor_det,
     count_calls,
     principal_minors,
+    reference_is_R0,
     reference_q_oracle,
     reference_solve_lcp,
     reference_witness_candidates,
 )
+from lcpq import classes
 from lcpq.classes import (
     NO,
     UNDECIDED,
@@ -38,7 +42,7 @@ from lcpq.errors import CertificateError, DegreeSamplingError, EnumerationCapErr
 from lcpq.generate import GENERATOR_TYPES, generate
 from lcpq.lcp import LcpInstance, degree, is_solvable, solve_lcp
 from lcpq.matrices import RationalMatrix, determinant, vec_to_fractions
-from lcpq.simplex import FeasibilitySystem, solve_feasibility
+from lcpq.simplex import solve_feasibility
 
 
 def _mixed_corpus():
@@ -92,7 +96,7 @@ def _has_nonzero_homogeneous_solution(m):
         idx = [i for i in range(n) if mask >> i & 1]
         comp = [j for j in range(n) if j not in idx]
         for pinned in idx:
-            system = FeasibilitySystem(len(idx))
+            system = RationalSystem(len(idx))
             for i in idx:
                 system.add_eq([m.rows[i][j] for j in idx], 0)
             system.add_eq(
@@ -100,7 +104,7 @@ def _has_nonzero_homogeneous_solution(m):
             )
             for j in comp:
                 system.add_ge([m.rows[j][i] for i in idx], 0)
-            if solve_feasibility(system) is not None:
+            if solve_feasibility(system.integer()) is not None:
                 return True
     return False
 
@@ -384,35 +388,115 @@ def _oracle_corpus():
     return out
 
 
-def test_q_oracle_computes_the_minors_the_r0_first_reference_computes(monkeypatch):
+def _minor_signs_by_cofactor(matrix):
+    """mask -> sgn det A_II for every principal minor, the empty one 1."""
+    n = matrix.n
+    signs = {0: 1}
+    for mask in range(1, 1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        det = cofactor_det([[matrix.rows[i][j] for j in idx] for i in idx])
+        signs[mask] = (det > 0) - (det < 0)
+    return signs
+
+
+def _first_nonpositive_minor_mask(matrix):
+    """The bitmask of the first principal minor <= 0 in bitmask order, or
+    2^n - 1 for a P-matrix: the number of minors is_P computes."""
+    signs = _minor_signs_by_cofactor(matrix)
+    full = (1 << matrix.n) - 1
+    return next((mask for mask in range(1, full) if signs[mask] <= 0), full)
+
+
+def test_q_oracle_matches_the_r0_first_reference_and_reads_r0_minors_from_the_walk(monkeypatch):
     dets = count_calls(monkeypatch, determinant)
+    r0_dets = []
+
+    def counted_is_R0(matrix):
+        before = len(dets)
+        verdict = is_R0(matrix)
+        r0_dets.append(len(dets) - before)
+        return verdict
+
+    monkeypatch.setattr(classes, "is_R0", counted_is_R0)
     rules = set()
+    r0_runs = 0
     for rows in _oracle_corpus():
-        del dets[:]
         expected = reference_q_oracle(RationalMatrix(rows), budget=16)
-        reference_blocks = sorted(block.rows for (block,) in dets)
-        del dets[:]
-        got = q_oracle(RationalMatrix(rows), budget=16)
+        matrix = RationalMatrix(rows)
+        del dets[:], r0_dets[:]
+        got = q_oracle(matrix, budget=16)
         assert got == expected
-        assert sorted(block.rows for (block,) in dets) == reference_blocks
         rules.add(got.rule)
+        # The P path computes one determinant per minor it visits, and
+        # is_R0 computes none: its walk leaves every minor's sign.
+        if got.rule in ("nonpositive-row", "not-S"):
+            assert dets == []
+        else:
+            assert len(dets) == _first_nonpositive_minor_mask(matrix)
+        assert r0_dets in ([], [0])
+        r0_runs += len(r0_dets)
+        signs = matrix.minor_signs()
+        truth = _minor_signs_by_cofactor(matrix)
+        assert all(truth[mask] == sign for mask, sign in signs.items())
+        if r0_dets:
+            assert signs == truth
     assert {"not-S", "degree-nonzero", "unsolvable-q", "bdsw-not-R0"} <= rules, rules
+    assert r0_runs >= 5, r0_runs
 
 
 def test_predicates_share_the_matrixs_minor_memo(monkeypatch):
     dets = count_calls(monkeypatch, determinant)
     matrix = RationalMatrix([[2, 1, 1], [0, 3, 1], [1, 0, 2]])
     assert is_R0(matrix).is_yes
-    assert len(dets) == 2 ** matrix.n - 1
-    del dets[:]
+    assert dets == []  # the walk of LCP(A, 0) fills the memo
+    assert matrix.minor_signs() == _minor_signs_by_cofactor(matrix)
     assert is_P(matrix).is_yes and is_P0(matrix).is_yes
     assert degree(matrix) == 1
     assert dets == []
+    # The P path takes one determinant per minor, and is_R0 then adds none.
+    fresh = RationalMatrix(matrix.rows)
+    assert is_P(fresh).is_yes and len(dets) == 2 ** fresh.n - 1
+    assert is_R0(fresh).is_yes and len(dets) == 2 ** fresh.n - 1
+    del dets[:]
     # A submatrix, or an equal matrix built again, starts a memo of its own.
     block = matrix.principal_submatrix([0, 1])
     assert block.minor_signs() == {0: 1}
     assert is_P(block).is_yes and len(dets) == 3
     assert RationalMatrix(matrix.rows).minor_signs() == {0: 1}
+
+
+def test_is_R0_matches_the_per_minor_reference_on_the_small_census():
+    """Every 3x3 matrix with entries in {-1, 0, 1}: the walk finds the
+    reference scan's answer and, on a NO, its witness x."""
+    nos = 0
+    for entries in itertools.product((-1, 0, 1), repeat=9):
+        rows = [entries[0:3], entries[3:6], entries[6:9]]
+        got = is_R0(RationalMatrix(rows))
+        assert got == reference_is_R0(RationalMatrix(rows)), rows
+        nos += got.is_no
+    assert nos == 10163
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.just(Fraction(0)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    )
+    return RationalMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rational_matrices())
+def test_is_R0_matches_the_per_minor_reference_on_sparse_rational_matrices(matrix):
+    got = is_R0(matrix)
+    assert got == reference_is_R0(RationalMatrix(matrix.rows))
+    assert matrix.minor_signs() == _minor_signs_by_cofactor(matrix)
+    if got.is_no:
+        assert check_lcp_solution(matrix, [0] * matrix.n, got.data["x"])
+        assert any(got.data["x"])
 
 
 def test_q_oracle_unsolvable_witness():

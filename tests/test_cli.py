@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import pathlib
@@ -231,6 +232,35 @@ def test_generate_rejects_an_order_below_one(tmp_path, capsys, n):
     assert main(["generate", "--type", "tri", "--n", n, "--out", str(out)]) == 64
     assert capsys.readouterr().err == "need n >= 1\n"
     assert not out.exists()
+
+
+def test_generate_rejects_an_order_above_the_maximum(tmp_path, capsys):
+    out = tmp_path / "out"
+    for kind in ("tri", "bdsw-4"):
+        assert main(["generate", "--type", kind, "--n", "100000", "--out", str(out)]) == 64
+        assert capsys.readouterr().err == "need n <= 1000\n"
+        assert not out.exists()
+
+
+def test_generate_writes_each_matrix_as_it_is_drawn(tmp_path, capsys, monkeypatch):
+    lcpq_generate = importlib.import_module("lcpq.generate")  # lcpq.generate is the function
+    out = tmp_path / "out"
+    written_before_draw = []
+    draw = lcpq_generate.random_bdsw_type4
+
+    def counted(*args, **kwargs):
+        written_before_draw.append(len(list(out.iterdir())) if out.exists() else 0)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(lcpq_generate, "random_bdsw_type4", counted)
+    argv = ["generate", "--type", "bdsw-4", "--n", "4", "--count", "3", "--seed", "9"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert written_before_draw == [0, 1, 2]
+    names = capsys.readouterr().out.split()
+    assert names == [str(out / ("bdsw-4-n4-seed9-%04d.json" % i)) for i in range(3)]
+    for name, matrix in zip(names, lcpq_generate.generate("bdsw-4", 4, 3, 9)):
+        with open(name, encoding="utf-8") as fh:
+            assert fh.read() == json.dumps(matrix.to_json_obj(), sort_keys=True) + "\n"
 
 
 def test_generate_rejects_a_negative_count(tmp_path, capsys):

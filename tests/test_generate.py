@@ -1,10 +1,11 @@
 """Seeded instance generators: reproducibility and family membership."""
 
+import itertools
 import random
 
 import pytest
 
-from lcpq.generate import GENERATOR_TYPES, generate, random_q
+from lcpq.generate import GENERATOR_TYPES, MAX_ORDER, draw_instances, generate, random_q
 from lcpq.structure import (
     BDSW_TYPE_1,
     BDSW_TYPE_2,
@@ -93,3 +94,30 @@ def test_random_q_shape():
     rng = random.Random(0)
     q = random_q(rng, 4, entry_range=3)
     assert len(q) == 4 and all(-3 <= v <= 3 for v in q)
+
+
+def test_draw_instances_is_generate_one_at_a_time():
+    for kind in GENERATOR_TYPES:
+        n = 2 if kind == "2x2" else 5
+        assert list(draw_instances(kind, n, 7, seed=4)) == generate(kind, n, 7, seed=4)
+    # Nothing is drawn before it is asked for, so a huge count costs nothing.
+    assert list(itertools.islice(draw_instances("tri", 3, 10 ** 12, seed=4), 3)) == generate(
+        "tri", 3, 3, seed=4
+    )
+
+
+@pytest.mark.parametrize("kind, n, message", [
+    ("tri", MAX_ORDER + 1, "need n <= %d" % MAX_ORDER),
+    ("bdsw-2", 100000, "need n <= %d" % MAX_ORDER),
+    ("tri", 0, "need n >= 1"),
+    ("tri-plus-row", 1, "need n >= 2"),
+])
+def test_order_out_of_range_rejected_before_any_draw(kind, n, message):
+    with pytest.raises(ValueError, match=message):
+        draw_instances(kind, n, 1, seed=0)
+    with pytest.raises(ValueError, match=message):
+        generate(kind, n, 0, seed=0)
+
+
+def test_2x2_ignores_the_order():
+    assert generate("2x2", MAX_ORDER + 1, 3, seed=2) == generate("2x2", 0, 3, seed=2)

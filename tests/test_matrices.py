@@ -236,6 +236,32 @@ def test_triangularity_predicates():
     assert is_upper_triangular(RationalMatrix.identity(3))
 
 
+def test_sign_predicates_read_the_scaled_rows_as_the_fractions_say():
+    # Each predicate against its definition over the Fraction entries, on
+    # sparse fractional matrices whose rows have different scales.
+    rng = random.Random(21)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        entries = [0, 0, 0, Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 6)))]
+        m = RationalMatrix([[rng.choice(entries) for _ in range(n)] for _ in range(n)])
+        rows = m.rows
+        assert nonpositive_rows(m) == [i for i, r in enumerate(rows) if all(v <= 0 for v in r)]
+        assert nonnegative_rows(m) == [
+            i for i, r in enumerate(rows) if all(v >= 0 for v in r) and any(r)
+        ]
+        assert is_upper_triangular(m) == all(rows[i][j] == 0 for i in range(n) for j in range(i))
+        assert is_lower_triangular(m) == all(
+            rows[i][j] == 0 for i in range(n) for j in range(i + 1, n)
+        )
+
+
+def test_common_rows_share_one_scale():
+    m = RationalMatrix([["1/2", "1/3"], ["2/5", 1]])
+    assert m.common_rows() == (30, ((15, 10), (12, 30)))
+    integer = RationalMatrix([[1, -2], [0, 3]])
+    assert integer.common_rows() == (1, integer.scaled_rows()[1])
+
+
 def test_parse_vector_forms():
     assert parse_vector("-1, 2/3 4") == [Fraction(-1), Fraction(2, 3), Fraction(4)]
     with pytest.raises(MatrixFormatError):

@@ -1,8 +1,11 @@
 """Exact LP feasibility: results are rational points or a definite None.
 
-The integer tableau is also compared with the Fraction tableau of
-helpers.reference_feasibility: both follow Bland's rule, so they must pivot
-alike and return the identical point, not merely a feasible one.
+Systems are written over Fractions (helpers.RationalSystem) and solved as
+integer rows at one common scale (RationalSystem.integer), which is what
+the package's callers pass.  The integer tableau is also compared with the
+Fraction tableau of helpers.reference_feasibility on the Fraction rows:
+both follow Bland's rule, so they must pivot alike and return the
+identical point, not merely a feasible one.
 """
 
 import random
@@ -11,7 +14,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_feasibility
+import pytest
+
+from helpers import RationalSystem, reference_feasibility
 from lcpq.simplex import FeasibilitySystem, solve_feasibility
 
 ENTRIES = st.one_of(
@@ -31,30 +36,30 @@ def _satisfies(system, point):
 
 
 def test_simplex_feasible_simplex_face():
-    system = FeasibilitySystem(2)
+    system = RationalSystem(2)
     system.add_eq([1, 1], 1)
-    point = solve_feasibility(system)
+    point = solve_feasibility(system.integer())
     assert point is not None and _satisfies(system, point)
 
 
 def test_simplex_infeasible_negative_bound():
     # x >= 0 with x <= -1 has no solution.
-    system = FeasibilitySystem(1)
+    system = RationalSystem(1)
     system.add_ge([-1], 1)
-    assert solve_feasibility(system) is None
+    assert solve_feasibility(system.integer()) is None
 
 
 def test_simplex_no_constraints_origin():
-    assert solve_feasibility(FeasibilitySystem(3)) == [Fraction(0)] * 3
+    assert solve_feasibility(RationalSystem(3).integer()) == [Fraction(0)] * 3
 
 
 def test_simplex_homogeneous_support_system_infeasible():
     # The kind of system is_R0 builds for a nonsingular 1x1 support:
     # 1*x = 0 with x = 1 normalisation.
-    system = FeasibilitySystem(1)
+    system = RationalSystem(1)
     system.add_eq([1], 0)
     system.add_eq([1], 1)
-    assert solve_feasibility(system) is None
+    assert solve_feasibility(system.integer()) is None
 
 
 def test_simplex_planted_feasible_points():
@@ -62,7 +67,7 @@ def test_simplex_planted_feasible_points():
     for _ in range(40):
         n = rng.randint(1, 5)
         planted = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(n)]
-        system = FeasibilitySystem(n)
+        system = RationalSystem(n)
         for _ in range(rng.randint(1, 4)):
             coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
             value = sum((c * x for c, x in zip(coeffs, planted)), Fraction(0))
@@ -71,43 +76,43 @@ def test_simplex_planted_feasible_points():
             else:
                 # Loosen so the planted point stays feasible.
                 system.add_ge(coeffs, value - rng.randint(0, 3))
-        point = solve_feasibility(system)
+        point = solve_feasibility(system.integer())
         assert point is not None
         assert _satisfies(system, point)
 
 
 def test_simplex_redundant_rows_are_harmless():
-    system = FeasibilitySystem(2)
+    system = RationalSystem(2)
     system.add_eq([1, 1], 2)
     system.add_eq([2, 2], 4)  # same hyperplane twice
     system.add_ge([1, 0], 0)
-    point = solve_feasibility(system)
+    point = solve_feasibility(system.integer())
     assert point is not None and _satisfies(system, point)
 
 
 def test_simplex_exactness_with_awkward_fractions():
-    system = FeasibilitySystem(2)
+    system = RationalSystem(2)
     system.add_eq([Fraction(1, 3), Fraction(1, 7)], Fraction(22, 21))
     system.add_ge([1, 1], 2)
-    point = solve_feasibility(system)
+    point = solve_feasibility(system.integer())
     assert point is not None
     assert _satisfies(system, point)
 
 
 def test_simplex_infeasible_conflicting_equalities():
-    system = FeasibilitySystem(2)
+    system = RationalSystem(2)
     system.add_eq([1, 1], 1)
     system.add_eq([1, 1], 2)
-    assert solve_feasibility(system) is None
+    assert solve_feasibility(system.integer()) is None
 
 
 def test_simplex_degenerate_cycling_guard():
     # Classic degenerate tableau; Bland's rule must terminate.
-    system = FeasibilitySystem(4)
+    system = RationalSystem(4)
     system.add_ge([-1, 1, -1, 1], 0)
     system.add_ge([1, -1, -1, 1], 0)
     system.add_eq([1, 1, 1, 1], 1)
-    point = solve_feasibility(system)
+    point = solve_feasibility(system.integer())
     assert point is not None and _satisfies(system, point)
 
 
@@ -116,7 +121,7 @@ def systems(draw):
     """Systems with fractional entries, zero, repeated and scaled rows and
     negative right-hand sides; no rows at all is allowed too."""
     n = draw(st.integers(0, 5))
-    system = FeasibilitySystem(n)
+    system = RationalSystem(n)
     for _ in range(draw(st.integers(0, 6))):
         add = system.add_eq if draw(st.booleans()) else system.add_ge
         kind = draw(st.sampled_from(["fresh", "zero", "repeat"]))
@@ -135,7 +140,7 @@ def systems(draw):
 @settings(max_examples=400, deadline=None)
 @given(systems())
 def test_simplex_matches_fraction_reference(system):
-    point = solve_feasibility(system)
+    point = solve_feasibility(system.integer())
     assert point == reference_feasibility(system)
     if point is not None:
         assert _satisfies(system, point)
@@ -143,23 +148,71 @@ def test_simplex_matches_fraction_reference(system):
 
 def test_simplex_matches_fraction_reference_on_empty_systems():
     for n in range(4):
-        system = FeasibilitySystem(n)
-        assert solve_feasibility(system) == reference_feasibility(system) == [Fraction(0)] * n
-    system = FeasibilitySystem(0)
+        system = RationalSystem(n)
+        assert solve_feasibility(system.integer()) == reference_feasibility(system) == [Fraction(0)] * n
+    system = RationalSystem(0)
     system.add_eq([], 0)
     system.add_ge([], -1)
-    assert solve_feasibility(system) == reference_feasibility(system) == []
+    assert solve_feasibility(system.integer()) == reference_feasibility(system) == []
     system.add_ge([], 1)
-    assert solve_feasibility(system) is reference_feasibility(system) is None
+    assert solve_feasibility(system.integer()) is reference_feasibility(system) is None
 
 
 def test_simplex_negative_pivot_in_drive_out():
     # Phase one ends with two artificials still basic at level 0, and each
     # is driven out on the entry -1 of a surplus column, so the pivot turns
     # negative and the tableau is negated back to a positive scale.
-    system = FeasibilitySystem(1)
+    system = RationalSystem(1)
     system.add_eq([-2], -2)
     system.add_ge([1], 1)
     system.add_ge([2], 2)
-    point = solve_feasibility(system)
+    point = solve_feasibility(system.integer())
     assert point == reference_feasibility(system) == [Fraction(1)]
+
+
+def test_feasibility_system_refuses_fraction_rows():
+    system = FeasibilitySystem(2)
+    with pytest.raises(TypeError):
+        system.add_eq([Fraction(1, 2), 1], 1)
+    with pytest.raises(TypeError):
+        system.add_ge([1, 1], Fraction(1, 3))
+    system.add_ge([True, 2], 0)  # any int will do
+    assert system.ge_rows == [([1, 2], 0)]
+
+
+def test_integer_rows_at_any_common_scale_return_the_fraction_reference_point():
+    rng = random.Random(3)
+    feasible = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        system = RationalSystem(n)
+        for _ in range(rng.randint(1, 5)):
+            add = system.add_eq if rng.random() < 0.4 else system.add_ge
+            add(
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n)],
+                Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
+            )
+        expected = reference_feasibility(system)
+        feasible += expected is not None
+        base = system.integer()
+        for factor in (1, 2, 35):
+            scaled = FeasibilitySystem(n)
+            for add, part in ((scaled.add_eq, base.eq_rows), (scaled.add_ge, base.ge_rows)):
+                for coeffs, rhs in part:
+                    add([factor * c for c in coeffs], factor * rhs)
+            assert solve_feasibility(scaled) == expected
+    assert 50 < feasible < 250, feasible
+
+
+def test_per_row_scales_can_move_the_point_a_common_scale_keeps():
+    # Scaling one row alone reweights the phase-one objective, so Bland's
+    # rule takes another path: the reason callers pass one common scale.
+    system = RationalSystem(2)
+    system.add_eq([-2, -3], -3)
+    system.add_ge([3, 3], -2)
+    assert solve_feasibility(system.integer()) == reference_feasibility(system)
+    assert reference_feasibility(system) == [Fraction(3, 2), Fraction(0)]
+    per_row = FeasibilitySystem(2)
+    per_row.add_eq([-4, -6], -6)
+    per_row.add_ge([3, 3], -2)
+    assert solve_feasibility(per_row) == [Fraction(0), Fraction(1)]
