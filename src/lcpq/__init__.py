@@ -36,7 +36,6 @@ from .classifier import (
     classify_triangular_plus_row,
 )
 from .errors import (
-    DegreeSamplingError,
     EnumerationCapError,
     LcpqError,
     MatrixFormatError,

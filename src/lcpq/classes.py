@@ -13,20 +13,19 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence, Tuple
 
-from .errors import CertificateError, DegreeSamplingError
+from .errors import CertificateError
 from .kernel import clear_denominators
 from .lcp import (
     LcpInstance,
     check_cap,
-    degree,
     embed,
     is_solvable,
+    lex_walk,
     minor_sign,
     solve_lcp,
     supports,
-    walk,
 )
 from .matrices import RationalMatrix, nonpositive_rows, vec_to_fractions
 from .simplex import FeasibilitySystem, solve_feasibility
@@ -72,19 +71,23 @@ class Verdict:
 
 
 def is_R0(matrix: RationalMatrix) -> Verdict:
-    """R0: x = 0 is the only solution of LCP(A, 0).
+    """R0: x = 0 is the only solution of LCP(A, 0).  See r0_degree."""
+    return r0_degree(matrix)[0]
 
-    A nonzero solution on support I has A_II x_I = 0, so A_II is singular.
-    One walk of LCP(A, 0) (lcp.walk) yields the singular supports, and
-    fills the matrix's minor memo on the way with no determinant call.
-    They are tried in bitmask order: A_II x_I = 0, sum x_I = 1, x_I >= 0,
+
+def r0_degree(matrix: RationalMatrix) -> Tuple[Verdict, int]:
+    """is_R0's verdict and the LCP degree, from one walk (lcp.lex_walk);
+    the degree means something only when the verdict is yes.
+
+    A nonzero solution of LCP(A, 0) on support I has A_II x_I = 0, so
+    A_II is singular.  The walk yields the singular supports, and fills
+    the matrix's minor memo on the way with no determinant call.  They
+    are tried in bitmask order: A_II x_I = 0, sum x_I = 1, x_I >= 0,
     A_(I^c,I) x_I >= 0 must be infeasible, and the first feasible one
     gives the witness x.
     """
     n = matrix.n
-    singular = sorted(
-        (mask, idx, comp) for mask, idx, comp, solved in walk(matrix, [0] * n) if solved is None
-    )
+    singular, deg = lex_walk(matrix)
     scale, rows = matrix.common_rows()
     for _, idx, comp in singular:
         system = FeasibilitySystem(len(idx))
@@ -96,8 +99,8 @@ def is_R0(matrix: RationalMatrix) -> Verdict:
         point = solve_feasibility(system)
         if point is not None:
             x = embed(n, idx, point)
-            return Verdict(NO, "R0", "nonzero solution of LCP(A,0)", {"x": x})
-    return Verdict(YES, "R0", "LCP(A,0) has only the zero solution", {})
+            return Verdict(NO, "R0", "nonzero solution of LCP(A,0)", {"x": x}), deg
+    return Verdict(YES, "R0", "LCP(A,0) has only the zero solution", {}), deg
 
 
 def is_Rd(matrix: RationalMatrix, d: Sequence) -> Verdict:
@@ -289,26 +292,25 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
     """Three-valued Q-property oracle, independent of the sign-pattern rules.
 
     No channels: a nonpositive row, failure of the S property, or an
-    explicitly verified unsolvable q.  Yes channels: R0 together with
-    nonzero LCP degree, or the R* property.  For matrices with the bdsw
-    zero pattern (every 2x2 matrix has it), Q holds iff R0 holds and the
-    degree is +-1, which turns the R0/degree channel into a full decision
-    procedure there.
+    explicitly verified unsolvable q.  Yes channel: R0 together with
+    nonzero LCP degree.  For matrices with the bdsw zero pattern (every
+    2x2 matrix has it), Q holds iff R0 holds and the degree is +-1, which
+    turns the R0/degree channel into a full decision procedure there.
 
     Every channel reads principal-minor signs through the matrix's own
     memo.  is_P runs first, right after the S check, and computes minors
     one determinant each (lcp.minor_sign) until the first one <= 0: a
     P-matrix is R0 and has exactly one solution for every q (Cottle, Pang
     & Stone, *The Linear Complementarity Problem*, 1992, ch. 3), so its
-    degree is 1 and its minors alone decide it, with no R0 scan and no
-    sampled degree.  Any other matrix goes on to is_R0, which walks
-    LCP(A, 0) once (lcp.walk) and so learns every minor's sign as a pivot
-    of the walk, with no determinant call; the degree then reads the
-    memo.  So each minor is computed at most once by determinant, and
-    only by is_P.  The witness search tries
-    at most budget candidate q, one per ray (solvability is invariant
-    under q -> tq, t > 0), and asks only whether each is solvable
-    (lcp.is_solvable), which stops at the first solution.  The
+    degree is 1 and its minors alone decide it, with no walk.  Any other
+    matrix goes on to r0_degree, which walks LCP(A, 0) once
+    (lcp.lex_walk): the walk gives the singular supports for R0's LPs
+    and the exact degree at the lexicographic q(eps), and learns every
+    minor's sign as a pivot, with no determinant call.  So each minor is
+    computed at most once by determinant, and only by is_P.  The witness
+    search tries at most budget candidate q, one per ray (solvability is
+    invariant under q -> tq, t > 0), and asks only whether each is
+    solvable (lcp.is_solvable), which stops at the first solution.  The
     enumeration cap is checked first, before any channel runs.
     """
     n = matrix.n
@@ -325,33 +327,26 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
         return Verdict(YES, "degree-nonzero", "R0 with nonzero LCP degree", {"degree": 1})
 
     bdsw = is_bdsw_shape(matrix)
-    r0 = is_R0(matrix)
+    r0, deg = r0_degree(matrix)
     if r0.is_yes:
-        try:
-            deg: Optional[int] = degree(matrix, rng_seed)
-        except DegreeSamplingError:
-            deg = None
-        if deg is not None and deg != 0:
+        if deg != 0:
             return Verdict(
                 YES, "degree-nonzero", "R0 with nonzero LCP degree", {"degree": deg}
             )
-        if deg == 0 and bdsw:
+        if bdsw:
             return Verdict(
                 NO,
                 "bdsw-degree-zero",
                 "bdsw shape with R0 and degree 0",
                 {"degree": 0},
             )
-        if deg is None and is_E0(matrix).is_yes:  # R0 holds already: R*
-            return Verdict(YES, "R-star", "R0 and E0 hold", {})
-    else:
-        if bdsw:
-            return Verdict(
-                NO,
-                "bdsw-not-R0",
-                "bdsw shape without the R0 property",
-                dict(r0.data),
-            )
+    elif bdsw:
+        return Verdict(
+            NO,
+            "bdsw-not-R0",
+            "bdsw shape without the R0 property",
+            dict(r0.data),
+        )
 
     for q in _witness_candidates(n, budget, rng_seed):
         if not is_solvable(matrix, q):

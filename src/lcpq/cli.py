@@ -6,8 +6,7 @@ inputs and seeds; wall-clock timings only appear behind --timings so the
 default output is byte-identical across runs.
 
 Exit codes: 0 yes/pass, 1 no/fail/contradiction, 2 undecided,
-64 usage or parse error, 65 enumeration cap exceeded, 70 sampling budget
-exhausted.
+64 usage or parse error, 65 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -22,15 +21,11 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from .classes import NO, UNDECIDED, YES, Verdict, is_R0, q_oracle
+from .classes import NO, UNDECIDED, YES, Verdict, q_oracle, r0_degree
 from .classifier import classify, classify_by_rules
-from .errors import (
-    DegreeSamplingError,
-    EnumerationCapError,
-    MatrixFormatError,
-)
+from .errors import EnumerationCapError, MatrixFormatError
 from .generate import GENERATOR_TYPES, MAX_ORDER, draw_instances
-from .lcp import check_cap, degree
+from .lcp import check_cap
 from .matrices import RationalMatrix, parse_matrix, parse_vector
 from .structure import detect_structure
 
@@ -42,7 +37,6 @@ EXIT_NO = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
 EXIT_CAP = 65
-EXIT_SAMPLING = 70
 
 _ANSWER_EXIT = {YES: EXIT_YES, NO: EXIT_NO, UNDECIDED: EXIT_UNDECIDED}
 
@@ -188,15 +182,13 @@ def cmd_degree(args) -> int:
     except (OSError, UnicodeDecodeError, MatrixFormatError) as exc:
         return _fail("%s: %s" % (args.path, exc), EXIT_USAGE)
     try:
-        r0 = is_R0(matrix)
-        if not r0.is_yes:
-            print("NotR0")
-            return EXIT_NO
-        print(degree(matrix, rng_seed=args.seed))
+        r0, deg = r0_degree(matrix)
     except EnumerationCapError as exc:
         return _fail(str(exc), EXIT_CAP)
-    except DegreeSamplingError as exc:
-        return _fail(str(exc), EXIT_SAMPLING)
+    if not r0.is_yes:
+        print("NotR0")
+        return EXIT_NO
+    print(deg)
     return EXIT_YES
 
 
@@ -456,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degree", help="LCP degree of an R0 matrix")
     p.add_argument("path")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_degree)
 
     jordan = sub.add_parser("jordan", help="Jordan algebra checks")

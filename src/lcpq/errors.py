@@ -25,9 +25,5 @@ class EnumerationCapError(LcpqError):
     """Matrix order exceeds the support-enumeration cap."""
 
 
-class DegreeSamplingError(LcpqError):
-    """Could not find a generic point within the resampling budget."""
-
-
 class CertificateError(LcpqError):
     """A certificate built by the package failed its own exact check."""

@@ -23,8 +23,8 @@ GENERATOR_TYPES = (
     "2x2",
 )
 
-# The largest order generate accepts.  One n = 1000 tri matrix takes a few
-# seconds and about 150 MB to build and write, every Fraction included.
+# The largest order generate accepts.  Two n = 1000 tri matrices take a few
+# seconds and about 135 MB to build and write, every Fraction included.
 MAX_ORDER = 1000
 
 
@@ -41,8 +41,9 @@ def random_triangular(
         rows[i][i] = rng.randint(-entry_range, entry_range)
         for j in range(i + 1, n):
             rows[i][j] = rng.randint(-entry_range, entry_range)
-    matrix = RationalMatrix(rows)
-    return matrix if side == "upper" else matrix.transpose()
+    if side == "lower":  # transposed as ints, so each entry is converted once
+        rows = [list(column) for column in zip(*rows)]
+    return RationalMatrix(rows)
 
 
 def random_triangular_plus_row(

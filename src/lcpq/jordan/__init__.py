@@ -44,7 +44,6 @@ from .sclcp import (
     classify_rank_one_q,
     embed_solve,
     sample_positivity_violation,
-    strict_copositivity_sample,
     verify_sc_solution,
 )
 from .checks import IDENTITY_NAMES, identity_residuals

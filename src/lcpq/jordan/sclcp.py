@@ -199,20 +199,6 @@ def _search_cone(transform: LinearTransform, samples: int, rng_seed: int, measur
     return SamplingReport(False, None, float(worst), used, _EVIDENCE_NOTE)
 
 
-def strict_copositivity_sample(
-    transform: LinearTransform,
-    samples: int = 1000,
-    rng_seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> SamplingReport:
-    """Search normalized cone elements for <L(x), x> <= tol."""
-
-    def inner(z):
-        return trace_inner_product(transform.apply(z), z)
-
-    return _search_cone(transform, samples, rng_seed, inner, lambda value: value <= tol)
-
-
 def sample_positivity_violation(
     transform: LinearTransform,
     samples: int = 1000,

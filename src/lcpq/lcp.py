@@ -20,27 +20,34 @@ are built only at the boundaries, for the solutions returned.
 The class predicates read sgn det A_II from the walk or through
 minor_sign.  Both keep every sign they learn in the matrix's own memo
 (RationalMatrix.minor_signs), so the calls that one oracle run makes on a
-matrix compute each principal minor once.  classes.is_R0 is one walk of
-LCP(A, 0): a nonzero solution needs a singular support, and the walk
-yields exactly those, with every minor's sign as a by-product.
+matrix compute each principal minor once.
+
+lex_walk is one walk of LCP(A, 0) that gives both the R0 test and the
+degree.  A nonzero solution of LCP(A, 0) needs a singular support, and the
+walk yields exactly those, for classes.is_R0's LPs.  The same walk also
+solves LCP(A, q(eps)) with q(eps) = (eps, eps^2, ..., eps^n), eps -> 0+
+(lexicographic degeneracy resolution: Cottle, Pang & Stone, *The Linear
+Complementarity Problem*, 1992, ch. 4).  There no support is degenerate
+and no singular support is consistent, so for an R0 matrix the degree is
+the sum of sgn det A_II over the supports whose x_I(eps) and w(eps) are
+lexicographically positive (Howe & Stone, *Linear complementarity and the
+degree of mappings*, 1983).  No q is drawn at random.
 """
 
 from __future__ import annotations
 
 import os
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
-from .errors import DegreeSamplingError, EnumerationCapError
+from .errors import EnumerationCapError
 from .kernel import eliminate
 from .matrices import RationalMatrix, determinant, vec_to_fractions
 from .simplex import FeasibilitySystem, solve_feasibility
 
 DEFAULT_ENUM_CAP = 16
-DEGREE_DRAW_BUDGET = 64
 
 
 def enumeration_cap() -> int:
@@ -135,7 +142,7 @@ def minor_sign(matrix: RationalMatrix, mask: int, idx: Sequence[int]) -> int:
     return sign
 
 
-def walk(matrix: RationalMatrix, q: Sequence):
+def walk(matrix: RationalMatrix, q: Sequence, lex: bool = False):
     """(mask, idx, comp, solved) for the supports of LCP(A, q), in no
     fixed order; idx lists the support's indices, comp the others.
 
@@ -146,20 +153,30 @@ def walk(matrix: RationalMatrix, q: Sequence):
     is not yielded.  Every support's minor sign goes into the matrix's
     memo.
 
+    With lex, solved for a nonsingular support is instead whether it
+    solves LCP(A, q(eps)), q(eps) = q + (eps, eps^2, ..., eps^n) with
+    eps -> 0+: whether every x_i(eps) and every w_j(eps) is
+    lexicographically positive (_lex_solves).  The singular supports are
+    yielded as without lex, by their consistency at q.
+
     The tree's root is the empty support, and the parent of P + {p},
     with p above every index of P, is P.  A node keeps the row-scaled
     columns after p, and the q column, over all n rows, reduced as
     kernel.eliminate reduces them with det that of the row-scaled block:
     the q column holds det * (-x_i) on the support's rows and det * w_j,
-    up to the positive row scale, on the others.  A child of a
+    up to the positive row scale, on the others.  With lex, the reduced
+    identity column e_k of each support index k follows the q column, in
+    increasing k: those are the coefficients of eps^(k+1).  A child of a
     nonsingular node pivots its parent's columns at (p, p): every row
     but p takes a_ic <- (piv * a_ic - a_ip * a_pc) // det, where piv,
     the parent's entry at (p, p), is the det of the child's block
-    (Bareiss/Montante, exact by Sylvester's identity).  A zero pivot
-    makes the child singular with the parent's rank, and its system
-    is consistent iff the parent's q-column entry at row p is zero.  A
-    child of a singular parent runs one fresh elimination instead
-    (_eliminate).  Only the tableaux on the current path and the
+    (Bareiss/Montante, exact by Sylvester's identity).  The parent's e_p
+    is det at row p and zero elsewhere, so the child's e_p is the
+    negated pivot column with det at row p, at no extra pivot.  A zero
+    pivot makes the child singular with the parent's rank, and its
+    system is consistent iff the parent's q-column entry at row p is
+    zero.  A child of a singular parent runs one fresh elimination
+    instead (_eliminate).  Only the tableaux on the current path and the
     siblings waiting on the stack are kept.
     """
     n = matrix.n
@@ -172,11 +189,15 @@ def walk(matrix: RationalMatrix, q: Sequence):
     while stack:
         mask, idx, last, det, tableau = stack.pop()
         comp = [j for j in range(n) if not mask >> j & 1]
+        qpos = n - last - 1  # the q column's place in the tableau
         if det:
-            qcol = tableau[-1]
-            if det > 0:
+            if lex:
+                solved = _lex_solves(det, tableau[qpos:], idx, comp)
+            elif det > 0:
+                qcol = tableau[qpos]
                 solved = det, [-qcol[i] for i in idx], [qcol[j] for j in comp]
             else:
+                qcol = tableau[qpos]
                 solved = -det, [qcol[i] for i in idx], [-qcol[j] for j in comp]
             yield mask, idx, comp, solved
         elif tableau:  # singular, with a consistent system
@@ -192,14 +213,47 @@ def walk(matrix: RationalMatrix, q: Sequence):
                     column = [(piv * a - f * b) // det for a, f in zip(column, pivot_col)]
                     column[p] = b  # the pivot row is left as it is
                     child_tableau.append(column)
+                if lex:
+                    column = [-f for f in pivot_col]
+                    column[p] = det
+                    child_tableau.append(column)
             elif det:
                 # The block has rank |P| and row p is zero on it, so the
                 # system is consistent iff that row's q entry is zero.
-                child_tableau = tableau[-1][p] == 0
+                child_tableau = tableau[qpos][p] == 0
             else:
-                piv, child_tableau = _eliminate(rows, idx + [p], p)
+                piv, child_tableau = _eliminate(rows, idx + [p], p, lex)
             signs[child] = _sign(piv)
             stack.append((child, idx + [p], p, piv, child_tableau))
+
+
+def _lex_solves(det: int, columns: List[List[int]], idx: List[int], comp: List[int]) -> bool:
+    """Whether a nonsingular node solves LCP(A, q(eps)) (see walk).
+    columns are its q column and then its e_k columns for k in idx, so
+    row i lists the coefficients of 1 and of eps^(k+1), in increasing
+    power, of det * (-x_i(eps)) for i in idx and of det * w_j(eps) for j
+    in comp; w_j(eps) also holds det at eps^(j+1), and no e_k with k > j
+    comes before it.  Each value's sign is that of its first nonzero
+    coefficient, read until the first row that fails."""
+    positive = det > 0
+    for i in idx:  # row i of A_II^-1 is nonzero, so some column is too
+        for column in columns:
+            v = column[i]
+            if v:
+                break
+        if (v > 0) == positive:
+            return False
+    powers = [-1] + idx  # the q column comes before every e_k
+    for j in comp:
+        for k, column in zip(powers, columns):
+            if k > j:
+                break
+            v = column[j]
+            if v:
+                if (v > 0) != positive:
+                    return False
+                break
+    return True
 
 
 def _augmented_rows(matrix: RationalMatrix, q: Sequence) -> List[List[int]]:
@@ -212,18 +266,23 @@ def _augmented_rows(matrix: RationalMatrix, q: Sequence) -> List[List[int]]:
     return rows
 
 
-def _eliminate(rows: List[List[int]], idx: List[int], p: int):
+def _eliminate(rows: List[List[int]], idx: List[int], p: int, lex: bool):
     """(det, tableau) for support idx, whose highest index is p, from one
     elimination of the row-scaled [A_{:,I} | A_{:,>p} | q] over all n
-    rows, the support's rows first (see kernel.eliminate).  tableau is
-    walk's node tableau when det != 0, else whether A_II x_I = -q_I is
-    consistent."""
+    rows, the support's rows first (see kernel.eliminate), with e_k for
+    each k in idx after q when lex.  tableau is walk's node tableau when
+    det != 0, else whether A_II x_I = -q_I is consistent."""
     k = len(idx)
-    order = idx + [j for j in range(len(rows)) if j not in idx]
+    n = len(rows)
+    order = idx + [j for j in range(n) if j not in idx]
     work = [[rows[i][j] for j in idx] + rows[i][p + 1 :] for i in order]
+    if lex:
+        for i, row in zip(order, work):
+            row.extend(int(i == j) for j in idx)
     det = eliminate(work, k)
     if det == 0:
-        return 0, all(row[-1] == 0 for row in work[:k] if not any(row[:k]))
+        qpos = k + n - p - 1
+        return 0, all(row[qpos] == 0 for row in work[:k] if not any(row[:k]))
     placed = [None] * len(rows)
     for i, row in zip(order, work):
         placed[i] = row[k:]
@@ -305,46 +364,32 @@ def is_solvable(matrix: RationalMatrix, q: Sequence) -> bool:
     return next(_solutions(matrix, q), None) is not None
 
 
-def _generic_degree(matrix: RationalMatrix, q: Sequence[int]) -> Optional[int]:
-    """Sum of sgn det A_II over the solutions of LCP(A, q).
+def lex_walk(matrix: RationalMatrix) -> Tuple[list, int]:
+    """(singular, degree) from one lexicographic walk of LCP(A, 0).
 
-    None when q must be resampled: a singular-but-consistent support
-    system, or an exact zero in a candidate's x_I or complementary slack.
-    Only signs are needed, so no Fraction is built.
+    singular lists (mask, idx, comp) for each singular support in bitmask
+    order: these are the supports that can hold a nonzero solution of
+    LCP(A, 0).  degree is the sum of sgn det A_II over the supports that
+    solve LCP(A, q(eps)), q(eps) = (eps, eps^2, ..., eps^n); it is the LCP
+    degree of A when A is R0.
     """
+    signs = matrix.minor_signs()
+    singular = []
     total = 0
-    for mask, idx, _, solved in walk(matrix, q):
+    for mask, idx, comp, solved in walk(matrix, [0] * matrix.n, lex=True):
         if solved is None:
-            return None
-        _, y, w = solved
-        if 0 in y:
-            return None
-        if any(v < 0 for v in y):
-            continue
-        if 0 in w:
-            return None
-        if any(v < 0 for v in w):
-            continue
-        total += minor_sign(matrix, mask, idx)
-    return total
+            singular.append((mask, idx, comp))
+        elif solved:
+            total += signs[mask]
+    return sorted(singular), total
 
 
-def degree(matrix: RationalMatrix, rng_seed: int = 0) -> int:
-    """LCP degree: sum of sgn det A_II over the solutions at a generic q.
+def degree(matrix: RationalMatrix) -> int:
+    """LCP degree: the sum of sgn det A_II over the solutions of LCP(A, q)
+    at a nondegenerate q, here the lexicographic q(eps) of lex_walk.
 
     Requires the R0 property (checked by the caller via classes.is_R0; this
-    function only needs it for the value to be well defined).  Draws integer
-    q vectors from a large symmetric range and resamples on any degeneracy;
-    the result is independent of the seed.
+    function only needs it for the value to be well defined).  Exact: no q
+    is sampled.
     """
-    n = matrix.n
-    rng = random.Random(rng_seed)
-    bound = 10 ** 6 * (1 + n)
-    for _ in range(DEGREE_DRAW_BUDGET):
-        q = [rng.randint(-bound, bound) for _ in range(n)]
-        total = _generic_degree(matrix, q)
-        if total is not None:
-            return total
-    raise DegreeSamplingError(
-        "no generic q found in %d draws; matrix may not be R0" % DEGREE_DRAW_BUDGET
-    )
+    return lex_walk(matrix)[1]

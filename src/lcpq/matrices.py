@@ -104,11 +104,6 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
-
     def neg(self) -> "RationalMatrix":
         return RationalMatrix([[-v for v in row] for row in self.rows])
 
@@ -116,20 +111,6 @@ class RationalMatrix:
         if len(x) != self.n:
             raise ValueError("vector length %d does not match order %d" % (len(x), self.n))
         return [sum((row[j] * x[j] for j in range(self.n)), Fraction(0)) for row in self.rows]
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if other.n != self.n:
-            raise ValueError("order mismatch")
-        n = self.n
-        return RationalMatrix(
-            [
-                [
-                    sum((self.rows[i][k] * other.rows[k][j] for k in range(n)), Fraction(0))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
 
     def scaled_rows(self) -> tuple:
         """(scales, ints): ints[i] is row i times scales[i], a positive
@@ -202,9 +183,6 @@ class RationalMatrix:
             "rows": [[str(v) if v.denominator != 1 else v.numerator for v in row] for row in self.rows],
         }
 
-    def to_plain(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.rows) + "\n"
-
 
 def parse_matrix(text: str) -> RationalMatrix:
     """Parse a matrix from plain whitespace text or the JSON format.
@@ -244,11 +222,6 @@ def parse_matrix(text: str) -> RationalMatrix:
         return matrix
     rows = [line.split() for line in stripped.splitlines() if line.strip()]
     return RationalMatrix(rows)
-
-
-def sign_pattern(matrix: RationalMatrix) -> tuple:
-    """Entrywise signs as a tuple of tuples over {-1, 0, +1}."""
-    return tuple(tuple((v > 0) - (v < 0) for v in row) for row in matrix.rows)
 
 
 def determinant(matrix: RationalMatrix) -> Fraction:

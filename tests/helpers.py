@@ -15,9 +15,11 @@ integer elimination).  The witness stream builds its Fractions before it
 reads a ray (the package reads rays from the drawn ints), and the Q oracle
 decides S by LP alone and scans R0 before it asks for P (the package takes
 x = 1 when A1 > 0 and asks for P first).  R0 is a scan of the supports in
-bitmask order with a cofactor sign per minor (the package walks LCP(A, 0)
-once).  LP systems are written over Fractions (RationalSystem) and handed
-to the package as integer rows at one common scale.
+bitmask order with a cofactor sign per minor, and the degree is sampled at
+random q until one is generic (the package reads both from one
+lexicographic walk of LCP(A, 0)).  LP systems are written over Fractions
+(RationalSystem) and handed to the package as integer rows at one common
+scale.
 """
 
 import math
@@ -28,11 +30,11 @@ from itertools import chain, combinations, count, islice
 
 import numpy as np
 
-from lcpq.classes import NO, UNDECIDED, YES, Verdict, _sign_corners, is_E0, is_P
-from lcpq.errors import DegreeSamplingError, SingularPivotError
+from lcpq.classes import NO, UNDECIDED, YES, Verdict, _sign_corners, is_P
+from lcpq.errors import SingularPivotError
 from lcpq.jordan.algebra import JordanElement
 from lcpq.kernel import clear_denominators
-from lcpq.lcp import LcpSolution, check_cap, degree, is_solvable
+from lcpq.lcp import LcpSolution, check_cap, is_solvable
 from lcpq.matrices import RationalMatrix, nonpositive_rows, solve_linear
 from lcpq.simplex import FeasibilitySystem, solve_feasibility
 from lcpq.structure import is_bdsw_shape
@@ -68,6 +70,29 @@ def cofactor_det(rows):
         sign = -1 if j % 2 else 1
         total += sign * entry * cofactor_det(minor)
     return total
+
+
+def matmul(a, b):
+    """The product of two RationalMatrix objects of one order, by the
+    definition."""
+    n = a.n
+    return RationalMatrix(
+        [
+            [sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def transpose(matrix):
+    """The transpose of a RationalMatrix."""
+    return RationalMatrix([list(column) for column in zip(*matrix.rows)])
+
+
+def plain_text(matrix):
+    """The matrix in parse_matrix's plain format: one row per line, each
+    entry an integer or p/q."""
+    return "".join(" ".join(str(v) for v in row) + "\n" for row in matrix.rows)
 
 
 def check_lcp_solution(matrix, q, x):
@@ -293,9 +318,10 @@ def reference_solve_lcp(matrix, q):
 
 
 def reference_generic_degree(matrix, q):
-    """lcpq.lcp._generic_degree by a bitmask-order loop over the supports,
-    in Fraction arithmetic: None on a consistent singular support or an
-    exact zero in a candidate's x_I or complementary slack."""
+    """The sum of sgn det A_II over the solutions of LCP(A, q), by a
+    bitmask-order loop over the supports in Fraction arithmetic: None when
+    q is not generic, that is on a consistent singular support or an exact
+    zero in a candidate's x_I or complementary slack."""
     n = matrix.n
     q = [Fraction(v) for v in q]
     total = 0
@@ -320,6 +346,60 @@ def reference_generic_degree(matrix, q):
             continue
         total += _principal_sign(matrix, idx)
     return total
+
+
+def _lex_sign(coefficients):
+    """The sign of a polynomial in eps -> 0+: that of its first nonzero
+    coefficient, 0 when there is none."""
+    return next((_sign(v) for v in coefficients if v), 0)
+
+
+def reference_lex_walk(matrix, q):
+    """mask -> what lcpq.lcp.walk(matrix, q, lex=True) yields as solved, by
+    a bitmask-order loop over the supports in Fraction arithmetic: None for
+    a singular support whose system A_II x_I = -q_I is consistent (an
+    inconsistent one is left out), and for a nonsingular one whether every
+    x_i(eps) and w_j(eps) is positive at q(eps) = q + (eps, ..., eps^n).
+    Their coefficients come from a Fraction Gauss-Jordan inverse B of
+    A_II: x_I(eps) = -B q_I - sum over k in I of eps^(k+1) B e_k, and
+    w_j(eps) = (A x(eps))_j + q_j + eps^(j+1)."""
+    n = matrix.n
+    q = [Fraction(v) for v in q]
+    out = {}
+    for mask in range(1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        comp = [j for j in range(n) if not mask >> j & 1]
+        if _principal_sign(matrix, idx) == 0:
+            status, _ = _support_solution(matrix, q, idx)
+            if status != "inconsistent":
+                out[mask] = None
+            continue
+        inverse = _fraction_inverse([[matrix.rows[i][j] for j in idx] for i in idx])
+        # Row t of x holds the coefficients of x_(idx[t]): power 0, then
+        # the powers k + 1 of k in idx, in increasing order.
+        x = [[-sum(b * q[i] for b, i in zip(row, idx))] + [-b for b in row] for row in inverse]
+        solved = all(_lex_sign(row) > 0 for row in x)
+        for j in comp:
+            w = [sum(matrix.rows[j][i] * row[c] for i, row in zip(idx, x)) for c in range(len(idx) + 1)]
+            w[0] += q[j]
+            below = [c + 1 for c, k in enumerate(idx) if k < j]
+            solved = solved and _lex_sign([w[c] for c in [0] + below] + [1]) > 0
+        out[mask] = solved
+    return out
+
+
+def reference_degree(matrix, rng_seed=0, draws=64):
+    """The LCP degree of an R0 matrix as lcpq.lcp.degree computed it before
+    it walked LCP(A, q(eps)): reference_generic_degree at integer q drawn
+    from +-10^6 (1 + n), redrawn while q is not generic."""
+    n = matrix.n
+    rng = random.Random(rng_seed)
+    bound = 10 ** 6 * (1 + n)
+    for _ in range(draws):
+        total = reference_generic_degree(matrix, [rng.randint(-bound, bound) for _ in range(n)])
+        if total is not None:
+            return total
+    raise AssertionError("no generic q in %d draws; the matrix may not be R0" % draws)
 
 
 def reference_to_matrix(x):
@@ -457,6 +537,20 @@ def reference_witness_candidates(n, budget, rng_seed):
     return islice(new_rays(negative, budget), max(budget, 0))
 
 
+def reference_random_triangular(rng, n, entry_range=5):
+    """lcpq.generate.random_triangular as it was before it transposed its
+    int rows: the same draws, and a lower triangle made by transposing the
+    upper one after its entries became Fractions."""
+    side = "upper" if rng.random() < 0.5 else "lower"
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.randint(-entry_range, entry_range)
+        for j in range(i + 1, n):
+            rows[i][j] = rng.randint(-entry_range, entry_range)
+    matrix = RationalMatrix(rows)
+    return matrix if side == "upper" else transpose(matrix)
+
+
 def reference_is_R0(matrix):
     """lcpq.classes.is_R0 as it was before it walked LCP(A, 0): a scan of
     the supports in bitmask order that takes each minor's sign from
@@ -486,7 +580,8 @@ def reference_is_R0(matrix):
 
 def reference_q_oracle(matrix, budget=64, rng_seed=0):
     """lcpq.classes.q_oracle with its earlier prologue: S by LP alone, then
-    the R0 scan (reference_is_R0), then P."""
+    the R0 scan (reference_is_R0), then P, and the sampled degree
+    (reference_degree)."""
     n = matrix.n
     check_cap(n)
     bad = nonpositive_rows(matrix)
@@ -503,16 +598,11 @@ def reference_q_oracle(matrix, budget=64, rng_seed=0):
         if is_P(matrix).is_yes:
             deg = 1
         else:
-            try:
-                deg = degree(matrix, rng_seed)
-            except DegreeSamplingError:
-                deg = None
+            deg = reference_degree(matrix, rng_seed)
         if deg:
             return Verdict(YES, "degree-nonzero", "R0 with nonzero LCP degree", {"degree": deg})
-        if deg == 0 and bdsw:
+        if bdsw:
             return Verdict(NO, "bdsw-degree-zero", "bdsw shape with R0 and degree 0", {"degree": 0})
-        if deg is None and is_E0(matrix).is_yes:
-            return Verdict(YES, "R-star", "R0 and E0 hold", {})
     elif bdsw:
         return Verdict(NO, "bdsw-not-R0", "bdsw shape without the R0 property", dict(r0.data))
     for q in reference_witness_candidates(n, budget, rng_seed):

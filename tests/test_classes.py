@@ -38,9 +38,9 @@ from lcpq.classes import (
     q_oracle,
 )
 from lcpq.classifier import classify_by_rules
-from lcpq.errors import CertificateError, DegreeSamplingError, EnumerationCapError
+from lcpq.errors import CertificateError, EnumerationCapError
 from lcpq.generate import GENERATOR_TYPES, generate
-from lcpq.lcp import LcpInstance, degree, is_solvable, solve_lcp
+from lcpq.lcp import LcpInstance, degree, is_solvable, solve_lcp, walk
 from lcpq.matrices import RationalMatrix, determinant, vec_to_fractions
 from lcpq.simplex import solve_feasibility
 
@@ -258,42 +258,11 @@ def test_q_oracle_yes_fixture():
     assert v.is_yes and v.rule == "degree-nonzero"
 
 
-def test_q_oracle_r_star_channel_runs_r0_once(monkeypatch):
-    # With the degree unsampleable, R0 = yes sends q_oracle to the R* channel,
-    # where only E0 is left to check.
-    from lcpq import classes
-
-    def no_generic_q(*args, **kwargs):
-        raise DegreeSamplingError("forced")
-
-    runs = []
-
-    def counted_r0(*args, **kwargs):
-        runs.append(args)
-        return is_R0(*args, **kwargs)
-
-    monkeypatch.setattr(classes, "degree", no_generic_q)
-    monkeypatch.setattr(classes, "is_R0", counted_r0)
-    # Nonnegative with a positive diagonal (so R0 and E0), but the {1, 2}
-    # minor is -1: not P, so the degree is sampled.  The (1, 3) entry keeps
-    # it off the bdsw shape.
-    v = q_oracle(RationalMatrix([[1, 2, 1], [1, 1, 0], [0, 0, 1]]))
-    assert v.to_json_obj() == {
-        "answer": "yes",
-        "theorem": "R-star",
-        "condition": "R0 and E0 hold",
-        "witness": {},
-    }
-    assert len(runs) == 1
-
-
 def test_q_oracle_gives_p_matrices_degree_one_without_sampling(monkeypatch):
-    from lcpq import classes
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a P-matrix needs no R0 or degree walk")
 
-    def no_degree(*args, **kwargs):
-        raise AssertionError("a P-matrix needs no degree sample")
-
-    monkeypatch.setattr(classes, "degree", no_degree)
+    monkeypatch.setattr(classes, "r0_degree", no_walk)
     for rows in (
         [[2, 1, 1], [0, 3, 1], [1, 0, 2]],  # off the bdsw shape
         [[1, -1, 0], [0, 1, -1], [1, 0, 1]],  # bdsw shape
@@ -341,7 +310,7 @@ def test_q_oracle_checks_the_cap_before_the_nonpositive_row_channel():
     "rows",
     [
         [[2, 1, 1, 0], [0, 3, 1, 1], [1, 0, 2, 1], [1, 1, 0, 4]],  # P: degree 1
-        [[1, 2, 1], [1, 1, 0], [0, 0, 1]],  # R0, not P: the degree is sampled
+        [[1, 2, 1], [1, 1, 0], [0, 0, 1]],  # R0, not P: the degree is walked
         [[1, -1, 1], [0, 1, -1], [1, 0, 0]],  # the witness search decides
         [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
     ],
@@ -363,12 +332,11 @@ def test_q_oracle_computes_each_principal_minor_at_most_once(monkeypatch, rows):
 )
 def test_q_oracle_decides_a_p_matrix_by_its_minors_alone(monkeypatch, rows):
     dets = count_calls(monkeypatch, determinant)
-    r0_scans = count_calls(monkeypatch, is_R0)
-    degrees = count_calls(monkeypatch, degree)
+    walks = count_calls(monkeypatch, walk)
     matrix = RationalMatrix(rows)
     v = q_oracle(matrix)
     assert (v.answer, v.rule, v.data) == (YES, "degree-nonzero", {"degree": 1})
-    assert r0_scans == [] and degrees == []
+    assert walks == []  # neither an R0 scan nor a degree
     assert len(dets) == 2 ** matrix.n - 1  # every minor, each once
 
 
@@ -377,7 +345,7 @@ def _oracle_corpus():
     P and not P, S and not S, R0 and not R0."""
     rng = random.Random(7)
     out = [m.rows for m in _mixed_corpus()]
-    out.append([[1, 2, 1], [1, 1, 0], [0, 0, 1]])  # R0, not P: a sampled degree
+    out.append([[1, 2, 1], [1, 1, 0], [0, 0, 1]])  # R0, not P: the walked degree
     out.append([[1, -1, 1], [0, 1, -1], [1, 0, 0]])  # the witness search decides
     for n in (2, 3, 3, 4, 4, 5):
         out.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
@@ -410,14 +378,15 @@ def _first_nonpositive_minor_mask(matrix):
 def test_q_oracle_matches_the_r0_first_reference_and_reads_r0_minors_from_the_walk(monkeypatch):
     dets = count_calls(monkeypatch, determinant)
     r0_dets = []
+    r0_degree = classes.r0_degree
 
-    def counted_is_R0(matrix):
+    def counted_r0_degree(matrix):
         before = len(dets)
-        verdict = is_R0(matrix)
+        result = r0_degree(matrix)
         r0_dets.append(len(dets) - before)
-        return verdict
+        return result
 
-    monkeypatch.setattr(classes, "is_R0", counted_is_R0)
+    monkeypatch.setattr(classes, "r0_degree", counted_r0_degree)
     rules = set()
     r0_runs = 0
     for rows in _oracle_corpus():
@@ -428,7 +397,7 @@ def test_q_oracle_matches_the_r0_first_reference_and_reads_r0_minors_from_the_wa
         assert got == expected
         rules.add(got.rule)
         # The P path computes one determinant per minor it visits, and
-        # is_R0 computes none: its walk leaves every minor's sign.
+        # the R0 and degree walk computes none: it leaves every minor's sign.
         if got.rule in ("nonpositive-row", "not-S"):
             assert dets == []
         else:
@@ -442,6 +411,24 @@ def test_q_oracle_matches_the_r0_first_reference_and_reads_r0_minors_from_the_wa
             assert signs == truth
     assert {"not-S", "degree-nonzero", "unsolvable-q", "bdsw-not-R0"} <= rules, rules
     assert r0_runs >= 5, r0_runs
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, 1], [1, 1, 0], [0, 0, 1]],  # degree 1, off the bdsw shape
+        [[-1, 2], [1, -1]],  # degree -1
+        [[-1, 1], [0, 1]],  # degree 0 on the bdsw shape: not Q
+    ],
+)
+def test_q_oracle_walks_a_non_p_r0_matrix_once(monkeypatch, rows):
+    # R0 and the degree come from one walk of LCP(A, 0): nothing is sampled,
+    # and a verdict from the degree needs no further walk.
+    assert is_P(RationalMatrix(rows)).is_no and is_R0(RationalMatrix(rows)).is_yes
+    walks = count_calls(monkeypatch, walk)
+    verdict = q_oracle(RationalMatrix(rows))
+    assert len(walks) == 1
+    assert verdict == reference_q_oracle(RationalMatrix(rows))
 
 
 def test_predicates_share_the_matrixs_minor_memo(monkeypatch):

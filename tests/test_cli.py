@@ -13,10 +13,11 @@ import sys
 import pytest
 
 import lcpq
+from helpers import count_calls
 from lcpq.classes import q_oracle
 from lcpq.cli import build_parser, main
-from lcpq.errors import DegreeSamplingError
 from lcpq.jordan.checks import IDENTITY_NAMES
+from lcpq.lcp import walk
 from lcpq.structure import detect_structure
 
 
@@ -307,15 +308,18 @@ def test_degree_values(tmp_path, capsys):
     assert capsys.readouterr().out == "NotR0\n"
 
 
-def test_degree_sampling_failure_exit(tmp_path, capsys, monkeypatch):
-    path = _write(tmp_path, "eye.txt", "1 0\n0 1\n")
-
-    def explode(matrix, rng_seed=0):
-        raise DegreeSamplingError("no generic q found")
-
-    monkeypatch.setattr("lcpq.cli.degree", explode)
-    assert main(["degree", path]) == 70
-    assert "no generic q" in capsys.readouterr().err
+def test_degree_walks_once_and_takes_no_seed(tmp_path, capsys, monkeypatch):
+    # R0 and the degree come from one walk of LCP(A, 0); nothing is drawn,
+    # so there is no seed to give.
+    walks = count_calls(monkeypatch, walk)
+    path = _write(tmp_path, "r0.txt", "1 2 1\n1 1 0\n0 0 1\n")  # R0, not P
+    assert main(["degree", path]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert len(walks) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["degree", "--seed", "0", path])
+    assert exc.value.code == 64
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_enumeration_cap_exit(tmp_path, capsys, monkeypatch):
@@ -533,12 +537,11 @@ def test_jordan_commands_reject_a_negative_seed(tmp_path, capsys, argv):
 
 
 def test_core_commands_accept_a_negative_seed(tmp_path, capsys):
-    # random.Random takes any int, so classify, verify, generate and
-    # degree keep accepting negative seeds.
+    # random.Random takes any int, so classify, verify and generate keep
+    # accepting negative seeds.
     path = _write(tmp_path, "p.txt", "2 1\n1 2\n")
     assert main(["classify", "--seed", "-1", path]) == 0
     assert main(["verify", "--seed", "-1", path]) == 0
-    assert main(["degree", "--seed", "-1", path]) == 0
     out = str(tmp_path / "gen")
     assert main(["generate", "--type", "tri", "--seed", "-1", "--out", out]) == 0
     capsys.readouterr()

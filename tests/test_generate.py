@@ -1,10 +1,13 @@
 """Seeded instance generators: reproducibility and family membership."""
 
 import itertools
+import json
 import random
 
 import pytest
 
+from helpers import reference_random_triangular
+from lcpq.cli import main
 from lcpq.generate import GENERATOR_TYPES, MAX_ORDER, draw_instances, generate, random_q
 from lcpq.structure import (
     BDSW_TYPE_1,
@@ -121,3 +124,23 @@ def test_order_out_of_range_rejected_before_any_draw(kind, n, message):
 
 def test_2x2_ignores_the_order():
     assert generate("2x2", MAX_ORDER + 1, 3, seed=2) == generate("2x2", 0, 3, seed=2)
+
+
+def test_tri_files_match_the_fraction_transpose_route(tmp_path, capsys):
+    # random_triangular transposes a lower triangle while its entries are
+    # still ints; the files must keep the bytes of the route that built the
+    # upper triangle's Fractions and then transposed the matrix.
+    sides = set()
+    for seed, n, entry_range in itertools.product((0, 1, 7, -3), (1, 2, 5, 12), (1, 5)):
+        out = tmp_path / ("%d-%d-%d" % (seed, n, entry_range))
+        argv = ["generate", "--type", "tri", "--n", str(n), "--count", "3", "--seed", str(seed)]
+        assert main(argv + ["--entry-range", str(entry_range), "--out", str(out)]) == 0
+        rng = random.Random(seed)
+        for index in range(3):
+            expected = reference_random_triangular(rng, n, entry_range)
+            sides.add((is_upper_triangular(expected), is_lower_triangular(expected)))
+            path = out / ("tri-n%d-seed%d-%04d.json" % (n, seed, index))
+            text = json.dumps(expected.to_json_obj(), sort_keys=True) + "\n"
+            assert path.read_text(encoding="utf-8") == text
+    capsys.readouterr()
+    assert {(True, False), (False, True)} <= sides

@@ -13,12 +13,13 @@ from lcpq.jordan.algebra import (
     rn_algebra,
     standard_frame,
     sym_algebra,
+    trace_inner_product,
 )
 from lcpq.jordan.sclcp import (
+    _search_cone,
     classify_rank_one_q,
     embed_solve,
     sample_positivity_violation,
-    strict_copositivity_sample,
     verify_sc_solution,
 )
 from lcpq.jordan.transforms import LinearTransform, rank_one
@@ -133,11 +134,21 @@ def test_positivity_sampler_clean_on_identity():
 
 
 def test_copositivity_sampler():
-    eye = LinearTransform.identity(SYM2)
-    clean = strict_copositivity_sample(eye, samples=30, rng_seed=2)
-    assert not clean.found and clean.value == pytest.approx(1.0)
+    # The cone search behind sample_positivity_violation, measuring
+    # <L(z), z> on normalized cone elements z: a clean run reports the
+    # least value over every sample, and a violation ends the run at once.
+    def copositivity_sample(transform):
+        def inner(z):
+            return trace_inner_product(transform.apply(z), z)
 
-    flipped = strict_copositivity_sample(-1.0 * eye, samples=30, rng_seed=2)
+        return _search_cone(transform, 30, 2, inner, lambda value: value <= 1e-9)
+
+    eye = LinearTransform.identity(SYM2)
+    clean = copositivity_sample(eye)
+    assert not clean.found and clean.value == pytest.approx(1.0)
+    assert clean.samples_used == 30
+
+    flipped = copositivity_sample(-1.0 * eye)
     assert flipped.found and flipped.samples_used == 1
 
 

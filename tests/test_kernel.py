@@ -5,7 +5,7 @@ solutions det * x with the package's rational Gauss-Jordan solve_linear,
 and the support walk's integer sign tests with the same quantities
 computed in Fraction arithmetic.  Inputs cover non-integer entries, zero
 rows and columns, singular and rank-deficient blocks, and right-hand sides
-of the size degree() draws (about 10^7).
+of the size the sampled degree reference in helpers draws (about 10^7).
 """
 
 import math

@@ -1,25 +1,28 @@
-"""Support-enumeration LCP solving and the sampled degree computation."""
+"""Support-enumeration LCP solving and the lexicographic degree."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     check_lcp_solution,
     count_calls,
     principal_minors,
+    reference_degree,
     reference_generic_degree,
+    reference_lex_walk,
     reference_solve_lcp,
 )
 from lcpq import lcp
+from lcpq.classes import is_R0
 from lcpq.errors import EnumerationCapError
 from lcpq.lcp import (
     DEFAULT_ENUM_CAP,
     LcpInstance,
-    _generic_degree,
     degree,
     enumeration_cap,
     is_solvable,
@@ -162,14 +165,15 @@ def test_degree_fixture_negative_one():
 
 
 def test_degree_seed_independent():
+    # degree draws nothing; the sampled reference gives its value whatever
+    # generic q the seed draws.
     fixtures = [
         RationalMatrix([[-1, 2], [1, -1]]),
         RationalMatrix([[2, -1], [-1, 2]]),
         RationalMatrix([[1, 5], [0, 1]]),
     ]
     for m in fixtures:
-        values = {degree(m, rng_seed=s) for s in (0, 1, 2)}
-        assert len(values) == 1
+        assert {reference_degree(m, rng_seed=s) for s in (0, 1, 2)} == {degree(m)}
 
 
 def test_degree_one_for_p_matrices():
@@ -209,10 +213,37 @@ def p_matrices(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(p_matrices(), st.integers(0, 3))
-def test_degree_is_one_on_random_p_matrices(m, seed):
+@given(p_matrices())
+def test_degree_is_one_on_random_p_matrices(m):
     assert all(d > 0 for _, d in principal_minors(m.rows))
-    assert degree(m, rng_seed=seed) == 1
+    assert degree(m) == 1
+
+
+def test_degree_matches_the_sampled_reference_on_the_r0_census():
+    # Every R0 matrix with entries in {-1, 0, 1} at n = 3.
+    checked = 0
+    for entries in itertools.product((-1, 0, 1), repeat=9):
+        matrix = RationalMatrix([entries[0:3], entries[3:6], entries[6:9]])
+        if is_R0(matrix).is_yes:
+            assert degree(matrix) == reference_degree(matrix), matrix
+            checked += 1
+    assert checked == 9520
+
+
+@st.composite
+def rational_r0_matrices(draw):
+    """Rational matrices of order 1..5 that are R0."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    matrix = RationalMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+    assume(is_R0(matrix).is_yes)
+    return matrix
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(rational_r0_matrices())
+def test_degree_matches_the_sampled_reference_on_rational_r0_matrices(matrix):
+    assert degree(matrix) == reference_degree(matrix)
 
 
 ENTRIES = st.one_of(
@@ -257,10 +288,15 @@ def test_support_walk_matches_bitmask_order_references(case):
     assert solve_lcp(LcpInstance(matrix, q)) == reference
     assert is_solvable(matrix, q) == bool(reference)
 
-    total = _generic_degree(matrix, q)
-    assert total == reference_generic_degree(matrix, q)
-    if 0 in q:
-        assert total is None
+    # With lex the walk reads each nonsingular support at q(eps) = q +
+    # (eps, ..., eps^n).  Where q is generic, q(eps) has the solutions q
+    # has, so their sign sums agree.
+    lex = {mask: solved for mask, _, _, solved in walk(matrix, q, lex=True)}
+    assert lex == reference_lex_walk(matrix, q)
+    total = reference_generic_degree(matrix, q)
+    if total is not None:
+        signs = matrix.minor_signs()
+        assert sum(signs[mask] for mask, solved in lex.items() if solved) == total
 
     # The calls above filled the matrix's memo; a fresh matrix shows that
     # the walk alone writes every mask's sign.
@@ -290,15 +326,18 @@ def test_inconsistent_singular_supports_skip_the_lp_and_solve_linear(monkeypatch
     matrix = RationalMatrix([[1, 0], [1, 0]])
     q = [-2, 1]
     assert [sol.x for sol in solve_lcp(LcpInstance(matrix, q))] == [(2, 0)]
-    assert _generic_degree(matrix, q) == 1
+    assert sorted((mask, solved) for mask, _, _, solved in walk(matrix, q, lex=True)) == [
+        (0, False),
+        (1, True),
+    ]
     assert lps == [] and solves == []
 
     # With q = (-2, -2) the system on {1, 2} is consistent (x_1 = 2): its
-    # family LP still runs, and the degree sample must be redrawn.
+    # family LP still runs, and the lexicographic walk yields it too.
     q = [-2, -2]
     assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
     assert len(lps) == 1
-    assert _generic_degree(matrix, q) is None
+    assert (3, None) in [(mask, solved) for mask, _, _, solved in walk(matrix, q, lex=True)]
 
 
 def test_is_solvable_stops_at_the_first_solution(monkeypatch):
@@ -341,14 +380,15 @@ def test_zero_pivot_children_of_nonsingular_supports_need_no_elimination(monkeyp
     eliminations = []
     eliminate = lcp._eliminate
 
-    def counted(rows, idx, p):
+    def counted(rows, idx, p, lex):
         eliminations.append(idx)
-        return eliminate(rows, idx, p)
+        return eliminate(rows, idx, p, lex)
 
     monkeypatch.setattr(lcp, "_eliminate", counted)
     matrix = RationalMatrix([[1, 1], [1, 1]])
     for q, consistent in (([-1, -1], True), ([-1, -2], False), ([Fraction(1, 2), Fraction(1, 2)], True)):
-        masks = [mask for mask, _, _, _ in walk(matrix, q)]
-        assert (3 in masks) == consistent
+        for lex in (False, True):
+            masks = [mask for mask, _, _, _ in walk(matrix, q, lex)]
+            assert (3 in masks) == consistent
         assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
     assert eliminations == []

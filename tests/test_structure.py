@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import matmul, transpose
 from lcpq.errors import NotBdswShapeError
 from lcpq.matrices import RationalMatrix, determinant
 from lcpq.structure import (
@@ -85,7 +86,7 @@ def test_permutation_conjugate_matches_matrix_product():
             [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         )
         pm = p.matrix()
-        assert p.conjugate(a) == pm.matmul(a).matmul(pm.transpose())
+        assert p.conjugate(a) == matmul(matmul(pm, a), transpose(pm))
         # Definition check: entry (sigma(i), sigma(j)) is A[i, j].
         b = p.conjugate(a)
         for i in range(1, n + 1):
