@@ -21,6 +21,8 @@ from .lcp import (
     LcpInstance,
     check_cap,
     embed,
+    family_point,
+    integer_system,
     is_solvable,
     lex_walk,
     minor_sign,
@@ -84,19 +86,14 @@ def r0_degree(matrix: RationalMatrix) -> Tuple[Verdict, int]:
     the matrix's minor memo on the way with no determinant call.  They
     are tried in bitmask order: A_II x_I = 0, sum x_I = 1, x_I >= 0,
     A_(I^c,I) x_I >= 0 must be infeasible, and the first feasible one
-    gives the witness x.
+    gives the witness x.  That LP is lcp.family_point on [A | 0] with
+    the sum row.
     """
     n = matrix.n
     singular, deg = lex_walk(matrix)
-    scale, rows = matrix.common_rows()
+    scale, rows = integer_system(matrix, [0] * n)
     for _, idx, comp in singular:
-        system = FeasibilitySystem(len(idx))
-        for i in idx:
-            system.add_eq([rows[i][j] for j in idx], 0)
-        system.add_eq([scale] * len(idx), scale)
-        for j in comp:
-            system.add_ge([rows[j][i] for i in idx], 0)
-        point = solve_feasibility(system)
+        point = family_point(rows, idx, comp, scale)
         if point is not None:
             x = embed(n, idx, point)
             return Verdict(NO, "R0", "nonzero solution of LCP(A,0)", {"x": x}), deg
@@ -123,7 +120,7 @@ def is_Rd(matrix: RationalMatrix, d: Sequence) -> Verdict:
 
 def is_E0(matrix: RationalMatrix) -> Verdict:
     """E0 (semimonotone): no 0 != x >= 0 has x_i (Ax)_i < 0 on all of supp x."""
-    scale, rows = matrix.common_rows()
+    scale, rows = matrix.integer_rows()
     for _, idx, _ in itertools.islice(supports(matrix.n), 1, None):
         system = FeasibilitySystem(len(idx))
         for i in idx:
@@ -137,7 +134,7 @@ def is_E0(matrix: RationalMatrix) -> Verdict:
 
 def is_E(matrix: RationalMatrix) -> Verdict:
     """E (strictly semimonotone): every 0 != x >= 0 has x_i (Ax)_i > 0 somewhere."""
-    scale, rows = matrix.common_rows()
+    scale, rows = matrix.integer_rows()
     for _, idx, _ in itertools.islice(supports(matrix.n), 1, None):
         system = FeasibilitySystem(len(idx))
         for i in idx:
@@ -155,7 +152,7 @@ def is_S(matrix: RationalMatrix) -> Verdict:
     and x = 1 certifies it; otherwise it is tested as x >= 0, Ax >= 1 by
     LP, and the point found is shifted."""
     n = matrix.n
-    scale, rows = matrix.common_rows()  # A times scale > 0
+    scale, rows = matrix.integer_rows()  # A times scale > 0
     if all(sum(row) > 0 for row in rows):
         return Verdict(YES, "S", "strictly positive x with Ax > 0", {"x": [Fraction(1)] * n})
     system = FeasibilitySystem(n)

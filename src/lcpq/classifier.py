@@ -31,7 +31,7 @@ from .structure import (
     bdsw_offdiagonal,
     detect_structure,
     is_bdsw_shape,
-    triangular_plus_row_split,
+    is_triangular_plus_row,
 )
 
 
@@ -73,8 +73,7 @@ def classify_triangular(matrix: RationalMatrix) -> Verdict:
 def classify_triangular_plus_row(matrix: RationalMatrix) -> Verdict:
     """Block form (B c; d^T a_nn), B upper triangular, d >= 0, a_nn > 0:
     Q iff the diagonal of A is positive."""
-    split = triangular_plus_row_split(matrix)
-    if split is None:
+    if not is_triangular_plus_row(matrix):
         raise StructureError(
             "matrix does not match the triangular-plus-nonnegative-row form"
         )
@@ -285,7 +284,7 @@ def classify_by_rules(
         return classify_2x2(matrix)
     if is_upper_triangular(matrix) or is_lower_triangular(matrix):
         return classify_triangular(matrix)
-    if triangular_plus_row_split(matrix) is not None:
+    if is_triangular_plus_row(matrix):
         return classify_triangular_plus_row(matrix)
     if structure is None:
         structure = detect_structure(matrix)

@@ -358,24 +358,24 @@ def cmd_jordan_embed_check(args) -> int:
             "q has %d entries but the matrix has order %d" % (len(qvec), matrix.n),
             EXIT_USAGE,
         )
-    if args.algebra:
-        try:
+    # The cap goes before the algebra: an order past it is refused (exit
+    # 65) whatever --n or --algebra say.
+    try:
+        check_cap(matrix.n)
+    except EnumerationCapError as exc:
+        return _fail(str(exc), EXIT_CAP)
+    try:
+        if args.algebra:
             algebra = _parse_algebra_arg(args.algebra)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_USAGE)
-    else:
-        algebra = sym_algebra(matrix.n if args.n is None else args.n)
+        else:
+            algebra = sym_algebra(matrix.n if args.n is None else args.n)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
     if algebra.rank != matrix.n:
         return _fail(
             "algebra rank %d does not match matrix order %d" % (algebra.rank, matrix.n),
             EXIT_USAGE,
         )
-    # The cap goes first: a sym frame of order n holds n matrices of
-    # n x n floats, so an order far past the cap would not fit in memory.
-    try:
-        check_cap(matrix.n)
-    except EnumerationCapError as exc:
-        return _fail(str(exc), EXIT_CAP)
     frame = _build_frame(algebra, args.frame, args.seed)
     outcome = embed_solve(matrix, qvec, frame, tol=args.tol)
     if args.json:

@@ -23,6 +23,11 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+# The largest rank an Algebra may have.  An operator on sym:m holds
+# (m(m+1)/2)^2 floats, so sym:64 already takes about 75 MB and a second per
+# identities sample, and sym:3000 would not fit in memory.
+MAX_RANK = 64
+
 
 @dataclass(frozen=True)
 class Algebra:
@@ -37,6 +42,8 @@ class Algebra:
             raise ValueError("kind must be 'rn' or 'sym'")
         if self.size < 1:
             raise ValueError("size must be positive")
+        if self.size > MAX_RANK:
+            raise ValueError("rank %d is above the maximum %d" % (self.size, MAX_RANK))
 
     @property
     def rank(self) -> int:

@@ -1,8 +1,9 @@
 """Fraction-free integer elimination: the arithmetic core of every exact solve.
 
-A rational system is brought to integer form once: each row of [A | b] is
-multiplied by the positive lcm of that row's denominators.  Scaling a row by
-a positive number keeps the sign of every minor and leaves the solution of
+A rational system is brought to integer form once: the whole of [A | b] is
+multiplied by one positive scale, a common multiple of every denominator
+(clear_denominators; RationalMatrix.integer_rows keeps A's).  Scaling by a
+positive number keeps the sign of every minor and leaves the solution of
 the system unchanged.
 
 Elimination then runs on plain ints with the Bareiss/Montante update

@@ -14,8 +14,10 @@ whether its system A_II x_I = -q_I is consistent.  Below a singular
 support, one fresh elimination reduces each child's block to its rank,
 which also tells whether its system is consistent.  Only the consistent
 singular supports go to the exact LP (see simplex), which pivots in
-integers too and takes integer rows at one common scale.  Fraction values
-are built only at the boundaries, for the solutions returned.
+integers too.  The walk and the LPs read the same integer rows: [A | q]
+times one positive scale (integer_system), built from the matrix's
+integer image.  Fraction values are built only at the boundaries, for the
+solutions returned.
 
 The class predicates read sgn det A_II from the walk or through
 minor_sign.  Both keep every sign they learn in the matrix's own memo
@@ -40,7 +42,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import EnumerationCapError
 from .kernel import eliminate
@@ -160,11 +162,11 @@ def walk(matrix: RationalMatrix, q: Sequence, lex: bool = False):
     yielded as without lex, by their consistency at q.
 
     The tree's root is the empty support, and the parent of P + {p},
-    with p above every index of P, is P.  A node keeps the row-scaled
+    with p above every index of P, is P.  A node keeps the scaled
     columns after p, and the q column, over all n rows, reduced as
-    kernel.eliminate reduces them with det that of the row-scaled block:
+    kernel.eliminate reduces them with det that of the scaled block:
     the q column holds det * (-x_i) on the support's rows and det * w_j,
-    up to the positive row scale, on the others.  With lex, the reduced
+    times the system's positive scale, on the others.  With lex, the reduced
     identity column e_k of each support index k follows the q column, in
     increasing k: those are the coefficients of eps^(k+1).  A child of a
     nonsingular node pivots its parent's columns at (p, p): every row
@@ -182,7 +184,7 @@ def walk(matrix: RationalMatrix, q: Sequence, lex: bool = False):
     n = matrix.n
     check_cap(n)
     signs = matrix.minor_signs()
-    rows = _augmented_rows(matrix, q)
+    _, rows = integer_system(matrix, q)
     # (mask, idx, last pivot, det of the block, tableau); a singular
     # node's tableau is whether its system is consistent instead.
     stack = [(0, [], -1, 1, [list(column) for column in zip(*rows)])]
@@ -256,19 +258,9 @@ def _lex_solves(det: int, columns: List[List[int]], idx: List[int], comp: List[i
     return True
 
 
-def _augmented_rows(matrix: RationalMatrix, q: Sequence) -> List[List[int]]:
-    """Row i is [A_i | q_i] times the lcm of that row's denominators, read
-    from the matrix's scaled rows."""
-    rows = []
-    for s, row, qi in zip(*matrix.scaled_rows(), q):
-        t = lcm(s, qi.denominator)
-        rows.append([v * (t // s) for v in row] + [qi.numerator * (t // qi.denominator)])
-    return rows
-
-
 def _eliminate(rows: List[List[int]], idx: List[int], p: int, lex: bool):
     """(det, tableau) for support idx, whose highest index is p, from one
-    elimination of the row-scaled [A_{:,I} | A_{:,>p} | q] over all n
+    elimination of the scaled [A_{:,I} | A_{:,>p} | q] over all n
     rows, the support's rows first (see kernel.eliminate), with e_k for
     each k in idx after q when lex.  tableau is walk's node tableau when
     det != 0, else whether A_II x_I = -q_I is consistent."""
@@ -289,15 +281,32 @@ def _eliminate(rows: List[List[int]], idx: List[int], p: int, lex: bool):
     return det, [list(column) for column in zip(*placed)]
 
 
-def _family_point(rows: List[List[int]], idx: List[int], comp: List[int]):
+def integer_system(matrix: RationalMatrix, q: Sequence) -> Tuple[int, List[List[int]]]:
+    """(scale, rows): row i is [A_i | q_i] times scale, the lcm of the
+    matrix's integer_rows scale and q's denominators, so that every row
+    shares one positive scale.  The walk and the family LPs read it."""
+    a_scale, ints = matrix.integer_rows()
+    scale = lcm(a_scale, *(v.denominator for v in q))
+    f = scale // a_scale
+    return scale, [
+        [a * f for a in row] + [v.numerator * (scale // v.denominator)] for row, v in zip(ints, q)
+    ]
+
+
+def family_point(
+    rows: List[List[int]], idx: List[int], comp: List[int], scale: Optional[int] = None
+):
     """For a singular A_II: a point x_I >= 0 with (Ax+q)_idx = 0 and
-    (Ax+q)_comp >= 0, found by exact LP, or None.  rows is [A | q] times
-    one common scale.  Any such x represents an affine family of
+    (Ax+q)_comp >= 0, found by exact LP, or None; with a scale, also
+    sum x_I = 1, written as [scale] * |I| = scale.  rows is integer_system's
+    and scale its scale.  Any such x represents an affine family of
     solutions.  walk yields singular supports only when A_II x_I = -q_I
     is consistent, so the LP runs only then."""
     system = FeasibilitySystem(len(idx))
     for i in idx:
         system.add_eq([rows[i][j] for j in idx], -rows[i][-1])
+    if scale is not None:
+        system.add_eq([scale] * len(idx), scale)
     for j in comp:
         system.add_ge([rows[j][i] for i in idx], -rows[j][-1])
     return solve_feasibility(system)
@@ -325,15 +334,10 @@ def _solutions(matrix: RationalMatrix, q: Sequence):
         d, y, w = solved
         if not any(v < 0 for v in y) and not any(v < 0 for v in w):
             yield mask, tuple(embed(matrix.n, idx, [Fraction(v, d) for v in y]))
-    if singular:  # [A | q] at one common scale, for the LPs
-        scale, rows = matrix.common_rows()
-        common = lcm(scale, *(qi.denominator for qi in q))
-        rows = [
-            [v * (common // scale) for v in row] + [qi.numerator * (common // qi.denominator)]
-            for row, qi in zip(rows, q)
-        ]
+    if singular:
+        _, rows = integer_system(matrix, q)
     for mask, idx, comp in singular:
-        point = _family_point(rows, idx, comp)
+        point = family_point(rows, idx, comp)
         if point is not None:
             yield mask, tuple(embed(matrix.n, idx, point))
 

@@ -2,14 +2,16 @@
 
 All entries are fractions.Fraction values; nothing in this module touches
 floating point.  Matrices are immutable once constructed, so they can be
-hashed, shared and reused as dictionary keys.
+hashed, shared and reused as dictionary keys.  Each matrix also keeps one
+integer image, A times one positive scale (RationalMatrix.integer_rows),
+and every exact routine reads that image: the determinant, the sign
+predicates, pivot.ppt, the support walk and the LPs of lcp and classes.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm, prod
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -69,7 +71,7 @@ class RationalMatrix:
     definitions stated with 1-based indices say so explicitly.
     """
 
-    __slots__ = ("rows", "n", "_scaled", "_signs")
+    __slots__ = ("rows", "n", "_image", "_signs")
 
     def __init__(self, rows: Iterable[Iterable]):
         converted = tuple(tuple(_to_fraction(v) for v in row) for row in rows)
@@ -112,28 +114,20 @@ class RationalMatrix:
             raise ValueError("vector length %d does not match order %d" % (len(x), self.n))
         return [sum((row[j] * x[j] for j in range(self.n)), Fraction(0)) for row in self.rows]
 
-    def scaled_rows(self) -> tuple:
-        """(scales, ints): ints[i] is row i times scales[i], a positive
-        integer that clears the row's denominators (see kernel).  Computed
-        once per matrix; a submatrix inherits its parent's."""
+    def integer_rows(self) -> tuple:
+        """(scale, rows): the matrix's one integer image.  rows[i][j] is
+        a_ij times scale, a positive common multiple of every entry's
+        denominator (their lcm, for a matrix built from its entries).
+        Computed once per matrix; a submatrix inherits its parent's scale
+        and picks its rows.  An integer matrix has scale 1."""
         try:
-            return self._scaled
+            return self._image
         except AttributeError:
-            pairs = [clear_denominators(row) for row in self.rows]
-            scaled = tuple(s for s, _ in pairs), tuple(tuple(ints) for _, ints in pairs)
-            object.__setattr__(self, "_scaled", scaled)
-            return scaled
-
-    def common_rows(self) -> tuple:
-        """(scale, rows): rows[i] is row i times scale, the lcm of the
-        scaled_rows() scales, so every row shares one positive scale, as
-        simplex.FeasibilitySystem needs.  An integer matrix has scale 1
-        and its scaled rows as they are."""
-        scales, ints = self.scaled_rows()
-        scale = lcm(*scales)
-        if scale == 1:
-            return 1, ints
-        return scale, tuple(tuple(v * (scale // s) for v in row) for s, row in zip(scales, ints))
+            n = self.n
+            scale, flat = clear_denominators([v for row in self.rows for v in row])
+            image = scale, tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
+            object.__setattr__(self, "_image", image)
+            return image
 
     def minor_signs(self) -> dict:
         """The memo mask -> sgn det A_II over this matrix's principal
@@ -147,14 +141,14 @@ class RationalMatrix:
             return signs
 
     @classmethod
-    def _of_fractions(cls, rows: tuple, scaled: tuple) -> "RationalMatrix":
+    def _of_fractions(cls, rows: tuple, image: tuple) -> "RationalMatrix":
         """A matrix on rows, a nonempty square tuple of tuples of Fractions,
-        taken as they are: no entry is converted or checked again.  scaled
-        is its scaled_rows()."""
+        taken as they are: no entry is converted or checked again.  image
+        is its integer_rows()."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "rows", rows)
         object.__setattr__(matrix, "n", len(rows))
-        object.__setattr__(matrix, "_scaled", scaled)
+        object.__setattr__(matrix, "_image", image)
         return matrix
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
@@ -165,14 +159,13 @@ class RationalMatrix:
             raise MatrixFormatError(
                 "matrix is not square: %d rows but a row of length %d" % (len(row_idx), len(col_idx))
             )
-        scales, ints = self.scaled_rows()
+        scale, ints = self.integer_rows()
         # itemgetter of one index returns the entry itself, so one column
         # is picked as a slice, which keeps the row a tuple.
         j = col_idx[0]
         pick = itemgetter(*col_idx) if len(col_idx) > 1 else itemgetter(slice(j, j + 1))
         rows = tuple([pick(self.rows[i]) for i in row_idx])
-        scaled = tuple([scales[i] for i in row_idx]), tuple([pick(ints[i]) for i in row_idx])
-        return RationalMatrix._of_fractions(rows, scaled)
+        return RationalMatrix._of_fractions(rows, (scale, tuple([pick(ints[i]) for i in row_idx])))
 
     def principal_submatrix(self, idx: Sequence[int]) -> "RationalMatrix":
         return self.submatrix(idx, idx)
@@ -226,9 +219,9 @@ def parse_matrix(text: str) -> RationalMatrix:
 
 def determinant(matrix: RationalMatrix) -> Fraction:
     """Exact determinant by fraction-free integer elimination (see kernel)
-    of the matrix's cached scaled rows."""
-    scales, ints = matrix.scaled_rows()
-    return Fraction(eliminate([list(row) for row in ints], matrix.n), prod(scales))
+    of the matrix's integer rows: det(scale * A) / scale^n."""
+    scale, ints = matrix.integer_rows()
+    return Fraction(eliminate([list(row) for row in ints], matrix.n), scale ** matrix.n)
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:
@@ -283,29 +276,29 @@ def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction]):
     return "unique", x
 
 
-# The sign predicates below read the scaled integer rows: a row times a
-# positive scale keeps the sign of every entry, and ints compare fast.
+# The sign predicates below read the integer rows: A times a positive
+# scale keeps the sign of every entry, and ints compare fast.
 
 
 def nonpositive_rows(matrix: RationalMatrix) -> list:
     """0-based indices of rows with no positive entry (zero rows included)."""
-    _, ints = matrix.scaled_rows()
+    _, ints = matrix.integer_rows()
     return [i for i, row in enumerate(ints) if max(row) <= 0]
 
 
 def nonnegative_rows(matrix: RationalMatrix) -> list:
     """0-based indices of nonzero rows with no negative entry."""
-    _, ints = matrix.scaled_rows()
+    _, ints = matrix.integer_rows()
     return [i for i, row in enumerate(ints) if min(row) >= 0 and max(row) > 0]
 
 
 def is_upper_triangular(matrix: RationalMatrix) -> bool:
-    _, ints = matrix.scaled_rows()
+    _, ints = matrix.integer_rows()
     return not any(any(row[:i]) for i, row in enumerate(ints))
 
 
 def is_lower_triangular(matrix: RationalMatrix) -> bool:
-    _, ints = matrix.scaled_rows()
+    _, ints = matrix.integer_rows()
     return not any(any(row[i + 1 :]) for i, row in enumerate(ints))
 
 

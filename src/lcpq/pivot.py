@@ -7,15 +7,16 @@ PPT M of A on J has, in A's own index labelling, the blocks
     M_CJ = A_CJ E^-1           M_CC = A_CC - A_CJ E^-1 A_JC
 
 and M_CC is the Schur complement A/E.  The whole transform is one
-fraction-free Gauss-Jordan pass (see kernel) over the scaled integer rows
-of [A_JJ A_JC | -I; A_CJ A_CC | 0], J rows first.  With det the
-determinant of the scaled pivot block, it leaves -det times row j of M in
-the trailing columns of each row j in J, and det * s_c times row c of M in
-those of each row c in C, s_c being the scale of row c.  The transform is
-an involution and preserves Q-membership and R0; the LCP degree picks up
-the factor sgn det A_JJ.  On the whole index set (C empty) the transform is
-A^-1 (M. Tsatsomeros, *Principal pivot transforms: properties and
-applications*, LAA 307, 2000), and matrices.inverse is that call.
+fraction-free Gauss-Jordan pass (see kernel) over [A_JJ A_JC | -I;
+A_CJ A_CC | 0] times s, J rows first, s the scale of the matrix's integer
+rows (RationalMatrix.integer_rows).  With det the determinant of the
+scaled pivot block s * A_JJ, it leaves -det times row j of M in the
+trailing columns of each row j in J, and det * s times row c of M in
+those of each row c in C.  The transform is an involution and preserves
+Q-membership and R0; the LCP degree picks up the factor sgn det A_JJ.  On
+the whole index set (C empty) the transform is A^-1 (M. Tsatsomeros,
+*Principal pivot transforms: properties and applications*, LAA 307,
+2000), and matrices.inverse is that call.
 """
 
 from __future__ import annotations
@@ -53,12 +54,9 @@ def ppt(matrix: RationalMatrix, j_set: Sequence[int]) -> RationalMatrix:
     j0 = [i - 1 for i in _validate_j(matrix, j_set)]
     comp = [i for i in range(matrix.n) if i not in j0]
     k = len(j0)
-    scales, ints = matrix.scaled_rows()
+    scale, ints = matrix.integer_rows()
     order = j0 + comp
-    work = [
-        [ints[i][j] for j in order] + [-scales[i] if i == j else 0 for j in j0]
-        for i in order
-    ]
+    work = [[ints[i][j] for j in order] + [-scale if i == j else 0 for j in j0] for i in order]
     det = eliminate(work, k)
     if det == 0:
         raise SingularPivotError("pivot block A_JJ is singular")
@@ -67,6 +65,6 @@ def ppt(matrix: RationalMatrix, j_set: Sequence[int]) -> RationalMatrix:
     place = sorted(range(matrix.n), key=(comp + j0).__getitem__)
     out = [None] * matrix.n
     for r, i in enumerate(order):
-        d = -det if r < k else det * scales[i]
+        d = -det if r < k else det * scale
         out[i] = [Fraction(work[r][k + p], d) for p in place]
     return RationalMatrix(out)

@@ -8,12 +8,12 @@ removes every tolerance question.
 The tableau is kept in integers (J. Edmonds, *Systems of distinct
 representatives and linear algebra*, J. Res. NBS 71B, 1967; the scheme of
 lrs).  Callers pass integer rows: the rational system times one positive
-common scale, the lcm of their matrix's row scales, which
-RationalMatrix.common_rows applies to its row-scaled integer rows.  A
-common scale scales every row and the phase-one objective alike, so the
-simplex makes the sign and ratio decisions of the rational run and returns
-its point.  Per-row scales would reweight the objective and change Bland's
-path, so they must not be passed.  Each pivot on entry p updates
+scale shared by every row, read from their matrix's one integer image
+(RationalMatrix.integer_rows, lcp.integer_system).  One scale scales every
+row and the phase-one objective alike, so the simplex makes the sign and
+ratio decisions of the rational run and returns its point, whatever the
+scale.  Rows at different scales would reweight the objective and could
+move Bland's path.  Each pivot on entry p updates
 
     T[i][j] <- (p * T[i][j] - T[i][c] * T[r][j]) // d,   d <- p
 

@@ -161,28 +161,18 @@ def antidiagonal_conjugate(matrix: RationalMatrix) -> RationalMatrix:
     return Permutation(tuple(range(matrix.n, 0, -1))).conjugate(matrix)
 
 
-def triangular_plus_row_split(matrix: RationalMatrix):
-    """Match the block form (B c; d^T a_nn) with B upper triangular of order
-    n-1, d >= 0 and a_nn > 0.  Returns (B, c, d, a_nn) or None.
-
-    The head c of the last column is unconstrained.
-    """
-    n = matrix.n
-    if n < 2:
-        return None
-    ann = matrix.rows[n - 1][n - 1]
-    if ann <= 0:
-        return None
-    d = [matrix.rows[n - 1][j] for j in range(n - 1)]
-    if any(v < 0 for v in d):
-        return None
-    b_rows = [[matrix.rows[i][j] for j in range(n - 1)] for i in range(n - 1)]
-    for i in range(n - 1):
-        for j in range(i):
-            if b_rows[i][j] != 0:
-                return None
-    c = [matrix.rows[i][n - 1] for i in range(n - 1)]
-    return RationalMatrix(b_rows), c, d, ann
+def is_triangular_plus_row(matrix: RationalMatrix) -> bool:
+    """Whether A has the block form (B c; d^T a_nn) with B upper triangular
+    of order n-1, d >= 0 and a_nn > 0.  The head c of the last column is
+    unconstrained."""
+    _, ints = matrix.integer_rows()
+    *head, last = ints
+    return (
+        matrix.n >= 2
+        and last[-1] > 0
+        and min(last) >= 0
+        and not any(any(row[:i]) for i, row in enumerate(head))
+    )
 
 
 def detect_structure(matrix: RationalMatrix) -> StructureClass:
@@ -235,6 +225,6 @@ def detect_structure(matrix: RationalMatrix) -> StructureClass:
         return StructureClass(UPPER_TRIANGULAR, notes=tuple(notes))
     if is_lower_triangular(matrix):
         return StructureClass(LOWER_TRIANGULAR, notes=tuple(notes))
-    if triangular_plus_row_split(matrix) is not None:
+    if is_triangular_plus_row(matrix):
         return StructureClass(TRIANGULAR_PLUS_ROW, notes=tuple(notes))
     return StructureClass(GENERAL, notes=tuple(notes))

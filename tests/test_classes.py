@@ -174,7 +174,7 @@ def test_e_identity_yes():
 def test_s_yes_with_strict_witness():
     fixture = RationalMatrix([[1, -1], [1, 0]])
     assert is_S(fixture).is_yes
-    # Fractional rows check the certificate through the row-scaled integers.
+    # Fractional rows check the certificate through the integer rows.
     rng = random.Random(11)
     matrices = [fixture]
     for _ in range(40):

@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ import lcpq
 from helpers import count_calls
 from lcpq.classes import q_oracle
 from lcpq.cli import build_parser, main
+from lcpq.jordan.algebra import MAX_RANK
 from lcpq.jordan.checks import IDENTITY_NAMES
 from lcpq.lcp import walk
 from lcpq.structure import detect_structure
@@ -547,6 +549,64 @@ def test_core_commands_accept_a_negative_seed(tmp_path, capsys):
     capsys.readouterr()
 
 
+_TOO_MANY_EIGS = ",".join(["1"] * (MAX_RANK + 1))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["identities", "--algebra", "sym:3000", "--samples", "1"],
+            "bad --algebra 'sym:3000': rank 3000 is above the maximum %d" % MAX_RANK,
+        ),
+        (
+            ["identities", "--algebra", "rn:%d" % (MAX_RANK + 1)],
+            "bad --algebra 'rn:%d': rank %d is above the maximum %d"
+            % (MAX_RANK + 1, MAX_RANK + 1, MAX_RANK),
+        ),
+        (
+            ["rank-one", "--a", _TOO_MANY_EIGS, "--b", _TOO_MANY_EIGS],
+            "rank %d is above the maximum %d" % (MAX_RANK + 1, MAX_RANK),
+        ),
+        (
+            ["rank-one", "--a", "1", "--b", "1", "--algebra", "sym:3000"],
+            "bad --algebra 'sym:3000': rank 3000 is above the maximum %d" % MAX_RANK,
+        ),
+        (
+            ["embed-check", "--q", "-1,-1", "--n", "3000"],
+            "rank 3000 is above the maximum %d" % MAX_RANK,
+        ),
+    ],
+    ids=["identities-sym", "identities-rn", "rank-one-rn-default", "rank-one-sym", "embed-check-n"],
+)
+def test_jordan_commands_refuse_a_rank_above_the_maximum_before_any_array(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    # The rank is checked where the algebra is made, so no frame, sample
+    # or operator is built for it, and the command answers at once.
+    from lcpq import cli
+    from lcpq.jordan import checks
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be built past the maximum rank")
+
+    monkeypatch.setattr(cli, "_build_frame", refuse)
+    monkeypatch.setattr(checks, "identity_residuals", refuse)
+    if argv[0] == "embed-check":
+        argv = argv + ["--matrix", _write(tmp_path, "t3.txt", "-1 2\n1 -1\n")]
+    start = time.monotonic()
+    assert main(["jordan"] + argv) == 64
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+def test_jordan_identities_runs_at_the_maximum_rank(capsys):
+    assert main(["jordan", "identities", "--algebra", "rn:%d" % MAX_RANK, "--samples", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("-> pass")
+
+
 def test_embed_check_refuses_an_order_past_the_cap_before_building_a_frame(
     tmp_path, capsys, monkeypatch
 ):
@@ -557,10 +617,13 @@ def test_embed_check_refuses_an_order_past_the_cap_before_building_a_frame(
     monkeypatch.setenv("LCP_ENUM_CAP", "2")
     path = _write(tmp_path, "dense.txt", "1 -1 1\n0 1 -1\n1 0 0\n")
     argv = ["jordan", "embed-check", "--matrix", path, "--q", "-1,-1,-1", "--frame", "rotated"]
-    assert main(argv) == 65
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "order 3 exceeds the support-enumeration cap 2\n"
+    # The cap goes before the algebra, so a mismatched --algebra does not
+    # hide it.
+    for extra in ([], ["--algebra", "sym:2"]):
+        assert main(argv + extra) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "order 3 exceeds the support-enumeration cap 2\n"
     assert frames == []
 
 

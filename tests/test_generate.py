@@ -16,7 +16,7 @@ from lcpq.structure import (
     BDSW_TYPE_4,
     detect_structure,
     is_bdsw_shape,
-    triangular_plus_row_split,
+    is_triangular_plus_row,
 )
 from lcpq.matrices import is_lower_triangular, is_upper_triangular
 
@@ -39,7 +39,7 @@ def test_family_membership():
     for m in generate("tri", 4, 10, seed=1):
         assert is_upper_triangular(m) or is_lower_triangular(m)
     for m in generate("tri-plus-row", 4, 10, seed=1):
-        assert triangular_plus_row_split(m) is not None
+        assert is_triangular_plus_row(m)
     for m in generate("bdsw-1", 4, 10, seed=1):
         assert detect_structure(m).tag == BDSW_TYPE_1
     for m in generate("bdsw-2", 4, 10, seed=1):

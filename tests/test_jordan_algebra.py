@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import reference_element_from_matrix, reference_to_matrix
 from lcpq.jordan.algebra import (
+    MAX_RANK,
     Algebra,
     JordanElement,
     JordanFrame,
@@ -47,6 +48,12 @@ def test_algebra_descriptor():
         Algebra("herm", 2)
     with pytest.raises(ValueError):
         Algebra("rn", 0)
+    assert Algebra("sym", MAX_RANK).dim == MAX_RANK * (MAX_RANK + 1) // 2
+    for kind in ("rn", "sym"):
+        with pytest.raises(ValueError, match="above the maximum"):
+            Algebra(kind, MAX_RANK + 1)
+    with pytest.raises(ValueError, match="above the maximum"):
+        parse_algebra("sym:3000")
 
 
 def test_rn_product_componentwise():

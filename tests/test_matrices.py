@@ -158,7 +158,7 @@ def test_determinant_matches_cofactor_expansion():
         assert determinant(RationalMatrix(rows)) == cofactor_det(rows)
 
 
-def test_principal_minors_read_the_inherited_scaled_rows():
+def test_principal_minors_read_the_inherited_integer_rows():
     rng = random.Random(5)
     for _ in range(30):
         n = rng.randint(1, 5)
@@ -171,8 +171,9 @@ def test_principal_minors_read_the_inherited_scaled_rows():
             idx = [i for i in range(n) if mask >> i & 1]
             sub = m.principal_submatrix(idx)
             assert determinant(sub) == cofactor_det([[rows[i][j] for j in idx] for i in idx])
-            scales, ints = sub.scaled_rows()
-            assert [[Fraction(a, s) for a in row] for s, row in zip(scales, ints)] == [
+            scale, ints = sub.integer_rows()
+            assert scale == m.integer_rows()[0]  # the parent's one scale
+            assert [[Fraction(a, scale) for a in row] for row in ints] == [
                 list(row) for row in sub.rows
             ]
             inner = sub.principal_submatrix(list(range(len(idx)))[::2])
@@ -253,11 +254,16 @@ def test_sign_predicates_read_the_scaled_rows_as_the_fractions_say():
         )
 
 
-def test_common_rows_share_one_scale():
+def test_integer_rows_share_one_scale():
     m = RationalMatrix([["1/2", "1/3"], ["2/5", 1]])
-    assert m.common_rows() == (30, ((15, 10), (12, 30)))
+    assert m.integer_rows() == (30, ((15, 10), (12, 30)))
+    assert m.integer_rows() is m.integer_rows()  # computed once
+    # A submatrix keeps the parent's scale, even where its own entries
+    # would need less.
+    assert m.principal_submatrix([1]).integer_rows() == (30, ((30,),))
+    assert m.submatrix([0], [1]).integer_rows() == (30, ((10,),))
     integer = RationalMatrix([[1, -2], [0, 3]])
-    assert integer.common_rows() == (1, integer.scaled_rows()[1])
+    assert integer.integer_rows() == (1, ((1, -2), (0, 3)))
 
 
 def test_parse_vector_forms():

@@ -22,9 +22,9 @@ from lcpq.structure import (
     bdsw_determinant,
     detect_structure,
     is_bdsw_shape,
+    is_triangular_plus_row,
     rotate_conjugate,
     rotation_permutation,
-    triangular_plus_row_split,
 )
 
 
@@ -175,20 +175,25 @@ def test_detect_triangular_tags_for_non_bdsw_shapes():
 def test_detect_triangular_plus_row():
     m = RationalMatrix([[1, 2, -1], [0, 3, 4], [1, 2, 5]])
     assert detect_structure(m).tag == TRIANGULAR_PLUS_ROW
-    b, c, d, ann = triangular_plus_row_split(m)
-    assert b == RationalMatrix([[1, 2], [0, 3]])
-    assert c == [Fraction(-1), Fraction(4)]
-    assert d == [Fraction(1), Fraction(2)]
-    assert ann == 5
+    assert is_triangular_plus_row(m)
+    # B = [[1, 2], [0, 3]] upper triangular, d = (1, 2) >= 0, a_nn = 5 > 0;
+    # the head c = (-1, 4) of the last column is unconstrained.  Breaking
+    # any one of B, d or a_nn breaks the form, and the rows scaled apart
+    # change nothing.
+    assert is_triangular_plus_row(RationalMatrix([[1, 2, -9], [0, 3, -4], [1, 2, 5]]))
+    assert not is_triangular_plus_row(RationalMatrix([[1, 2, -1], [1, 3, 4], [1, 2, 5]]))
+    assert not is_triangular_plus_row(RationalMatrix([[1, 2, -1], [0, 3, 4], [1, -2, 5]]))
+    assert not is_triangular_plus_row(RationalMatrix([[1, 2, -1], [0, 3, 4], [1, 2, 0]]))
+    assert is_triangular_plus_row(
+        RationalMatrix([["1/2", 2, "-1/3"], [0, "3/5", 4], [1, "2/7", 5]])
+    )
 
 
 def test_split_rejects_wrong_block_signs():
     # Negative a_nn and a negative entry in d both disqualify the form.
-    assert triangular_plus_row_split(RationalMatrix([[1, 0], [1, -1]])) is None
-    assert (
-        triangular_plus_row_split(RationalMatrix([[1, 2, 0], [0, 1, 0], [-1, 0, 3]]))
-        is None
-    )
+    assert not is_triangular_plus_row(RationalMatrix([[1, 0], [1, -1]]))
+    assert not is_triangular_plus_row(RationalMatrix([[1, 2, 0], [0, 1, 0], [-1, 0, 3]]))
+    assert not is_triangular_plus_row(RationalMatrix([[1]]))  # no B at order 1
 
 
 def test_detect_general_fallback():
