@@ -342,8 +342,6 @@ def cmd_jordan_embed_check(args) -> int:
     from .jordan.algebra import sym_algebra
     from .jordan.sclcp import embed_solve
 
-    if args.n is not None and args.n < 1:
-        return _fail("need --n >= 1, got %d" % args.n, EXIT_USAGE)
     if args.seed < 0:
         return _fail(_SEED_MESSAGE % args.seed, EXIT_USAGE)
     if not 0 <= args.tol < math.inf:  # nan fails too
@@ -359,7 +357,7 @@ def cmd_jordan_embed_check(args) -> int:
             EXIT_USAGE,
         )
     # The cap goes before the algebra: an order past it is refused (exit
-    # 65) whatever --n or --algebra say.
+    # 65) whatever --algebra says.
     try:
         check_cap(matrix.n)
     except EnumerationCapError as exc:
@@ -368,7 +366,7 @@ def cmd_jordan_embed_check(args) -> int:
         if args.algebra:
             algebra = _parse_algebra_arg(args.algebra)
         else:
-            algebra = sym_algebra(matrix.n if args.n is None else args.n)
+            algebra = sym_algebra(matrix.n)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     if algebra.rank != matrix.n:
@@ -475,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = jsub.add_parser("embed-check", help="embed an exact LCP solution along a frame")
     p.add_argument("--matrix", required=True, help="matrix file")
     p.add_argument("--q", required=True, help="comma separated rational vector")
-    p.add_argument("--n", type=int, help="shorthand for --algebra sym:N")
     p.add_argument("--algebra", help="rn:N or sym:M (default sym sized to the matrix)")
     p.add_argument("--frame", choices=("standard", "rotated"), default="standard")
     p.add_argument("--seed", type=int, default=0)

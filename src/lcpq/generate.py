@@ -8,7 +8,6 @@ byte, across platforms.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Optional
 
 from .matrices import RationalMatrix
@@ -190,10 +189,6 @@ def random_2x2(rng: random.Random, entry_range: int = 2) -> RationalMatrix:
             for _ in range(2)
         ]
     )
-
-
-def random_q(rng: random.Random, n: int, entry_range: int = 5) -> list:
-    return [Fraction(rng.randint(-entry_range, entry_range)) for _ in range(n)]
 
 
 def draw_instances(

@@ -99,13 +99,6 @@ class JordanElement:
         out[cols, rows] = off
         return out
 
-    def to_json_obj(self) -> dict:
-        key = "n" if self.algebra.kind == "rn" else "m"
-        return {
-            "algebra": {"kind": self.algebra.kind, key: self.algebra.size},
-            "coords": [float(v) for v in self.coords],
-        }
-
     def __add__(self, other: "JordanElement") -> "JordanElement":
         _same_algebra(self, other)
         return JordanElement(self.algebra, self.coords + other.coords)
@@ -160,12 +153,6 @@ def element_from_matrix(algebra: Algebra, mat: np.ndarray) -> JordanElement:
     coords[:m] = mat[diag, diag]
     coords[m:] = mat[rows, cols] * np.sqrt(2.0)
     return JordanElement(algebra, coords)
-
-
-def element_from_json(obj: dict) -> JordanElement:
-    spec = obj["algebra"]
-    size = spec.get("n", spec.get("m"))
-    return element_from_coords(Algebra(spec["kind"], int(size)), obj["coords"])
 
 
 def identity_element(algebra: Algebra) -> JordanElement:

@@ -177,10 +177,16 @@ class SamplingReport:
 _EVIDENCE_NOTE = "sampled evidence only; absence of a violation is not a certificate"
 
 
-def _search_cone(transform: LinearTransform, samples: int, rng_seed: int, measure, violates):
-    """Draw normalized cone elements z = y o y / |y o y| until violates(measure(z))
-    holds, reporting that z, or until samples of them are used up, reporting
-    the least measure seen."""
+def sample_positivity_violation(
+    transform: LinearTransform,
+    samples: int = 1000,
+    rng_seed: int = 0,
+    tol: float = DEFAULT_TOL,
+) -> SamplingReport:
+    """Search normalized cone elements z = y o y / |y o y| for one mapped
+    outside the cone: stop at the first z whose L(z) has min eigenvalue
+    below -tol, reporting it, or after samples of them, reporting the least
+    min eigenvalue seen."""
     rng = np.random.default_rng(rng_seed)
     worst = np.inf
     used = 0
@@ -192,23 +198,8 @@ def _search_cone(transform: LinearTransform, samples: int, rng_seed: int, measur
             continue
         z = z * (1.0 / norm)
         used += 1
-        value = measure(z)
+        value = float(eigenvalues_of(transform.apply(z)).min())
         worst = min(worst, value)
-        if violates(value):
+        if value < -tol:
             return SamplingReport(True, z, value, used, _EVIDENCE_NOTE)
     return SamplingReport(False, None, float(worst), used, _EVIDENCE_NOTE)
-
-
-def sample_positivity_violation(
-    transform: LinearTransform,
-    samples: int = 1000,
-    rng_seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> SamplingReport:
-    """Search normalized cone elements for one mapped outside the cone,
-    reporting the witness x with min eigenvalue of L(x) below -tol."""
-
-    def least_eigenvalue(z):
-        return float(eigenvalues_of(transform.apply(z)).min())
-
-    return _search_cone(transform, samples, rng_seed, least_eigenvalue, lambda value: value < -tol)

@@ -48,27 +48,6 @@ class LinearTransform:
             raise ValueError("element lives in a different algebra")
         return JordanElement(self.algebra, self.matrix @ x.coords)
 
-    def compose(self, other: "LinearTransform") -> "LinearTransform":
-        """self after other."""
-        if other.algebra != self.algebra:
-            raise ValueError("transform lives in a different algebra")
-        return LinearTransform(self.algebra, self.matrix @ other.matrix)
-
-    def __add__(self, other: "LinearTransform") -> "LinearTransform":
-        if other.algebra != self.algebra:
-            raise ValueError("transform lives in a different algebra")
-        return LinearTransform(self.algebra, self.matrix + other.matrix)
-
-    def __sub__(self, other: "LinearTransform") -> "LinearTransform":
-        if other.algebra != self.algebra:
-            raise ValueError("transform lives in a different algebra")
-        return LinearTransform(self.algebra, self.matrix - other.matrix)
-
-    def __mul__(self, scalar: float) -> "LinearTransform":
-        return LinearTransform(self.algebra, self.matrix * float(scalar))
-
-    __rmul__ = __mul__
-
 
 def mult_operator(c: JordanElement) -> LinearTransform:
     """Multiplication operator L(c): x -> c o x, assembled column by column."""

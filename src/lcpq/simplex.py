@@ -138,19 +138,10 @@ def solve_feasibility(system: FeasibilitySystem) -> Optional[List[Fraction]]:
     if tableau[m][total] != 0:
         return None
 
-    # Drive leftover artificials out of the basis; rows that cannot pivot on
-    # any structural column are redundant and can stay (rhs is 0 there).
-    # The pivot may be negative here, so restore d > 0 afterwards.
-    for r in range(m):
-        if basis[r] >= width:
-            for c in range(width):
-                if tableau[r][c] != 0:
-                    pivot(r, c)
-                    if d < 0:
-                        d = -d
-                        tableau[:] = [[-v for v in row] for row in tableau]
-                    break
-
+    # Artificials still basic sit at level 0 once the objective is 0, so
+    # driving them out would pivot on a zero right-hand side: every basic
+    # value stays, the entering variable comes in at 0, and the point read
+    # below is the same.  They stay in the basis.
     x = [Fraction(0)] * n
     for r in range(m):
         if basis[r] < n:

@@ -32,54 +32,6 @@ GENERAL = "general"
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """Permutation of {1..n} stored as 1-based images: i maps to images[i-1]."""
-
-    images: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError("not a permutation of 1..n: %r" % (self.images,))
-
-    def apply(self, i: int) -> int:
-        """Image of 1-based index i."""
-        return self.images[i - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, im in enumerate(self.images, start=1):
-            inv[im - 1] = i
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        return Permutation(tuple(self.apply(other.apply(i)) for i in range(1, self.n + 1)))
-
-    def matrix(self) -> RationalMatrix:
-        """0/1 matrix P with P e_i = e_{images[i]}."""
-        n = self.n
-        return RationalMatrix(
-            [[1 if self.images[j] == i + 1 else 0 for j in range(n)] for i in range(n)]
-        )
-
-    def conjugate(self, matrix: RationalMatrix) -> RationalMatrix:
-        """P A P^T: entry (sigma(i), sigma(j)) of the result equals A[i, j]."""
-        if matrix.n != self.n:
-            raise ValueError("order mismatch")
-        inv = self.inverse()
-        return RationalMatrix(
-            [
-                [matrix.rows[inv.apply(i) - 1][inv.apply(j) - 1] for j in range(1, self.n + 1)]
-                for i in range(1, self.n + 1)
-            ]
-        )
-
-
-@dataclass(frozen=True)
 class StructureClass:
     """Detected structure tag plus auxiliary data.
 
@@ -136,15 +88,14 @@ def bdsw_determinant(matrix: RationalMatrix) -> Fraction:
     return diag_term + cycle_term
 
 
-def rotation_permutation(n: int, k: int) -> Permutation:
-    """The rotation sending index a to a + (n - k), wrapping around 1..n.
-
-    Columns of its matrix are e_(n-k+1), ..., e_n, e_1, ..., e_(n-k); it
-    moves row/column k of a conjugated matrix into the last position.
-    """
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n, got k=%d n=%d" % (k, n))
-    return Permutation(tuple((a + n - k - 1) % n + 1 for a in range(1, n + 1)))
+def conjugate(matrix: RationalMatrix, order) -> RationalMatrix:
+    """P A P^T for the permutation listed by order: entry (i, j) of the
+    result is A[order[i], order[j]] (0-based)."""
+    order = list(order)
+    if sorted(order) != list(range(matrix.n)):
+        raise ValueError("not a permutation of 0..%d: %r" % (matrix.n - 1, order))
+    rows = matrix.rows
+    return RationalMatrix([[rows[i][j] for j in order] for i in order])
 
 
 def rotate_conjugate(matrix: RationalMatrix, k: int) -> RationalMatrix:
@@ -153,12 +104,10 @@ def rotate_conjugate(matrix: RationalMatrix, k: int) -> RationalMatrix:
     Preserves the bdsw shape; the result B has b_nn = a_kk and
     b_n1 = a_k(k+1) (1-based names).
     """
-    return rotation_permutation(matrix.n, k).conjugate(matrix)
-
-
-def antidiagonal_conjugate(matrix: RationalMatrix) -> RationalMatrix:
-    """J A J with J the antidiagonal identity: reverses both index orders."""
-    return Permutation(tuple(range(matrix.n, 0, -1))).conjugate(matrix)
+    n = matrix.n
+    if not 1 <= k < n:
+        raise ValueError("need 1 <= k < n, got k=%d n=%d" % (k, n))
+    return conjugate(matrix, [(i + k) % n for i in range(n)])
 
 
 def is_triangular_plus_row(matrix: RationalMatrix) -> bool:

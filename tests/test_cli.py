@@ -506,14 +506,17 @@ def test_jordan_embed_check_dimension_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("n", ["0", "-1"])
-def test_jordan_embed_check_rejects_n_below_one(tmp_path, capsys, n):
+def test_jordan_embed_check_takes_no_n(tmp_path, capsys):
+    # The algebra defaults to sym sized to the matrix, the one value --n
+    # could take, so there is no --n.
     path = _write(tmp_path, "t3.txt", "-1 2\n1 -1\n")
-    code = main(["jordan", "embed-check", "--matrix", path, "--q", "-1,-1", "--n", n])
-    assert code == 64
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "need --n >= 1, got %s\n" % n
+    argv = ["jordan", "embed-check", "--matrix", path, "--q", "-1,-1", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["algebra"] == "sym:2"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--n", "2"])
+    assert exc.value.code == 64
+    assert "unrecognized arguments: --n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -573,11 +576,11 @@ _TOO_MANY_EIGS = ",".join(["1"] * (MAX_RANK + 1))
             "bad --algebra 'sym:3000': rank 3000 is above the maximum %d" % MAX_RANK,
         ),
         (
-            ["embed-check", "--q", "-1,-1", "--n", "3000"],
-            "rank 3000 is above the maximum %d" % MAX_RANK,
+            ["embed-check", "--q", "-1,-1", "--algebra", "sym:3000"],
+            "bad --algebra 'sym:3000': rank 3000 is above the maximum %d" % MAX_RANK,
         ),
     ],
-    ids=["identities-sym", "identities-rn", "rank-one-rn-default", "rank-one-sym", "embed-check-n"],
+    ids=["identities-sym", "identities-rn", "rank-one-rn-default", "rank-one-sym", "embed-check-sym"],
 )
 def test_jordan_commands_refuse_a_rank_above_the_maximum_before_any_array(
     tmp_path, capsys, monkeypatch, argv, message

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import reference_random_triangular
 from lcpq.cli import main
-from lcpq.generate import GENERATOR_TYPES, MAX_ORDER, draw_instances, generate, random_q
+from lcpq.generate import GENERATOR_TYPES, MAX_ORDER, draw_instances, generate
 from lcpq.structure import (
     BDSW_TYPE_1,
     BDSW_TYPE_2,
@@ -91,12 +91,6 @@ def test_entry_range_below_one_rejected(kind, entry_range):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         generate("dense", 3, 1, seed=0)
-
-
-def test_random_q_shape():
-    rng = random.Random(0)
-    q = random_q(rng, 4, entry_range=3)
-    assert len(q) == 4 and all(-3 <= v <= 3 for v in q)
 
 
 def test_draw_instances_is_generate_one_at_a_time():

@@ -13,7 +13,6 @@ from lcpq.jordan.algebra import (
     JordanFrame,
     element_from_coords,
     element_from_eigenvalues,
-    element_from_json,
     element_from_matrix,
     eigenvalues_of,
     identity_element,
@@ -160,14 +159,6 @@ def test_matrix_shape_checked():
         element_from_matrix(SYM3, np.eye(2))
     with pytest.raises(ValueError, match=r"\(4,\) does not match sym:2"):
         element_from_matrix(SYM2, np.arange(4.0))
-
-
-def test_json_round_trip():
-    x = element_from_coords(RN3, [1.5, -2.0, 0.25])
-    assert np.allclose(element_from_json(x.to_json_obj()).coords, x.coords)
-    y = element_from_matrix(SYM2, np.array([[1.0, 2.0], [2.0, 3.0]]))
-    back = element_from_json(y.to_json_obj())
-    assert back.algebra == SYM2 and np.allclose(back.coords, y.coords)
 
 
 def test_coords_shape_checked():

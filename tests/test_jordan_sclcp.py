@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from lcpq.jordan.algebra import (
+    eigenvalues_of,
     element_from_eigenvalues,
     identity_element,
     in_cone,
+    jordan_product,
+    random_element,
     random_frame,
     rn_algebra,
     standard_frame,
     sym_algebra,
-    trace_inner_product,
 )
 from lcpq.jordan.sclcp import (
-    _search_cone,
     classify_rank_one_q,
     embed_solve,
     sample_positivity_violation,
@@ -133,23 +134,34 @@ def test_positivity_sampler_clean_on_identity():
     assert "not a certificate" in report.note
 
 
+def _cone_draws(algebra, seed):
+    """The sampler's stream: normalized z = y o y / |y o y| from seeded y,
+    skipping any z of norm below 1e-12."""
+    rng = np.random.default_rng(seed)
+    while True:
+        y = random_element(algebra, rng)
+        z = jordan_product(y, y)
+        if z.norm() >= 1e-12:
+            yield z * (1.0 / z.norm())
+
+
 def test_copositivity_sampler():
-    # The cone search behind sample_positivity_violation, measuring
-    # <L(z), z> on normalized cone elements z: a clean run reports the
-    # least value over every sample, and a violation ends the run at once.
-    def copositivity_sample(transform):
-        def inner(z):
-            return trace_inner_product(transform.apply(z), z)
+    # A clean run uses every sample and reports the least min eigenvalue of
+    # L(z) over them, and a violation ends the run at the first sample.
+    transform = rank_one(
+        element_from_eigenvalues(standard_frame(SYM2), [1.0, 2.0]), identity_element(SYM2)
+    )
+    clean = sample_positivity_violation(transform, samples=30, rng_seed=2)
+    draws = _cone_draws(SYM2, 2)
+    least = min(float(eigenvalues_of(transform.apply(next(draws))).min()) for _ in range(30))
+    assert not clean.found and clean.witness is None
+    assert clean.samples_used == 30 and clean.value == least
 
-        return _search_cone(transform, 30, 2, inner, lambda value: value <= 1e-9)
-
-    eye = LinearTransform.identity(SYM2)
-    clean = copositivity_sample(eye)
-    assert not clean.found and clean.value == pytest.approx(1.0)
-    assert clean.samples_used == 30
-
-    flipped = copositivity_sample(-1.0 * eye)
+    flipped = sample_positivity_violation(LinearTransform(SYM2, -np.eye(SYM2.dim)), 30, 2)
+    first = next(_cone_draws(SYM2, 2))
     assert flipped.found and flipped.samples_used == 1
+    assert np.array_equal(flipped.witness.coords, first.coords)
+    assert flipped.value == -float(eigenvalues_of(first).max())
 
 
 def test_samplers_are_deterministic():

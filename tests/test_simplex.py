@@ -158,10 +158,10 @@ def test_simplex_matches_fraction_reference_on_empty_systems():
     assert solve_feasibility(system.integer()) is reference_feasibility(system) is None
 
 
-def test_simplex_negative_pivot_in_drive_out():
-    # Phase one ends with two artificials still basic at level 0, and each
-    # is driven out on the entry -1 of a surplus column, so the pivot turns
-    # negative and the tableau is negated back to a positive scale.
+def test_simplex_leaves_zero_level_artificials_basic():
+    # Phase one ends with two artificials still basic at level 0.  They
+    # stay in the basis, and the point equals the reference's, which
+    # drives them out on the entry -1 of a surplus column.
     system = RationalSystem(1)
     system.add_eq([-2], -2)
     system.add_ge([1], 1)

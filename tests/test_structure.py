@@ -1,7 +1,6 @@
 """Shape detection, permutation conjugation and the bdsw determinant."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -17,14 +16,12 @@ from lcpq.structure import (
     LOWER_TRIANGULAR,
     TRIANGULAR_PLUS_ROW,
     UPPER_TRIANGULAR,
-    Permutation,
-    antidiagonal_conjugate,
     bdsw_determinant,
+    conjugate,
     detect_structure,
     is_bdsw_shape,
     is_triangular_plus_row,
     rotate_conjugate,
-    rotation_permutation,
 )
 
 
@@ -66,32 +63,24 @@ def test_bdsw_determinant_rejects_other_shapes():
         bdsw_determinant(RationalMatrix([[1, 0, 2], [0, 1, 0], [0, 0, 1]]))
 
 
-def test_permutation_basics():
-    p = Permutation((2, 3, 1))
-    assert p.apply(1) == 2
-    assert p.inverse().apply(2) == 1
-    assert p.compose(p.inverse()).images == (1, 2, 3)
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 3))
-
-
 def test_permutation_conjugate_matches_matrix_product():
     rng = random.Random(5)
     for _ in range(20):
         n = rng.randint(2, 5)
-        images = list(range(1, n + 1))
-        rng.shuffle(images)
-        p = Permutation(tuple(images))
+        order = list(range(n))
+        rng.shuffle(order)
         a = RationalMatrix(
             [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         )
-        pm = p.matrix()
-        assert p.conjugate(a) == matmul(matmul(pm, a), transpose(pm))
-        # Definition check: entry (sigma(i), sigma(j)) is A[i, j].
-        b = p.conjugate(a)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                assert b[p.apply(i) - 1, p.apply(j) - 1] == a[i - 1, j - 1]
+        # Row i of P is e_(order[i]), so (P A P^T)[i, j] = A[order[i], order[j]].
+        pm = RationalMatrix([[1 if j == order[i] else 0 for j in range(n)] for i in range(n)])
+        b = conjugate(a, order)
+        assert b == matmul(matmul(pm, a), transpose(pm))
+        for i in range(n):
+            for j in range(n):
+                assert b[i, j] == a[order[i], order[j]]
+    with pytest.raises(ValueError):
+        conjugate(RationalMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), [0, 0, 2])
 
 
 def test_rotation_moves_row_k_to_last_position():
@@ -109,29 +98,16 @@ def test_rotation_moves_row_k_to_last_position():
 
 def test_rotation_composition_wraps_mod_n():
     n = 5
-    p = rotation_permutation(n, 2)
-    q = rotation_permutation(n, 3)
-    composed = p.compose(q)
-    for i in range(1, n + 1):
-        assert composed.apply(i) == ((i - 1) + (n - 2) + (n - 3)) % n + 1
+    m = RationalMatrix([[5 * i + j for j in range(n)] for i in range(n)])
+    composed = rotate_conjugate(rotate_conjugate(m, 2), 3)
+    assert composed == m  # rotations by 2 and 3 add to 5 = 0 mod n
+    once = rotate_conjugate(rotate_conjugate(m, 3), 4)
+    assert once == rotate_conjugate(m, (3 + 4) % n)
+    for i in range(n):
+        for j in range(n):
+            assert once[i, j] == m[(i + 7) % n, (j + 7) % n]
     with pytest.raises(ValueError):
-        rotation_permutation(4, 4)
-
-
-def test_antidiagonal_conjugate_involution():
-    m = RationalMatrix([[1, 2], [3, 4]])
-    assert antidiagonal_conjugate(m) == RationalMatrix([[4, 3], [2, 1]])
-    assert antidiagonal_conjugate(antidiagonal_conjugate(m)) == m
-    rng = random.Random(61)
-    for n in range(1, 7):
-        for _ in range(5):
-            a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-            m = RationalMatrix(a)
-            flipped = antidiagonal_conjugate(m)
-            assert flipped == RationalMatrix(
-                [[a[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-            )
-            assert antidiagonal_conjugate(flipped) == m
+        rotate_conjugate(RationalMatrix([[1, 0, 0, 0]] * 4), 4)
 
 
 def test_detect_type1_with_normalised_last_row():
