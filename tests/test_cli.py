@@ -519,6 +519,18 @@ def test_jordan_embed_check_takes_no_n(tmp_path, capsys):
     assert "unrecognized arguments: --n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_jordan_embed_check_rejects_n_below_one(tmp_path, capsys, n):
+    # With no --n option, an order below one is a usage error like any --n.
+    path = _write(tmp_path, "t3.txt", "-1 2\n1 -1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["jordan", "embed-check", "--matrix", path, "--q", "-1,-1", "--n", n])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --n %s" % n in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
