@@ -82,9 +82,9 @@ def r0_degree(matrix: RationalMatrix) -> Tuple[Verdict, int]:
     the degree means something only when the verdict is yes.
 
     A nonzero solution of LCP(A, 0) on support I has A_II x_I = 0, so
-    A_II is singular.  The walk yields the singular supports, and fills
-    the matrix's minor memo on the way with no determinant call.  They
-    are tried in bitmask order: A_II x_I = 0, sum x_I = 1, x_I >= 0,
+    A_II is singular.  The walk yields the singular supports, and reads
+    each minor's sign from its pivot, with no determinant call.  They are
+    tried in bitmask order: A_II x_I = 0, sum x_I = 1, x_I >= 0,
     A_(I^c,I) x_I >= 0 must be infeasible, and the first feasible one
     gives the witness x.  That LP is lcp.family_point on [A | 0] with
     the sum row.
@@ -120,31 +120,38 @@ def is_Rd(matrix: RationalMatrix, d: Sequence) -> Verdict:
 
 def is_E0(matrix: RationalMatrix) -> Verdict:
     """E0 (semimonotone): no 0 != x >= 0 has x_i (Ax)_i < 0 on all of supp x."""
-    scale, rows = matrix.integer_rows()
-    for _, idx, _ in itertools.islice(supports(matrix.n), 1, None):
-        system = FeasibilitySystem(len(idx))
-        for i in idx:
-            system.add_ge([-rows[i][j] for j in idx], scale)
-        point = solve_feasibility(system)
-        if point is not None:
-            x = embed(matrix.n, idx, point)
-            return Verdict(NO, "E0", "A_II x_I <= -1 with x_I >= 0", {"x": x})
-    return Verdict(YES, "E0", "no support violates semimonotonicity", {})
+    return _semimonotone_scan(
+        matrix, "E0", False, "A_II x_I <= -1 with x_I >= 0", "no support violates semimonotonicity"
+    )
 
 
 def is_E(matrix: RationalMatrix) -> Verdict:
     """E (strictly semimonotone): every 0 != x >= 0 has x_i (Ax)_i > 0 somewhere."""
+    return _semimonotone_scan(
+        matrix,
+        "E",
+        True,
+        "A_II x_I <= 0 with x_I >= 0, sum 1",
+        "strict semimonotonicity holds on every support",
+    )
+
+
+def _semimonotone_scan(matrix: RationalMatrix, rule: str, strict: bool, fails: str, holds: str):
+    """The first nonempty support, in bitmask order, with x_I >= 0 and
+    A_II x_I <= -1 (A_II x_I <= 0 and sum x_I = 1 when strict), found by
+    LP, gives a NO with that x; none gives a YES."""
     scale, rows = matrix.integer_rows()
-    for _, idx, _ in itertools.islice(supports(matrix.n), 1, None):
+    rhs = 0 if strict else scale
+    for idx in itertools.islice(supports(matrix.n), 1, None):
         system = FeasibilitySystem(len(idx))
         for i in idx:
-            system.add_ge([-rows[i][j] for j in idx], 0)
-        system.add_eq([scale] * len(idx), scale)
+            system.add_ge([-rows[i][j] for j in idx], rhs)
+        if strict:
+            system.add_eq([scale] * len(idx), scale)
         point = solve_feasibility(system)
         if point is not None:
-            x = embed(matrix.n, idx, point)
-            return Verdict(NO, "E", "A_II x_I <= 0 with x_I >= 0, sum 1", {"x": x})
-    return Verdict(YES, "E", "strict semimonotonicity holds on every support", {})
+            return Verdict(NO, rule, fails, {"x": embed(matrix.n, idx, point)})
+    return Verdict(YES, rule, holds, {})
 
 
 def is_S(matrix: RationalMatrix) -> Verdict:
@@ -177,22 +184,26 @@ def is_S(matrix: RationalMatrix) -> Verdict:
 
 def is_P(matrix: RationalMatrix) -> Verdict:
     """P: every principal minor is positive."""
-    for mask, idx, _ in supports(matrix.n):
-        if minor_sign(matrix, mask, idx) <= 0:
-            return Verdict(
-                NO, "P", "nonpositive principal minor", {"indices": [i + 1 for i in idx]}
-            )
-    return Verdict(YES, "P", "all principal minors positive", {})
+    return _minor_scan(
+        matrix, "P", 1, "nonpositive principal minor", "all principal minors positive"
+    )
 
 
 def is_P0(matrix: RationalMatrix) -> Verdict:
     """P0: every principal minor is nonnegative."""
-    for mask, idx, _ in supports(matrix.n):
-        if minor_sign(matrix, mask, idx) < 0:
-            return Verdict(
-                NO, "P0", "negative principal minor", {"indices": [i + 1 for i in idx]}
-            )
-    return Verdict(YES, "P0", "all principal minors nonnegative", {})
+    return _minor_scan(
+        matrix, "P0", 0, "negative principal minor", "all principal minors nonnegative"
+    )
+
+
+def _minor_scan(matrix: RationalMatrix, rule: str, least: int, fails: str, holds: str):
+    """The first principal minor, in bitmask order, whose sign is below
+    least gives a NO with its 1-based indices; none gives a YES.  Each
+    minor takes one determinant (lcp.minor_sign), the empty one none."""
+    for idx in supports(matrix.n):
+        if minor_sign(matrix, idx) < least:
+            return Verdict(NO, rule, fails, {"indices": [i + 1 for i in idx]})
+    return Verdict(YES, rule, holds, {})
 
 
 def is_Z(matrix: RationalMatrix) -> Verdict:
@@ -294,20 +305,20 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
     2x2 matrix has it), Q holds iff R0 holds and the degree is +-1, which
     turns the R0/degree channel into a full decision procedure there.
 
-    Every channel reads principal-minor signs through the matrix's own
-    memo.  is_P runs first, right after the S check, and computes minors
-    one determinant each (lcp.minor_sign) until the first one <= 0: a
+    is_P runs first, right after the S check, and computes minors one
+    determinant each (lcp.minor_sign) until the first one <= 0: a
     P-matrix is R0 and has exactly one solution for every q (Cottle, Pang
     & Stone, *The Linear Complementarity Problem*, 1992, ch. 3), so its
     degree is 1 and its minors alone decide it, with no walk.  Any other
     matrix goes on to r0_degree, which walks LCP(A, 0) once
     (lcp.lex_walk): the walk gives the singular supports for R0's LPs
-    and the exact degree at the lexicographic q(eps), and learns every
-    minor's sign as a pivot, with no determinant call.  So each minor is
-    computed at most once by determinant, and only by is_P.  The witness
-    search tries at most budget candidate q, one per ray (solvability is
-    invariant under q -> tq, t > 0), and asks only whether each is
-    solvable (lcp.is_solvable), which stops at the first solution.  The
+    and the exact degree at the lexicographic q(eps), and each of its
+    records carries the support's minor sign, read from a pivot with no
+    determinant call.  So each minor is computed at most once by
+    determinant, and only by is_P.  The witness search tries at most
+    budget candidate q, one per ray (solvability is invariant under
+    q -> tq, t > 0), and asks only whether each is solvable
+    (lcp.is_solvable), which stops at the first solution.  The
     enumeration cap is checked first, before any channel runs.
     """
     n = matrix.n

@@ -9,15 +9,15 @@ coordinates in both algebras.
 
 The maps between sym coordinates and matrices (svec and its inverse) are
 index arrays: the diagonal through np.arange(m) and the off-diagonal units
-through np.triu_indices(m, 1), whose order is off_diagonal_pairs().  They
-are built once per order m and are read-only.
+through np.triu_indices(m, 1), which lists the pairs i < j in that
+lexicographic order.  They are built once per order m and are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class Algebra:
         if self.kind == "rn":
             return self.size
         return self.size * (self.size + 1) // 2
-
-    def off_diagonal_pairs(self) -> List[Tuple[int, int]]:
-        return [(i, j) for i in range(self.size) for j in range(i + 1, self.size)]
 
 
 def rn_algebra(n: int) -> Algebra:

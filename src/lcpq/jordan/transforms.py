@@ -39,10 +39,6 @@ class LinearTransform:
             )
         object.__setattr__(self, "matrix", matrix)
 
-    @classmethod
-    def identity(cls, algebra: Algebra) -> "LinearTransform":
-        return cls(algebra, np.eye(algebra.dim))
-
     def apply(self, x: JordanElement) -> JordanElement:
         if x.algebra != self.algebra:
             raise ValueError("element lives in a different algebra")

@@ -19,10 +19,9 @@ times one positive scale (integer_system), built from the matrix's
 integer image.  Fraction values are built only at the boundaries, for the
 solutions returned.
 
-The class predicates read sgn det A_II from the walk or through
-minor_sign.  Both keep every sign they learn in the matrix's own memo
-(RationalMatrix.minor_signs), so the calls that one oracle run makes on a
-matrix compute each principal minor once.
+Each walk record carries sgn det A_II, the sign of its pivot, so a
+caller that walks needs no determinant.  minor_sign is the other route to
+a principal-minor sign: one determinant, for callers that do not walk.
 
 lex_walk is one walk of LCP(A, 0) that gives both the R0 test and the
 degree.  A nonzero solution of LCP(A, 0) needs a singular support, and the
@@ -86,19 +85,11 @@ class LcpInstance:
 
 @dataclass(frozen=True)
 class LcpSolution:
-    """One solution x of LCP(A, q).
-
-    support is the true support {i : x_i > 0} (1-based indices);
-    support_det_sign is the sign of det A restricted to that support (+1 for
-    the empty support); a zero sign marks a singular supporting block, which
-    is how representatives of affine solution families are recognised.
-    nondegenerate means x + Ax + q > 0 componentwise, exactly.
-    """
+    """One solution x of LCP(A, q); support is the true support
+    {i : x_i > 0}, in 1-based indices."""
 
     x: tuple
     support: tuple
-    nondegenerate: bool
-    support_det_sign: int
 
 
 def _sign(v) -> int:
@@ -118,42 +109,36 @@ def embed(n: int, idx: Sequence[int], values: Sequence[Fraction]) -> list:
 
 
 def supports(n: int):
-    """(mask, idx, comp) for every support in bitmask order, the empty one
-    first: idx lists the 0-based indices in mask, comp the others.  An order
-    above the enumeration cap raises EnumerationCapError."""
+    """The 0-based index list of every support, in bitmask order, the empty
+    one first.  An order above the enumeration cap raises
+    EnumerationCapError."""
     check_cap(n)
     for mask in range(1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        comp = [j for j in range(n) if not mask >> j & 1]
-        yield mask, idx, comp
+        yield [i for i in range(n) if mask >> i & 1]
 
 
-def minor_sign(matrix: RationalMatrix, mask: int, idx: Sequence[int]) -> int:
-    """sgn det A_II for the support idx, whose bitmask is mask, read from
-    or written to the matrix's memo."""
-    signs = matrix.minor_signs()
-    sign = signs.get(mask)
-    if sign is None:
-        # matrices.determinant is fraction-free too; going through it
-        # keeps one determinant routine, which perfbench's trace counts.
-        # The block inherits the matrix's cached scaled integer rows, so
-        # no row's denominators are cleared again per minor, and the sign
-        # is read from the numerator, an int.
-        sign = _sign(determinant(matrix.principal_submatrix(idx)).numerator)
-        signs[mask] = sign
-    return sign
+def minor_sign(matrix: RationalMatrix, idx: Sequence[int]) -> int:
+    """sgn det A_II for the support idx; 1 for the empty support."""
+    if not idx:
+        return 1
+    # matrices.determinant is fraction-free too; going through it keeps
+    # one determinant routine, which perfbench's trace counts.  The block
+    # inherits the matrix's cached scaled integer rows, so no row's
+    # denominators are cleared again per minor, and the sign is read from
+    # the numerator, an int.
+    return _sign(determinant(matrix.principal_submatrix(idx)).numerator)
 
 
 def walk(matrix: RationalMatrix, q: Sequence, lex: bool = False):
-    """(mask, idx, comp, solved) for the supports of LCP(A, q), in no
-    fixed order; idx lists the support's indices, comp the others.
+    """(mask, idx, comp, sign, solved) for the supports of LCP(A, q), in
+    no fixed order; idx lists the support's indices, comp the others, and
+    sign is sgn det A_II.
 
     solved is (d, y, w) when A_II is nonsingular: d > 0, x_I = y / d
     solves A_II x_I = -q_I, and w holds, for each j in comp, an integer
     with the sign of w_j = (Ax + q)_j.  It is None when A_II is singular
-    and A_II x_I = -q_I is consistent; an inconsistent singular support
-    is not yielded.  Every support's minor sign goes into the matrix's
-    memo.
+    (sign 0) and A_II x_I = -q_I is consistent; an inconsistent singular
+    support is not yielded.
 
     With lex, solved for a nonsingular support is instead whether it
     solves LCP(A, q(eps)), q(eps) = q + (eps, eps^2, ..., eps^n) with
@@ -183,7 +168,6 @@ def walk(matrix: RationalMatrix, q: Sequence, lex: bool = False):
     """
     n = matrix.n
     check_cap(n)
-    signs = matrix.minor_signs()
     _, rows = integer_system(matrix, q)
     # (mask, idx, last pivot, det of the block, tableau); a singular
     # node's tableau is whether its system is consistent instead.
@@ -201,11 +185,10 @@ def walk(matrix: RationalMatrix, q: Sequence, lex: bool = False):
             else:
                 qcol = tableau[qpos]
                 solved = -det, [qcol[i] for i in idx], [-qcol[j] for j in comp]
-            yield mask, idx, comp, solved
+            yield mask, idx, comp, _sign(det), solved
         elif tableau:  # singular, with a consistent system
-            yield mask, idx, comp, None
+            yield mask, idx, comp, 0, None
         for p in range(last + 1, n):
-            child = mask | 1 << p
             piv = tableau[p - last - 1][p] if det else 0
             if piv:
                 pivot_col = tableau[p - last - 1]
@@ -225,8 +208,7 @@ def walk(matrix: RationalMatrix, q: Sequence, lex: bool = False):
                 child_tableau = tableau[qpos][p] == 0
             else:
                 piv, child_tableau = _eliminate(rows, idx + [p], p, lex)
-            signs[child] = _sign(piv)
-            stack.append((child, idx + [p], p, piv, child_tableau))
+            stack.append((mask | 1 << p, idx + [p], p, piv, child_tableau))
 
 
 def _lex_solves(det: int, columns: List[List[int]], idx: List[int], comp: List[int]) -> bool:
@@ -312,23 +294,14 @@ def family_point(
     return solve_feasibility(system)
 
 
-def _solution(matrix: RationalMatrix, q: Sequence, x: tuple) -> LcpSolution:
-    n = matrix.n
-    w = [wi + qi for wi, qi in zip(matrix.matvec(x), q)]
-    idx = [i for i in range(n) if x[i] > 0]
-    det_sign = minor_sign(matrix, sum(1 << i for i in idx), idx)
-    nondeg = all(x[i] + w[i] > 0 for i in range(n))
-    return LcpSolution(x, tuple(i + 1 for i in idx), nondeg, det_sign)
-
-
 def _solutions(matrix: RationalMatrix, q: Sequence):
     """(mask, x) for the solutions of LCP(A, q), x a tuple, lazily: first
     each nonsingular support of the walk whose x_I and slack pass, as the
     walk meets it, then one family point per consistent singular support
     whose LP is feasible.  Those LPs run only after the walk has ended."""
     singular = []
-    for mask, idx, comp, solved in walk(matrix, q):
-        if solved is None:
+    for mask, idx, comp, sign, solved in walk(matrix, q):
+        if sign == 0:
             singular.append((mask, idx, comp))
             continue
         d, y, w = solved
@@ -349,11 +322,10 @@ def solve_lcp(inst: LcpInstance) -> List[LcpSolution]:
     that produced them, and duplicate solution vectors are kept once (first
     occurrence wins).
     """
-    matrix, q = inst.matrix, inst.q
     seen = {}
-    for _, x in sorted(_solutions(matrix, q)):  # masks are distinct
+    for _, x in sorted(_solutions(inst.matrix, inst.q)):  # masks are distinct
         if x not in seen:
-            seen[x] = _solution(matrix, q, x)
+            seen[x] = LcpSolution(x, tuple(i + 1 for i, v in enumerate(x) if v > 0))
     return list(seen.values())
 
 
@@ -377,14 +349,13 @@ def lex_walk(matrix: RationalMatrix) -> Tuple[list, int]:
     solve LCP(A, q(eps)), q(eps) = (eps, eps^2, ..., eps^n); it is the LCP
     degree of A when A is R0.
     """
-    signs = matrix.minor_signs()
     singular = []
     total = 0
-    for mask, idx, comp, solved in walk(matrix, [0] * matrix.n, lex=True):
-        if solved is None:
+    for mask, idx, comp, sign, solved in walk(matrix, [0] * matrix.n, lex=True):
+        if sign == 0:
             singular.append((mask, idx, comp))
         elif solved:
-            total += signs[mask]
+            total += sign
     return sorted(singular), total
 
 

@@ -71,7 +71,7 @@ class RationalMatrix:
     definitions stated with 1-based indices say so explicitly.
     """
 
-    __slots__ = ("rows", "n", "_image", "_signs")
+    __slots__ = ("rows", "n", "_image")
 
     def __init__(self, rows: Iterable[Iterable]):
         converted = tuple(tuple(_to_fraction(v) for v in row) for row in rows)
@@ -102,17 +102,8 @@ class RationalMatrix:
     def __repr__(self) -> str:
         return "RationalMatrix(%r)" % ([[str(v) for v in row] for row in self.rows],)
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def neg(self) -> "RationalMatrix":
         return RationalMatrix([[-v for v in row] for row in self.rows])
-
-    def matvec(self, x: Sequence[Fraction]) -> list:
-        if len(x) != self.n:
-            raise ValueError("vector length %d does not match order %d" % (len(x), self.n))
-        return [sum((row[j] * x[j] for j in range(self.n)), Fraction(0)) for row in self.rows]
 
     def integer_rows(self) -> tuple:
         """(scale, rows): the matrix's one integer image.  rows[i][j] is
@@ -128,17 +119,6 @@ class RationalMatrix:
             image = scale, tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
             object.__setattr__(self, "_image", image)
             return image
-
-    def minor_signs(self) -> dict:
-        """The memo mask -> sgn det A_II over this matrix's principal
-        minors, which lcp.minor_sign and lcp.walk fill; the empty minor is
-        1.  Made on first use; a submatrix starts its own."""
-        try:
-            return self._signs
-        except AttributeError:
-            signs = {0: 1}
-            object.__setattr__(self, "_signs", signs)
-            return signs
 
     @classmethod
     def _of_fractions(cls, rows: tuple, image: tuple) -> "RationalMatrix":

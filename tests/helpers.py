@@ -84,6 +84,18 @@ def matmul(a, b):
     )
 
 
+def matvec(matrix, x):
+    """A x for a RationalMatrix A, over Fraction, by the definition."""
+    if len(x) != matrix.n:
+        raise ValueError("vector length %d does not match order %d" % (len(x), matrix.n))
+    return [sum((a * Fraction(v) for a, v in zip(row, x)), Fraction(0)) for row in matrix.rows]
+
+
+def identity(n):
+    """The n x n identity RationalMatrix."""
+    return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def transpose(matrix):
     """The transpose of a RationalMatrix."""
     return RationalMatrix([list(column) for column in zip(*matrix.rows)])
@@ -101,7 +113,7 @@ def check_lcp_solution(matrix, q, x):
     qf = [Fraction(v) for v in q]
     if any(v < 0 for v in xf):
         return False
-    w = [wi + qi for wi, qi in zip(matrix.matvec(xf), qf)]
+    w = [wi + qi for wi, qi in zip(matvec(matrix, xf), qf)]
     if any(v < 0 for v in w):
         return False
     return sum((a * b for a, b in zip(xf, w)), Fraction(0)) == 0
@@ -302,18 +314,12 @@ def reference_solve_lcp(matrix, q):
             x = [Fraction(0)] * n
             for i, v in zip(idx, point):
                 x[i] = v
-        w = [wi + qi for wi, qi in zip(matrix.matvec(x), q)]
+        w = [wi + qi for wi, qi in zip(matvec(matrix, x), q)]
         if any(v < 0 for v in x) or any(w[j] < 0 for j in comp):
             continue
         key = tuple(x)
         if key not in seen:
-            support = [i for i in range(n) if x[i] > 0]
-            seen[key] = LcpSolution(
-                key,
-                tuple(i + 1 for i in support),
-                all(x[i] + w[i] > 0 for i in range(n)),
-                _principal_sign(matrix, support),
-            )
+            seen[key] = LcpSolution(key, tuple(i + 1 for i in range(n) if x[i] > 0))
     return list(seen.values())
 
 
@@ -338,7 +344,7 @@ def reference_generic_degree(matrix, q):
             return None
         if any(v < 0 for v in xi):
             continue
-        w = [wi + qi for wi, qi in zip(matrix.matvec(x), q)]
+        w = [wi + qi for wi, qi in zip(matvec(matrix, x), q)]
         slacks = [w[j] for j in comp]
         if 0 in slacks:
             return None
@@ -411,7 +417,7 @@ def reference_to_matrix(x):
     for i in range(m):
         out[i, i] = x.coords[i]
     root2 = np.sqrt(2.0)
-    for pos, (i, j) in enumerate(x.algebra.off_diagonal_pairs(), start=m):
+    for pos, (i, j) in enumerate(combinations(range(m), 2), start=m):
         out[i, j] = out[j, i] = x.coords[pos] / root2
     return out
 
@@ -427,7 +433,7 @@ def reference_element_from_matrix(algebra, mat):
     for i in range(m):
         coords[i] = mat[i, i]
     root2 = np.sqrt(2.0)
-    for pos, (i, j) in enumerate(algebra.off_diagonal_pairs(), start=m):
+    for pos, (i, j) in enumerate(combinations(range(m), 2), start=m):
         coords[pos] = mat[i, j] * root2
     return JordanElement(algebra, coords)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 import conftest
-from helpers import check_lcp_solution
+from helpers import check_lcp_solution, matvec
 from lcpq.classes import NO, UNDECIDED, YES, is_E, is_P, is_R0, is_Rd, is_Rstar, q_oracle
 from lcpq.classifier import (
     classify,
@@ -474,7 +474,7 @@ def test_criterion_10_embedding_both_directions():
         mask = [rng.random() < 0.5 for _ in range(n)]
         r = [Fraction(rng.randint(1, 3)) if s else Fraction(0) for s in mask]
         w = [Fraction(0) if s else Fraction(rng.randint(0, 3)) for s in mask]
-        q2 = [wi - avi for wi, avi in zip(w, a.matvec(r))]
+        q2 = [wi - avi for wi, avi in zip(w, matvec(a, r))]
         for frame in frames:
             transform = hat_transform(a, frame)
             q2_hat = hat_vector([float(v) for v in q2], frame)

@@ -14,13 +14,15 @@ from helpers import (
     check_lcp_solution,
     cofactor_det,
     count_calls,
+    identity,
+    matvec,
     principal_minors,
     reference_is_R0,
     reference_q_oracle,
     reference_solve_lcp,
     reference_witness_candidates,
 )
-from lcpq import classes
+from lcpq import classes, lcp
 from lcpq.classes import (
     NO,
     UNDECIDED,
@@ -62,7 +64,7 @@ def _violates_semimonotone(matrix, x, strict):
     """x is a failure witness: (Ax)_i < 0 (or <= 0) on all of supp x."""
     xv = vec_to_fractions(x)
     assert all(v >= 0 for v in xv) and any(v > 0 for v in xv)
-    ax = matrix.matvec(xv)
+    ax = matvec(matrix, xv)
     for i, v in enumerate(xv):
         if v > 0:
             if strict:
@@ -73,7 +75,7 @@ def _violates_semimonotone(matrix, x, strict):
 
 
 def test_r0_identity_yes():
-    assert is_R0(RationalMatrix.identity(3)).is_yes
+    assert is_R0(identity(3)).is_yes
 
 
 def test_r0_no_despite_nonsingularity():
@@ -83,7 +85,7 @@ def test_r0_no_despite_nonsingularity():
     assert v.is_no
     x = vec_to_fractions(v.data["x"])
     assert any(t > 0 for t in x)
-    ax = m.matvec(x)
+    ax = matvec(m, x)
     assert all(t >= 0 for t in x) and all(t >= 0 for t in ax)
     assert sum(a * b for a, b in zip(x, ax)) == 0
 
@@ -119,7 +121,7 @@ def test_r0_matches_independent_enumeration():
 
 
 def test_rd_identity_yes():
-    v = is_Rd(RationalMatrix.identity(2), [1, 1])
+    v = is_Rd(identity(2), [1, 1])
     assert v.is_yes and v.data["d"] == [Fraction(1), Fraction(1)]
 
 
@@ -136,16 +138,16 @@ def test_rd_type4_fixture_witness():
     assert v.data["x"] == [Fraction(0), Fraction(1), Fraction(0)]
     # The witness really solves LCP(A, d).
     x = v.data["x"]
-    w = [a + 1 for a in m.matvec(x)]
+    w = [a + 1 for a in matvec(m, x)]
     assert all(t >= 0 for t in w)
     assert sum(a * b for a, b in zip(x, w)) == 0
 
 
 def test_rd_rejects_bad_direction():
     with pytest.raises(ValueError):
-        is_Rd(RationalMatrix.identity(2), [1, 0])
+        is_Rd(identity(2), [1, 0])
     with pytest.raises(ValueError):
-        is_Rd(RationalMatrix.identity(2), [1])
+        is_Rd(identity(2), [1])
 
 
 def test_e0_negative_diagonal_no():
@@ -168,7 +170,7 @@ def test_e_fixture_no_with_valid_witness():
 
 
 def test_e_identity_yes():
-    assert is_E(RationalMatrix.identity(3)).is_yes
+    assert is_E(identity(3)).is_yes
 
 
 def test_s_yes_with_strict_witness():
@@ -187,7 +189,7 @@ def test_s_yes_with_strict_witness():
         if v.is_yes:
             x = vec_to_fractions(v.data["x"])
             assert all(t > 0 for t in x)
-            assert all(t > 0 for t in m.matvec(x))
+            assert all(t > 0 for t in matvec(m, x))
 
 
 def test_s_certificate_check_rejects_a_point_that_is_not_strict(monkeypatch):
@@ -247,7 +249,7 @@ def test_z_sign_checks():
 
 def test_rstar_examples():
     assert is_Rstar(RationalMatrix([[1, 5], [0, 1]])).is_yes
-    assert is_Rstar(RationalMatrix.identity(4)).is_yes
+    assert is_Rstar(identity(4)).is_yes
     # Solvable for every q, but semimonotonicity fails: not R*.
     v = is_Rstar(RationalMatrix([[-1, 2], [1, -1]]))
     assert v.is_no
@@ -295,8 +297,8 @@ CAPPED_ENTRIES = {
 def test_every_enumerating_entry_enforces_the_cap(monkeypatch, name):
     monkeypatch.setenv("LCP_ENUM_CAP", "2")
     with pytest.raises(EnumerationCapError):
-        CAPPED_ENTRIES[name](RationalMatrix.identity(3))
-    CAPPED_ENTRIES[name](RationalMatrix.identity(2))
+        CAPPED_ENTRIES[name](identity(3))
+    CAPPED_ENTRIES[name](identity(2))
 
 
 def test_q_oracle_checks_the_cap_before_the_nonpositive_row_channel():
@@ -377,6 +379,17 @@ def _first_nonpositive_minor_mask(matrix):
 
 def test_q_oracle_matches_the_r0_first_reference_and_reads_r0_minors_from_the_walk(monkeypatch):
     dets = count_calls(monkeypatch, determinant)
+    walks = []  # (lex, records) per walk, the witness search's included
+    real_walk = lcp.walk
+
+    def recorded_walk(matrix, q, lex=False):
+        records = []
+        walks.append((lex, records))
+        for record in real_walk(matrix, q, lex):
+            records.append(record)
+            yield record
+
+    monkeypatch.setattr(lcp, "walk", recorded_walk)
     r0_dets = []
     r0_degree = classes.r0_degree
 
@@ -392,7 +405,7 @@ def test_q_oracle_matches_the_r0_first_reference_and_reads_r0_minors_from_the_wa
     for rows in _oracle_corpus():
         expected = reference_q_oracle(RationalMatrix(rows), budget=16)
         matrix = RationalMatrix(rows)
-        del dets[:], r0_dets[:]
+        del dets[:], r0_dets[:], walks[:]
         got = q_oracle(matrix, budget=16)
         assert got == expected
         rules.add(got.rule)
@@ -404,11 +417,15 @@ def test_q_oracle_matches_the_r0_first_reference_and_reads_r0_minors_from_the_wa
             assert len(dets) == _first_nonpositive_minor_mask(matrix)
         assert r0_dets in ([], [0])
         r0_runs += len(r0_dets)
-        signs = matrix.minor_signs()
+        # Every record of every walk carries its support's minor sign, and
+        # the one lexicographic walk, at q = 0, yields all 2^n supports.
         truth = _minor_signs_by_cofactor(matrix)
-        assert all(truth[mask] == sign for mask, sign in signs.items())
-        if r0_dets:
-            assert signs == truth
+        for _, records in walks:
+            assert all(truth[mask] == sign for mask, _, _, sign, _ in records)
+        lex_walks = [records for lex, records in walks if lex]
+        assert len(lex_walks) == len(r0_dets)
+        for records in lex_walks:
+            assert {mask: sign for mask, _, _, sign, _ in records} == truth
     assert {"not-S", "degree-nonzero", "unsolvable-q", "bdsw-not-R0"} <= rules, rules
     assert r0_runs >= 5, r0_runs
 
@@ -431,25 +448,19 @@ def test_q_oracle_walks_a_non_p_r0_matrix_once(monkeypatch, rows):
     assert verdict == reference_q_oracle(RationalMatrix(rows))
 
 
-def test_predicates_share_the_matrixs_minor_memo(monkeypatch):
+def test_determinant_counts_of_is_R0_degree_and_is_P(monkeypatch):
     dets = count_calls(monkeypatch, determinant)
     matrix = RationalMatrix([[2, 1, 1], [0, 3, 1], [1, 0, 2]])
-    assert is_R0(matrix).is_yes
-    assert dets == []  # the walk of LCP(A, 0) fills the memo
-    assert matrix.minor_signs() == _minor_signs_by_cofactor(matrix)
-    assert is_P(matrix).is_yes and is_P0(matrix).is_yes
-    assert degree(matrix) == 1
-    assert dets == []
-    # The P path takes one determinant per minor, and is_R0 then adds none.
-    fresh = RationalMatrix(matrix.rows)
-    assert is_P(fresh).is_yes and len(dets) == 2 ** fresh.n - 1
-    assert is_R0(fresh).is_yes and len(dets) == 2 ** fresh.n - 1
+    assert is_R0(matrix).is_yes and degree(matrix) == 1
+    assert dets == []  # the walk of LCP(A, 0) reads each sign from a pivot
+    # The P and P0 scans take one determinant per nonempty minor, each
+    # call afresh: nothing is kept on the matrix between calls.
+    minors = 2 ** matrix.n - 1
+    assert is_P(matrix).is_yes and len(dets) == minors
+    assert is_P0(matrix).is_yes and len(dets) == 2 * minors
+    assert is_P(matrix).is_yes and len(dets) == 3 * minors
     del dets[:]
-    # A submatrix, or an equal matrix built again, starts a memo of its own.
-    block = matrix.principal_submatrix([0, 1])
-    assert block.minor_signs() == {0: 1}
-    assert is_P(block).is_yes and len(dets) == 3
-    assert RationalMatrix(matrix.rows).minor_signs() == {0: 1}
+    assert is_P(matrix.principal_submatrix([0, 1])).is_yes and len(dets) == 3
 
 
 def test_is_R0_matches_the_per_minor_reference_on_the_small_census():
@@ -480,7 +491,9 @@ def sparse_rational_matrices(draw):
 def test_is_R0_matches_the_per_minor_reference_on_sparse_rational_matrices(matrix):
     got = is_R0(matrix)
     assert got == reference_is_R0(RationalMatrix(matrix.rows))
-    assert matrix.minor_signs() == _minor_signs_by_cofactor(matrix)
+    # is_R0's walk of LCP(A, 0) yields every support, with its minor's sign.
+    signs = {mask: sign for mask, _, _, sign, _ in walk(matrix, [0] * matrix.n, lex=True)}
+    assert signs == _minor_signs_by_cofactor(matrix)
     if got.is_no:
         assert check_lcp_solution(matrix, [0] * matrix.n, got.data["x"])
         assert any(got.data["x"])

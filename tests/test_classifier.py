@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import identity
 from lcpq.classes import NO, YES, q_oracle
 from lcpq.classifier import (
     classify,
@@ -207,7 +208,7 @@ def test_2x2_inadmissible_pattern():
 
 def test_2x2_wrong_order_rejected():
     with pytest.raises(StructureError):
-        classify_2x2(RationalMatrix.identity(3))
+        classify_2x2(identity(3))
 
 
 # --- dispatch ----------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import identity
 from lcpq.jordan.algebra import (
     eigenvalues_of,
     element_from_eigenvalues,
@@ -33,7 +34,7 @@ BIG = RationalMatrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, -1], [1, 0, 0, 0]])
 
 
 def test_verify_solution_pass():
-    eye = LinearTransform.identity(SYM2)
+    eye = LinearTransform(SYM2, np.eye(SYM2.dim))
     e = identity_element(SYM2)
     check = verify_sc_solution(eye, -e, e)
     assert check.passed
@@ -43,7 +44,7 @@ def test_verify_solution_pass():
 
 
 def test_verify_solution_fail_on_inner_product():
-    eye = LinearTransform.identity(SYM2)
+    eye = LinearTransform(SYM2, np.eye(SYM2.dim))
     e = identity_element(SYM2)
     check = verify_sc_solution(eye, e, e)
     assert not check.passed
@@ -79,7 +80,7 @@ def test_embed_unsolvable_counts_as_pass():
 
 def test_embed_rank_mismatch():
     with pytest.raises(ValueError):
-        embed_solve(RationalMatrix.identity(2), [1, 1], standard_frame(SYM3))
+        embed_solve(identity(2), [1, 1], standard_frame(SYM3))
 
 
 def test_rank_one_classification():
@@ -126,7 +127,7 @@ def test_positivity_sampler_finds_witness():
 
 def test_positivity_sampler_clean_on_identity():
     report = sample_positivity_violation(
-        LinearTransform.identity(SYM2), samples=40, rng_seed=1
+        LinearTransform(SYM2, np.eye(SYM2.dim)), samples=40, rng_seed=1
     )
     assert not report.found
     assert report.samples_used == 40

@@ -15,7 +15,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import check_lcp_solution, cofactor_det
+from helpers import check_lcp_solution, cofactor_det, matvec
 from lcpq.kernel import clear_denominators, eliminate
 from lcpq.lcp import LcpInstance, minor_sign, solve_lcp, supports, walk
 from lcpq.matrices import RationalMatrix, determinant, solve_linear
@@ -119,26 +119,30 @@ def test_support_kernel_signs_match_fraction_arithmetic(system, data):
     matrix = RationalMatrix(rows)
     n = matrix.n
     q = [Fraction(data.draw(RHS)) for _ in range(n)]
-    records = {mask: solved for mask, _, _, solved in walk(matrix, q)}
-    for mask, idx, comp in supports(n):
+    records = {mask: (sign, solved) for mask, _, _, sign, solved in walk(matrix, q)}
+    for mask, idx in enumerate(supports(n)):
+        comp = [j for j in range(n) if j not in idx]
         sub_det = cofactor_det([[rows[i][j] for j in idx] for i in idx]) if idx else 1
-        assert minor_sign(matrix, mask, idx) == (sub_det > 0) - (sub_det < 0)
+        sign = (sub_det > 0) - (sub_det < 0)
+        assert minor_sign(matrix, idx) == sign
         status, xi = "unique", []
         if idx:
             status, xi = solve_linear(matrix.principal_submatrix(idx), [-q[i] for i in idx])
         if sub_det == 0:
-            # Singular: yielded as None when consistent, not at all otherwise.
+            # Singular: yielded with sign 0 and solved None when
+            # consistent, not at all otherwise.
             assert status != "unique"
-            assert records.get(mask, "absent") == ("absent" if status == "inconsistent" else None)
+            assert records.get(mask, "absent") == ("absent" if status == "inconsistent" else (0, None))
             continue
         assert status == "unique"
-        d, y, w_signs = records[mask]
+        assert records[mask][0] == sign
+        d, y, w_signs = records[mask][1]
         assert d > 0
         assert [Fraction(v, d) for v in y] == xi
         x = [Fraction(0)] * n
         for pos, i in enumerate(idx):
             x[i] = xi[pos]
-        w = [wi + qi for wi, qi in zip(matrix.matvec(x), q)]
+        w = [wi + qi for wi, qi in zip(matvec(matrix, x), q)]
         assert len(w_signs) == len(comp)
         for j, slack in zip(comp, w_signs):
             assert (slack > 0) - (slack < 0) == (w[j] > 0) - (w[j] < 0)
@@ -146,9 +150,9 @@ def test_support_kernel_signs_match_fraction_arithmetic(system, data):
 
 def test_supports_enumerate_every_mask_once_in_order():
     seen = list(supports(4))
-    assert [mask for mask, _, _ in seen] == list(range(16))
-    for mask, idx, comp in seen:
-        assert sorted(idx + comp) == list(range(4))
+    assert len(seen) == 16
+    for mask, idx in enumerate(seen):
+        assert idx == sorted(set(idx)) and set(idx) <= set(range(4))
         assert sum(1 << i for i in idx) == mask
 
 
@@ -178,5 +182,3 @@ def test_every_solve_lcp_solution_satisfies_the_definition(system, data):
         assert check_lcp_solution(matrix, q, sol.x)
         support = [i - 1 for i in sol.support]
         assert support == [i for i in range(matrix.n) if sol.x[i] > 0]
-        det = cofactor_det([[rows[i][j] for j in support] for i in support]) if support else 1
-        assert sol.support_det_sign == (det > 0) - (det < 0)

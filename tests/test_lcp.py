@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     check_lcp_solution,
     count_calls,
+    identity,
     principal_minors,
     reference_degree,
     reference_generic_degree,
@@ -98,24 +99,12 @@ def test_unsolvable_fixture():
     assert is_solvable(m, [1, 1, 1, 1])  # x = 0 works for q >= 0
 
 
-def test_nondegeneracy_flag():
-    eye = RationalMatrix.identity(2)
-    sols = solve_lcp(LcpInstance(eye, [1, 1]))
-    assert len(sols) == 1 and sols[0].nondegenerate
-
-    sols = solve_lcp(LcpInstance(eye, [0, -1]))
-    # x = (0, 1) has x_1 + w_1 = 0: degenerate.
-    assert {s.x for s in sols} == {(Fraction(0), Fraction(1))}
-    assert not sols[0].nondegenerate
-
-
 def test_singular_support_family_representative():
     # Every x >= 0 solves LCP([[0]], 0); one representative comes back.
     sols = solve_lcp(LcpInstance(RationalMatrix([[0]]), [0]))
     assert len(sols) == 1
     assert sols[0].x == (Fraction(0),)
     assert sols[0].support == ()
-    assert sols[0].support_det_sign == 1
     assert check_lcp_solution(RationalMatrix([[0]]), [0], sols[0].x)
 
 
@@ -131,20 +120,20 @@ def test_duplicate_vectors_kept_once():
 
 def test_instance_validation():
     with pytest.raises(ValueError):
-        LcpInstance(RationalMatrix.identity(2), [1])
-    inst = LcpInstance(RationalMatrix.identity(2), ["1/2", -1])
+        LcpInstance(identity(2), [1])
+    inst = LcpInstance(identity(2), ["1/2", -1])
     assert inst.q == (Fraction(1, 2), Fraction(-1))
 
 
 def test_enumeration_cap_default_and_override(monkeypatch):
-    big = RationalMatrix.identity(DEFAULT_ENUM_CAP + 1)
+    big = identity(DEFAULT_ENUM_CAP + 1)
     with pytest.raises(EnumerationCapError):
         solve_lcp(LcpInstance(big, [1] * big.n))
 
     monkeypatch.setenv("LCP_ENUM_CAP", "2")
     assert enumeration_cap() == 2
     with pytest.raises(EnumerationCapError):
-        solve_lcp(LcpInstance(RationalMatrix.identity(3), [1, 1, 1]))
+        solve_lcp(LcpInstance(identity(3), [1, 1, 1]))
 
     monkeypatch.setenv("LCP_ENUM_CAP", "not-a-number")
     assert enumeration_cap() == DEFAULT_ENUM_CAP
@@ -153,7 +142,7 @@ def test_enumeration_cap_default_and_override(monkeypatch):
 
 
 def test_degree_identity_is_one():
-    assert degree(RationalMatrix.identity(3)) == 1
+    assert degree(identity(3)) == 1
 
 
 def test_degree_fixture_negative_one():
@@ -291,30 +280,32 @@ def test_support_walk_matches_bitmask_order_references(case):
     # With lex the walk reads each nonsingular support at q(eps) = q +
     # (eps, ..., eps^n).  Where q is generic, q(eps) has the solutions q
     # has, so their sign sums agree.
-    lex = {mask: solved for mask, _, _, solved in walk(matrix, q, lex=True)}
+    lex_records = list(walk(matrix, q, lex=True))
+    lex = {mask: solved for mask, _, _, _, solved in lex_records}
     assert lex == reference_lex_walk(matrix, q)
     total = reference_generic_degree(matrix, q)
     if total is not None:
-        signs = matrix.minor_signs()
-        assert sum(signs[mask] for mask, solved in lex.items() if solved) == total
+        assert sum(sign for _, _, _, sign, solved in lex_records if solved) == total
 
-    # The calls above filled the matrix's memo; a fresh matrix shows that
-    # the walk alone writes every mask's sign.
-    matrix = RationalMatrix(matrix.rows)
-    masks = [mask for mask, _, _, _ in walk(matrix, q)]
-    assert len(masks) == len(set(masks))
-    assert sorted(matrix.minor_signs()) == list(range(1 << matrix.n))
-    expected_masks = []
+    # Every support the walk yields carries its minor's sign, and a
+    # support it leaves out is singular with an inconsistent system.
+    expected = {}
     for mask in range(1 << matrix.n):
         idx = [i for i in range(matrix.n) if mask >> i & 1]
-        expected = determinant(matrix.principal_submatrix(idx)) if idx else 1
-        assert matrix.minor_signs()[mask] == (expected > 0) - (expected < 0)
-        if expected == 0:
+        det = determinant(matrix.principal_submatrix(idx)) if idx else 1
+        if det == 0:
             status, _ = solve_linear(matrix.principal_submatrix(idx), [-q[i] for i in idx])
             if status == "inconsistent":
                 continue
-        expected_masks.append(mask)
-    assert sorted(masks) == expected_masks
+        expected[mask] = (det > 0) - (det < 0)
+    for records in (list(walk(matrix, q)), lex_records):
+        signs = {mask: sign for mask, _, _, sign, _ in records}
+        assert len(signs) == len(records)
+        assert signs == expected
+    # At q = 0 every singular system is consistent, so all 2^n are yielded.
+    assert sorted(mask for mask, _, _, _, _ in walk(matrix, [0] * matrix.n)) == list(
+        range(1 << matrix.n)
+    )
 
 
 def test_inconsistent_singular_supports_skip_the_lp_and_solve_linear(monkeypatch):
@@ -326,7 +317,7 @@ def test_inconsistent_singular_supports_skip_the_lp_and_solve_linear(monkeypatch
     matrix = RationalMatrix([[1, 0], [1, 0]])
     q = [-2, 1]
     assert [sol.x for sol in solve_lcp(LcpInstance(matrix, q))] == [(2, 0)]
-    assert sorted((mask, solved) for mask, _, _, solved in walk(matrix, q, lex=True)) == [
+    assert sorted((mask, solved) for mask, _, _, _, solved in walk(matrix, q, lex=True)) == [
         (0, False),
         (1, True),
     ]
@@ -337,7 +328,7 @@ def test_inconsistent_singular_supports_skip_the_lp_and_solve_linear(monkeypatch
     q = [-2, -2]
     assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
     assert len(lps) == 1
-    assert (3, None) in [(mask, solved) for mask, _, _, solved in walk(matrix, q, lex=True)]
+    assert (3, None) in [(mask, solved) for mask, _, _, _, solved in walk(matrix, q, lex=True)]
 
 
 def test_is_solvable_stops_at_the_first_solution(monkeypatch):
@@ -351,7 +342,7 @@ def test_is_solvable_stops_at_the_first_solution(monkeypatch):
     lps = count_calls(monkeypatch, solve_feasibility)
 
     # q >= 0: the empty support, the walk's root, already solves it.
-    matrix = RationalMatrix.identity(3)
+    matrix = identity(3)
     assert is_solvable(matrix, [1, 2, 3])
     assert walked == [0]
     del walked[:]
@@ -388,7 +379,7 @@ def test_zero_pivot_children_of_nonsingular_supports_need_no_elimination(monkeyp
     matrix = RationalMatrix([[1, 1], [1, 1]])
     for q, consistent in (([-1, -1], True), ([-1, -2], False), ([Fraction(1, 2), Fraction(1, 2)], True)):
         for lex in (False, True):
-            masks = [mask for mask, _, _, _ in walk(matrix, q, lex)]
+            masks = [mask for mask, _, _, _, _ in walk(matrix, q, lex)]
             assert (3 in masks) == consistent
         assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
     assert eliminations == []

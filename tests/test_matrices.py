@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cofactor_det, matmul, plain_text, transpose
+from helpers import cofactor_det, identity, matmul, matvec, plain_text, transpose
 from lcpq import matrices
 from lcpq.errors import MatrixFormatError, SingularPivotError
 from lcpq.matrices import (
@@ -183,16 +183,16 @@ def test_principal_minors_read_the_inherited_integer_rows():
 
 
 def test_determinant_fixtures():
-    assert determinant(RationalMatrix.identity(4)) == 1
+    assert determinant(identity(4)) == 1
     assert determinant(RationalMatrix([[1, 2], [2, 4]])) == 0
     assert determinant(RationalMatrix([[-1, 2], [1, -1]])) == -1
 
 
 def test_inverse_round_trip_and_singular():
     m = RationalMatrix([[2, 1], [5, 3]])
-    assert matmul(m, inverse(m)) == RationalMatrix.identity(2)
+    assert matmul(m, inverse(m)) == identity(2)
     frac = RationalMatrix([["1/2", "1/3"], ["2/5", 3]])
-    assert matmul(frac, inverse(frac)) == RationalMatrix.identity(2)
+    assert matmul(frac, inverse(frac)) == identity(2)
     assert inverse(inverse(frac)) == frac
     with pytest.raises(SingularPivotError):
         inverse(RationalMatrix([[1, 2], [2, 4]]))
@@ -219,7 +219,7 @@ def test_solve_linear_exactness():
     rhs = [Fraction(1)] * n
     status, x = solve_linear(m, rhs)
     assert status == "unique"
-    assert m.matvec(x) == rhs
+    assert matvec(m, x) == rhs
 
 
 def test_row_sign_predicates():
@@ -232,7 +232,7 @@ def test_triangularity_predicates():
     up = RationalMatrix([[1, 2], [0, 3]])
     assert is_upper_triangular(up) and not is_lower_triangular(up)
     assert is_lower_triangular(transpose(up))
-    assert is_upper_triangular(RationalMatrix.identity(3))
+    assert is_upper_triangular(identity(3))
 
 
 def test_sign_predicates_read_the_scaled_rows_as_the_fractions_say():
@@ -282,6 +282,6 @@ def test_submatrix_and_matvec():
         m.submatrix([0, 1], [2])
     with pytest.raises(ValueError):
         m.submatrix([], [])
-    assert m.matvec([1, 0, -1]) == [Fraction(-2), Fraction(-2), Fraction(-3)]
+    assert matvec(m, [1, 0, -1]) == [Fraction(-2), Fraction(-2), Fraction(-3)]
     with pytest.raises(ValueError):
-        m.matvec([1, 2])
+        matvec(m, [1, 2])

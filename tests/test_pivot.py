@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import count_calls, reference_ppt
+from helpers import count_calls, identity, reference_ppt
 from lcpq import kernel
 from lcpq.classes import NO, YES, is_R0, q_oracle
 from lcpq.errors import SingularPivotError
@@ -85,9 +85,9 @@ def test_pivot_set_validation():
 
 
 def test_schur_identity_blocks():
-    eye = RationalMatrix.identity(4)
+    eye = identity(4)
     for j in ([1], [2, 3], [1, 4]):
-        assert schur_complement(eye, j) == RationalMatrix.identity(4 - len(j))
+        assert schur_complement(eye, j) == identity(4 - len(j))
 
 
 def test_schur_fixture():
@@ -114,7 +114,7 @@ def test_schur_determinant_identity():
 
 
 def test_ppt_identity_fixed_point():
-    eye = RationalMatrix.identity(3)
+    eye = identity(3)
     for j in ([1], [2], [1, 3], [1, 2, 3]):
         assert ppt(eye, j) == eye
 
@@ -174,7 +174,7 @@ def test_ppt_degree_factor():
         (RationalMatrix([[-1, 2], [1, -1]]), [1]),
         (RationalMatrix([[-1, 2], [1, -1]]), [1, 2]),
         (TYPE4, [3]),
-        (RationalMatrix.identity(3), [2]),
+        (identity(3), [2]),
     ]
     for m, j in cases:
         det_e = determinant(m.principal_submatrix([i - 1 for i in j]))

@@ -49,8 +49,11 @@ _UNCALLED_ALLOWED = {"matrices.solve_linear"}
 def test_every_public_function_and_class_has_a_caller_or_is_exported():
     # A public module-level def or class must be referenced somewhere in the
     # package outside its own definition, or be re-exported by an __init__.
+    # A public method of a public class must be referenced too; export does
+    # not excuse it, and dunder methods, which Python calls, are exempt.
     root = pathlib.Path(lcpq.__file__).parent
     defined = {}
+    methods = {}
     referenced = set()
     exported = set()
     for path in sorted(root.rglob("*.py")):
@@ -67,14 +70,23 @@ def test_every_public_function_and_class_has_a_caller_or_is_exported():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defined["%s.%s" % (module, node.name)] = node.name
+                if isinstance(node, ast.ClassDef):
+                    methods.update(
+                        ("%s.%s.%s" % (module, node.name, item.name), item.name)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                    )
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     dead = sorted(
-        qualified
-        for qualified, name in defined.items()
-        if name not in referenced and name not in exported
+        [
+            qualified
+            for qualified, name in defined.items()
+            if name not in referenced and name not in exported
+        ]
+        + [qualified for qualified, name in methods.items() if name not in referenced]
     )
     assert dead == sorted(_UNCALLED_ALLOWED)
