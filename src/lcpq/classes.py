@@ -86,12 +86,12 @@ def r0_degree(matrix: RationalMatrix) -> Tuple[Verdict, int]:
     each minor's sign from its pivot, with no determinant call.  They are
     tried in bitmask order: A_II x_I = 0, sum x_I = 1, x_I >= 0,
     A_(I^c,I) x_I >= 0 must be infeasible, and the first feasible one
-    gives the witness x.  That LP is lcp.family_point on [A | 0] with
-    the sum row.
+    gives the witness x.  That LP is lcp.family_point with the sum row,
+    on the integer rows of [A | 0] that the walk read.
     """
     n = matrix.n
-    singular, deg = lex_walk(matrix)
     scale, rows = integer_system(matrix, [0] * n)
+    singular, deg = lex_walk(rows)
     for _, idx, comp in singular:
         point = family_point(rows, idx, comp, scale)
         if point is not None:

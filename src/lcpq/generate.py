@@ -2,7 +2,9 @@
 
 Everything is driven by random.Random(seed), so a (type, order, count,
 seed, entry range) tuple always reproduces the same instances, byte for
-byte, across platforms.
+byte, across platforms.  Each generator returns the int rows it draws;
+lcpq generate writes them as they are, and only generate() builds a
+RationalMatrix.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ GENERATOR_TYPES = (
     "2x2",
 )
 
-# The largest order generate accepts.  Two n = 1000 tri matrices take a few
-# seconds and about 135 MB to build and write, every Fraction included.
+# The largest order generate accepts.  Drawing and writing two n = 1000 tri
+# matrices as ints takes about 1 s and 46 MB of peak memory.
 MAX_ORDER = 1000
 
 
 def random_triangular(
     rng: random.Random, n: int, entry_range: int = 5, side: Optional[str] = None
-) -> RationalMatrix:
+) -> list:
     """Random triangular matrix; side is "upper", "lower" or None (coin flip)."""
     if n < 1:
         raise ValueError("need n >= 1")
@@ -40,14 +42,12 @@ def random_triangular(
         rows[i][i] = rng.randint(-entry_range, entry_range)
         for j in range(i + 1, n):
             rows[i][j] = rng.randint(-entry_range, entry_range)
-    if side == "lower":  # transposed as ints, so each entry is converted once
+    if side == "lower":
         rows = [list(column) for column in zip(*rows)]
-    return RationalMatrix(rows)
+    return rows
 
 
-def random_triangular_plus_row(
-    rng: random.Random, n: int, entry_range: int = 5
-) -> RationalMatrix:
+def random_triangular_plus_row(rng: random.Random, n: int, entry_range: int = 5) -> list:
     """Block form: upper triangular B, arbitrary last-column head, last row
     (d^T, a_nn) with d >= 0 and a_nn > 0."""
     if n < 2:
@@ -60,7 +60,7 @@ def random_triangular_plus_row(
     for j in range(n - 1):
         rows[n - 1][j] = rng.randint(0, entry_range)
     rows[n - 1][n - 1] = rng.randint(1, entry_range)
-    return RationalMatrix(rows)
+    return rows
 
 
 def _random_bdsw_row(rng: random.Random, entry_range: int):
@@ -72,7 +72,7 @@ def _random_bdsw_row(rng: random.Random, entry_range: int):
             return diag, off
 
 
-def _assemble_bdsw(n: int, pairs) -> RationalMatrix:
+def _assemble_bdsw(n: int, pairs) -> list:
     rows = [[0] * n for _ in range(n)]
     for i, (diag, off) in enumerate(pairs):
         rows[i][i] = diag
@@ -80,12 +80,12 @@ def _assemble_bdsw(n: int, pairs) -> RationalMatrix:
             rows[i][i + 1] = off
         else:
             rows[i][0] = off
-    return RationalMatrix(rows)
+    return rows
 
 
 def random_bdsw_type1(
     rng: random.Random, n: int, entry_range: int = 5, case: Optional[int] = None
-) -> RationalMatrix:
+) -> list:
     """Type-1 bdsw instance, with the (a_n1, a_nn) sign case drawn or forced.
 
     Case 1: a_n1 >= 0, a_nn > 0.  Case 2: a_n1 > 0, a_nn = 0.
@@ -97,6 +97,8 @@ def random_bdsw_type1(
         raise ValueError("need n >= 2")
     if case is None:
         case = rng.randint(1, 4)
+    elif case not in (1, 2, 3, 4):
+        raise ValueError("case must be 1..4")
     r = entry_range
 
     if case == 1:
@@ -104,17 +106,13 @@ def random_bdsw_type1(
         pairs = [_random_bdsw_row(rng, r) for _ in range(n - 1)]
         if rng.random() < 0.5:
             pairs = [(rng.randint(1, r), off) for _, off in pairs]
-        pairs.append((last[0], last[1]))
-        return _assemble_bdsw(n, pairs)
-
-    if case == 2:
+        pairs.append(last)
+    elif case == 2:
         pairs = [_random_bdsw_row(rng, r) for _ in range(n - 1)]
         if rng.random() < 0.5:
             pairs = [(rng.randint(1, r), -rng.randint(1, r)) for _ in pairs]
         pairs.append((0, rng.randint(1, r)))
-        return _assemble_bdsw(n, pairs)
-
-    if case == 3:
+    elif case == 3:
         k = rng.randint(1, n - 1)
         mode = rng.random()
         pairs = []
@@ -134,9 +132,7 @@ def random_bdsw_type1(
                 else:
                     pairs.append(_random_bdsw_row(rng, r))
         pairs.append((rng.randint(1, r), -rng.randint(1, r)))  # (a_nn, a_n1)
-        return _assemble_bdsw(n, pairs)
-
-    if case == 4:
+    else:
         k = rng.randint(1, n - 1)
         pairs = []
         for i in range(1, n):
@@ -148,12 +144,10 @@ def random_bdsw_type1(
             else:
                 pairs.append(_random_bdsw_row(rng, r))
         pairs.append((-rng.randint(1, r), rng.randint(1, r)))
-        return _assemble_bdsw(n, pairs)
-
-    raise ValueError("case must be 1..4")
+    return _assemble_bdsw(n, pairs)
 
 
-def random_bdsw_type2(rng: random.Random, n: int, entry_range: int = 5) -> RationalMatrix:
+def random_bdsw_type2(rng: random.Random, n: int, entry_range: int = 5) -> list:
     if n < 2:
         raise ValueError("need n >= 2")
     pairs = [
@@ -162,11 +156,11 @@ def random_bdsw_type2(rng: random.Random, n: int, entry_range: int = 5) -> Ratio
     return _assemble_bdsw(n, pairs)
 
 
-def random_bdsw_type3(rng: random.Random, n: int, entry_range: int = 5) -> RationalMatrix:
-    return random_bdsw_type2(rng, n, entry_range).neg()
+def random_bdsw_type3(rng: random.Random, n: int, entry_range: int = 5) -> list:
+    return [[-v for v in row] for row in random_bdsw_type2(rng, n, entry_range)]
 
 
-def random_bdsw_type4(rng: random.Random, n: int, entry_range: int = 5) -> RationalMatrix:
+def random_bdsw_type4(rng: random.Random, n: int, entry_range: int = 5) -> list:
     """Mixed diagonal signs: each row is (+,-) or (-,+), with both kinds present."""
     if n < 2:
         raise ValueError("need n >= 2")
@@ -182,13 +176,8 @@ def random_bdsw_type4(rng: random.Random, n: int, entry_range: int = 5) -> Ratio
     return _assemble_bdsw(n, pairs)
 
 
-def random_2x2(rng: random.Random, entry_range: int = 2) -> RationalMatrix:
-    return RationalMatrix(
-        [
-            [rng.randint(-entry_range, entry_range) for _ in range(2)]
-            for _ in range(2)
-        ]
-    )
+def random_2x2(rng: random.Random, entry_range: int = 2) -> list:
+    return [[rng.randint(-entry_range, entry_range) for _ in range(2)] for _ in range(2)]
 
 
 def draw_instances(
@@ -198,8 +187,9 @@ def draw_instances(
     seed: int,
     entry_range: int = 5,
 ):
-    """The instances generate() returns, drawn one at a time from the same
-    seeded stream, so a caller can write each before the next is built.
+    """The int rows of the instances generate() returns, drawn one at a
+    time from the same seeded stream, so a caller can write each before
+    the next is drawn.
     The arguments are checked here, before the first draw: the order must
     lie in 1..MAX_ORDER for tri and 2..MAX_ORDER for the other families
     that take one (2x2 ignores n)."""
@@ -237,4 +227,4 @@ def generate(
     entry_range: int = 5,
 ) -> list:
     """Generate count instances of the named family with one seeded stream."""
-    return list(draw_instances(kind, n, count, seed, entry_range))
+    return [RationalMatrix(rows) for rows in draw_instances(kind, n, count, seed, entry_range)]

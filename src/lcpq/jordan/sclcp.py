@@ -20,6 +20,7 @@ from ..classes import NO, UNDECIDED, YES, Verdict
 from ..lcp import LcpInstance, solve_lcp
 from ..matrices import RationalMatrix
 from .algebra import (
+    DEFAULT_TOL,
     JordanElement,
     JordanFrame,
     eigenvalues_of,
@@ -28,8 +29,6 @@ from .algebra import (
     trace_inner_product,
 )
 from .transforms import LinearTransform, hat_transform, hat_vector
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)

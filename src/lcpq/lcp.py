@@ -14,9 +14,10 @@ whether its system A_II x_I = -q_I is consistent.  Below a singular
 support, one fresh elimination reduces each child's block to its rank,
 which also tells whether its system is consistent.  Only the consistent
 singular supports go to the exact LP (see simplex), which pivots in
-integers too.  The walk and the LPs read the same integer rows: [A | q]
-times one positive scale (integer_system), built from the matrix's
-integer image.  Fraction values are built only at the boundaries, for the
+integers too.  Each LCP question builds its integer rows once: [A | q]
+times one positive scale (integer_system), from the matrix's integer
+image.  walk and lex_walk take those rows, and the family LPs read the
+same ones.  Fraction values are built only at the boundaries, for the
 solutions returned.
 
 Each walk record carries sgn det A_II, the sign of its pivot, so a
@@ -129,10 +130,10 @@ def minor_sign(matrix: RationalMatrix, idx: Sequence[int]) -> int:
     return _sign(determinant(matrix.principal_submatrix(idx)).numerator)
 
 
-def walk(matrix: RationalMatrix, q: Sequence, lex: bool = False):
+def walk(rows: List[List[int]], lex: bool = False):
     """(mask, idx, comp, sign, solved) for the supports of LCP(A, q), in
-    no fixed order; idx lists the support's indices, comp the others, and
-    sign is sgn det A_II.
+    no fixed order, where rows is integer_system(A, q)'s; idx lists the
+    support's indices, comp the others, and sign is sgn det A_II.
 
     solved is (d, y, w) when A_II is nonsingular: d > 0, x_I = y / d
     solves A_II x_I = -q_I, and w holds, for each j in comp, an integer
@@ -166,9 +167,8 @@ def walk(matrix: RationalMatrix, q: Sequence, lex: bool = False):
     instead (_eliminate).  Only the tableaux on the current path and the
     siblings waiting on the stack are kept.
     """
-    n = matrix.n
+    n = len(rows)
     check_cap(n)
-    _, rows = integer_system(matrix, q)
     # (mask, idx, last pivot, det of the block, tableau); a singular
     # node's tableau is whether its system is consistent instead.
     stack = [(0, [], -1, 1, [list(column) for column in zip(*rows)])]
@@ -266,7 +266,8 @@ def _eliminate(rows: List[List[int]], idx: List[int], p: int, lex: bool):
 def integer_system(matrix: RationalMatrix, q: Sequence) -> Tuple[int, List[List[int]]]:
     """(scale, rows): row i is [A_i | q_i] times scale, the lcm of the
     matrix's integer_rows scale and q's denominators, so that every row
-    shares one positive scale.  The walk and the family LPs read it."""
+    shares one positive scale.  Each LCP question builds it once, and its
+    walk and family LPs read the same rows."""
     a_scale, ints = matrix.integer_rows()
     scale = lcm(a_scale, *(v.denominator for v in q))
     f = scale // a_scale
@@ -299,16 +300,15 @@ def _solutions(matrix: RationalMatrix, q: Sequence):
     each nonsingular support of the walk whose x_I and slack pass, as the
     walk meets it, then one family point per consistent singular support
     whose LP is feasible.  Those LPs run only after the walk has ended."""
+    _, rows = integer_system(matrix, q)
     singular = []
-    for mask, idx, comp, sign, solved in walk(matrix, q):
+    for mask, idx, comp, sign, solved in walk(rows):
         if sign == 0:
             singular.append((mask, idx, comp))
             continue
         d, y, w = solved
         if not any(v < 0 for v in y) and not any(v < 0 for v in w):
             yield mask, tuple(embed(matrix.n, idx, [Fraction(v, d) for v in y]))
-    if singular:
-        _, rows = integer_system(matrix, q)
     for mask, idx, comp in singular:
         point = family_point(rows, idx, comp)
         if point is not None:
@@ -340,8 +340,9 @@ def is_solvable(matrix: RationalMatrix, q: Sequence) -> bool:
     return next(_solutions(matrix, q), None) is not None
 
 
-def lex_walk(matrix: RationalMatrix) -> Tuple[list, int]:
-    """(singular, degree) from one lexicographic walk of LCP(A, 0).
+def lex_walk(rows: List[List[int]]) -> Tuple[list, int]:
+    """(singular, degree) from one lexicographic walk of LCP(A, 0), where
+    rows is integer_system(A, 0)'s.
 
     singular lists (mask, idx, comp) for each singular support in bitmask
     order: these are the supports that can hold a nonzero solution of
@@ -351,7 +352,7 @@ def lex_walk(matrix: RationalMatrix) -> Tuple[list, int]:
     """
     singular = []
     total = 0
-    for mask, idx, comp, sign, solved in walk(matrix, [0] * matrix.n, lex=True):
+    for mask, idx, comp, sign, solved in walk(rows, lex=True):
         if sign == 0:
             singular.append((mask, idx, comp))
         elif solved:
@@ -367,4 +368,4 @@ def degree(matrix: RationalMatrix) -> int:
     function only needs it for the value to be well defined).  Exact: no q
     is sampled.
     """
-    return lex_walk(matrix)[1]
+    return lex_walk(integer_system(matrix, [0] * matrix.n)[1])[1]

@@ -102,9 +102,6 @@ class RationalMatrix:
     def __repr__(self) -> str:
         return "RationalMatrix(%r)" % ([[str(v) for v in row] for row in self.rows],)
 
-    def neg(self) -> "RationalMatrix":
-        return RationalMatrix([[-v for v in row] for row in self.rows])
-
     def integer_rows(self) -> tuple:
         """(scale, rows): the matrix's one integer image.  rows[i][j] is
         a_ij times scale, a positive common multiple of every entry's

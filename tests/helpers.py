@@ -101,6 +101,11 @@ def transpose(matrix):
     return RationalMatrix([list(column) for column in zip(*matrix.rows)])
 
 
+def neg(matrix):
+    """-A for a RationalMatrix A."""
+    return RationalMatrix([[-v for v in row] for row in matrix.rows])
+
+
 def plain_text(matrix):
     """The matrix in parse_matrix's plain format: one row per line, each
     entry an integer or p/q."""
@@ -361,9 +366,10 @@ def _lex_sign(coefficients):
 
 
 def reference_lex_walk(matrix, q):
-    """mask -> what lcpq.lcp.walk(matrix, q, lex=True) yields as solved, by
-    a bitmask-order loop over the supports in Fraction arithmetic: None for
-    a singular support whose system A_II x_I = -q_I is consistent (an
+    """mask -> what lcpq.lcp.walk(rows, lex=True) yields as solved, where
+    rows is lcpq.lcp.integer_system(matrix, q)'s, by a bitmask-order loop
+    over the supports of the matrix in Fraction arithmetic: None for a
+    singular support whose system A_II x_I = -q_I is consistent (an
     inconsistent one is left out), and for a nonsingular one whether every
     x_i(eps) and w_j(eps) is positive at q(eps) = q + (eps, ..., eps^n).
     Their coefficients come from a Fraction Gauss-Jordan inverse B of

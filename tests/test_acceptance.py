@@ -106,7 +106,7 @@ def test_criterion_02_triangular_rule_oracle_and_class_chain():
     oracle_decided = 0
     for i in range(1000):
         n = 2 + i % 5
-        m = random_triangular(rng, n, 5)
+        m = RationalMatrix(random_triangular(rng, n, 5))
         expected = all(m.rows[j][j] > 0 for j in range(n))
         v = classify_triangular(m)
         if v.is_yes != expected:
@@ -137,7 +137,7 @@ def test_criterion_03_type2_determinant_rule():
     yes_count = 0
     for i in range(500):
         n = 2 + i % 5
-        m = random_bdsw_type2(rng, n, 5)
+        m = RationalMatrix(random_bdsw_type2(rng, n, 5))
         det = determinant(m)
         expected = YES if det > 0 else NO
         v = classify_bdsw_type2(m)
@@ -163,7 +163,7 @@ def test_criterion_04_type3_signed_determinant_and_inverse_positivity():
     nonsingular = 0
     for i in range(500):
         n = 2 + i % 5
-        m = random_bdsw_type3(rng, n, 5)
+        m = RationalMatrix(random_bdsw_type3(rng, n, 5))
         det = determinant(m)
         sign = Fraction(-1) ** (n + 1)
         expected = YES if sign * det > 0 else NO
@@ -218,7 +218,7 @@ def test_criterion_05_type4_rule_ppt_recursion_and_degree():
     degree_checked = 0
     for i in range(500):
         n = 3 + i % 4
-        m = random_bdsw_type4(rng, n, 5)
+        m = RationalMatrix(random_bdsw_type4(rng, n, 5))
         st = detect_structure(m)
         if st.tag != BDSW_TYPE_4:
             problems.append("instance %d: generator produced tag %s" % (i, st.tag))
@@ -284,7 +284,7 @@ def test_criterion_06_type1_case_rules():
     for i in range(500):
         case = 1 + i % 4
         n = 2 + i % 5
-        m = random_bdsw_type1(rng, n, 5, case=case)
+        m = RationalMatrix(random_bdsw_type1(rng, n, 5, case=case))
         st = detect_structure(m)
         if st.tag != BDSW_TYPE_1:
             problems.append("instance %d: generator produced tag %s" % (i, st.tag))

@@ -42,7 +42,7 @@ from lcpq.classes import (
 from lcpq.classifier import classify_by_rules
 from lcpq.errors import CertificateError, EnumerationCapError
 from lcpq.generate import GENERATOR_TYPES, generate
-from lcpq.lcp import LcpInstance, degree, is_solvable, solve_lcp, walk
+from lcpq.lcp import LcpInstance, degree, integer_system, is_solvable, solve_lcp, walk
 from lcpq.matrices import RationalMatrix, determinant, vec_to_fractions
 from lcpq.simplex import solve_feasibility
 
@@ -382,10 +382,10 @@ def test_q_oracle_matches_the_r0_first_reference_and_reads_r0_minors_from_the_wa
     walks = []  # (lex, records) per walk, the witness search's included
     real_walk = lcp.walk
 
-    def recorded_walk(matrix, q, lex=False):
+    def recorded_walk(rows, lex=False):
         records = []
         walks.append((lex, records))
-        for record in real_walk(matrix, q, lex):
+        for record in real_walk(rows, lex):
             records.append(record)
             yield record
 
@@ -492,7 +492,8 @@ def test_is_R0_matches_the_per_minor_reference_on_sparse_rational_matrices(matri
     got = is_R0(matrix)
     assert got == reference_is_R0(RationalMatrix(matrix.rows))
     # is_R0's walk of LCP(A, 0) yields every support, with its minor's sign.
-    signs = {mask: sign for mask, _, _, sign, _ in walk(matrix, [0] * matrix.n, lex=True)}
+    walked = walk(integer_system(matrix, [0] * matrix.n)[1], lex=True)
+    signs = {mask: sign for mask, _, _, sign, _ in walked}
     assert signs == _minor_signs_by_cofactor(matrix)
     if got.is_no:
         assert check_lcp_solution(matrix, [0] * matrix.n, got.data["x"])

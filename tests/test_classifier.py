@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import identity
+from helpers import identity, neg
 from lcpq.classes import NO, YES, q_oracle
 from lcpq.classifier import (
     classify,
@@ -251,10 +251,10 @@ def test_rotation_conjugation_keeps_answer():
 def test_negation_swaps_single_sign_types():
     type3 = RationalMatrix([[-1, 2, 0], [0, -1, 1], [1, 0, -1]])
     assert detect_structure(type3).tag == BDSW_TYPE_3
-    assert detect_structure(type3.neg()).tag == BDSW_TYPE_2
+    assert detect_structure(neg(type3)).tag == BDSW_TYPE_2
 
     type2 = RationalMatrix([[2, -1], [-1, 2]])
-    assert detect_structure(type2.neg()).tag == BDSW_TYPE_3
+    assert detect_structure(neg(type2)).tag == BDSW_TYPE_3
 
 
 def test_2x2_rule_agrees_with_type_rules():

@@ -16,7 +16,7 @@ import pytest
 import lcpq
 from helpers import count_calls
 from lcpq.classes import q_oracle
-from lcpq.cli import build_parser, main
+from lcpq.cli import MAX_SAMPLES, build_parser, main
 from lcpq.jordan.algebra import MAX_RANK
 from lcpq.jordan.checks import IDENTITY_NAMES
 from lcpq.lcp import walk
@@ -404,6 +404,40 @@ def test_jordan_rank_one_rejects_fewer_than_one_sample(capsys, samples):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "need --samples >= 1, got %s\n" % samples
+
+
+def _refuse_sampling(monkeypatch):
+    from lcpq.jordan import checks, sclcp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(checks, "identity_residuals", refuse)
+    monkeypatch.setattr(sclcp, "sample_positivity_violation", refuse)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["identities", "--algebra", "rn:3"],
+        ["rank-one", "--a", "eigs:1,-1", "--b", "eigs:1,1"],
+    ],
+)
+def test_jordan_samples_above_the_ceiling_are_refused_before_sampling(capsys, monkeypatch, command):
+    _refuse_sampling(monkeypatch)
+    code = main(["jordan"] + command + ["--samples", str(MAX_SAMPLES + 1)])
+    assert code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "need --samples <= %d, got %d\n" % (MAX_SAMPLES, MAX_SAMPLES + 1)
+
+
+def test_jordan_samples_at_the_ceiling_are_accepted(capsys, monkeypatch):
+    # The verdict is yes, so no sampler runs.
+    _refuse_sampling(monkeypatch)
+    argv = ["jordan", "rank-one", "--a", "eigs:1,2", "--b", "eigs:3,1"]
+    assert main(argv + ["--samples", str(MAX_SAMPLES)]) == 0
+    assert capsys.readouterr().out.startswith("Q: yes (rank-one-eigensign:")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Seeded instance generators: reproducibility and family membership."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -7,8 +8,10 @@ import random
 import pytest
 
 from helpers import reference_random_triangular
+from lcpq import matrices
 from lcpq.cli import main
 from lcpq.generate import GENERATOR_TYPES, MAX_ORDER, draw_instances, generate
+from lcpq.matrices import RationalMatrix
 from lcpq.structure import (
     BDSW_TYPE_1,
     BDSW_TYPE_2,
@@ -96,11 +99,11 @@ def test_unknown_kind_rejected():
 def test_draw_instances_is_generate_one_at_a_time():
     for kind in GENERATOR_TYPES:
         n = 2 if kind == "2x2" else 5
-        assert list(draw_instances(kind, n, 7, seed=4)) == generate(kind, n, 7, seed=4)
+        drawn = [RationalMatrix(rows) for rows in draw_instances(kind, n, 7, seed=4)]
+        assert drawn == generate(kind, n, 7, seed=4)
     # Nothing is drawn before it is asked for, so a huge count costs nothing.
-    assert list(itertools.islice(draw_instances("tri", 3, 10 ** 12, seed=4), 3)) == generate(
-        "tri", 3, 3, seed=4
-    )
+    first = itertools.islice(draw_instances("tri", 3, 10 ** 12, seed=4), 3)
+    assert [RationalMatrix(rows) for rows in first] == generate("tri", 3, 3, seed=4)
 
 
 @pytest.mark.parametrize("kind, n, message", [
@@ -138,3 +141,41 @@ def test_tri_files_match_the_fraction_transpose_route(tmp_path, capsys):
             assert path.read_text(encoding="utf-8") == text
     capsys.readouterr()
     assert {(True, False), (False, True)} <= sides
+
+
+def test_generate_builds_no_fraction(tmp_path, capsys, monkeypatch):
+    # The files hold the ints the generators draw, written as they are.
+    def refuse(value):
+        raise AssertionError("generate built a Fraction from %r" % (value,))
+
+    monkeypatch.setattr(matrices, "_to_fraction", refuse)
+    for kind in GENERATOR_TYPES:
+        argv = ["generate", "--type", kind, "--n", "6", "--count", "3", "--seed", "2"]
+        assert main(argv + ["--out", str(tmp_path / kind)]) == 0
+        assert len(capsys.readouterr().out.split()) == 3
+
+
+def _generate_digest(out, capsys):
+    """sha256 over the name and bytes of every file lcpq generate writes on
+    a grid of families, orders, seeds and entry ranges."""
+    digest = hashlib.sha256()
+    for kind in GENERATOR_TYPES:
+        orders = (2,) if kind == "2x2" else (1, 2, 3, 7, 40) if kind == "tri" else (2, 3, 7, 40)
+        for n, seed, entry_range in itertools.product(orders, (0, -3), (1, 5)):
+            argv = ["generate", "--type", kind, "--n", str(n), "--count", "3", "--seed", str(seed)]
+            directory = "%s/%s-%d-%d-%d" % (out, kind, n, seed, entry_range)
+            assert main(argv + ["--entry-range", str(entry_range), "--out", directory]) == 0
+            for path in capsys.readouterr().out.split():
+                digest.update(path[len(directory) :].encode())
+                with open(path, "rb") as fh:
+                    digest.update(fh.read())
+    return digest.hexdigest()
+
+
+# Recorded from lcpq generate when it still built a RationalMatrix per
+# instance and wrote its to_json_obj().
+_GENERATE_SHA256 = "ffddb7f249fe01f86044da96da8193393564d09f4c3002b50b4bcb4f22d6419e"
+
+
+def test_generate_bytes_match_the_recorded_digest(tmp_path, capsys):
+    assert _generate_digest(str(tmp_path), capsys) == _GENERATE_SHA256

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import check_lcp_solution, cofactor_det, matvec
 from lcpq.kernel import clear_denominators, eliminate
-from lcpq.lcp import LcpInstance, minor_sign, solve_lcp, supports, walk
+from lcpq.lcp import LcpInstance, integer_system, minor_sign, solve_lcp, supports, walk
 from lcpq.matrices import RationalMatrix, determinant, solve_linear
 
 ENTRIES = st.one_of(
@@ -119,7 +119,8 @@ def test_support_kernel_signs_match_fraction_arithmetic(system, data):
     matrix = RationalMatrix(rows)
     n = matrix.n
     q = [Fraction(data.draw(RHS)) for _ in range(n)]
-    records = {mask: (sign, solved) for mask, _, _, sign, solved in walk(matrix, q)}
+    walked = walk(integer_system(matrix, q)[1])
+    records = {mask: (sign, solved) for mask, _, _, sign, solved in walked}
     for mask, idx in enumerate(supports(n)):
         comp = [j for j in range(n) if j not in idx]
         sub_det = cofactor_det([[rows[i][j] for j in idx] for i in idx]) if idx else 1

@@ -19,13 +19,14 @@ from helpers import (
     reference_solve_lcp,
 )
 from lcpq import lcp
-from lcpq.classes import is_R0
+from lcpq.classes import is_R0, r0_degree
 from lcpq.errors import EnumerationCapError
 from lcpq.lcp import (
     DEFAULT_ENUM_CAP,
     LcpInstance,
     degree,
     enumeration_cap,
+    integer_system,
     is_solvable,
     solve_lcp,
     walk,
@@ -280,7 +281,8 @@ def test_support_walk_matches_bitmask_order_references(case):
     # With lex the walk reads each nonsingular support at q(eps) = q +
     # (eps, ..., eps^n).  Where q is generic, q(eps) has the solutions q
     # has, so their sign sums agree.
-    lex_records = list(walk(matrix, q, lex=True))
+    rows = integer_system(matrix, q)[1]
+    lex_records = list(walk(rows, lex=True))
     lex = {mask: solved for mask, _, _, _, solved in lex_records}
     assert lex == reference_lex_walk(matrix, q)
     total = reference_generic_degree(matrix, q)
@@ -298,14 +300,13 @@ def test_support_walk_matches_bitmask_order_references(case):
             if status == "inconsistent":
                 continue
         expected[mask] = (det > 0) - (det < 0)
-    for records in (list(walk(matrix, q)), lex_records):
+    for records in (list(walk(rows)), lex_records):
         signs = {mask: sign for mask, _, _, sign, _ in records}
         assert len(signs) == len(records)
         assert signs == expected
     # At q = 0 every singular system is consistent, so all 2^n are yielded.
-    assert sorted(mask for mask, _, _, _, _ in walk(matrix, [0] * matrix.n)) == list(
-        range(1 << matrix.n)
-    )
+    zero_rows = integer_system(matrix, [0] * matrix.n)[1]
+    assert sorted(mask for mask, _, _, _, _ in walk(zero_rows)) == list(range(1 << matrix.n))
 
 
 def test_inconsistent_singular_supports_skip_the_lp_and_solve_linear(monkeypatch):
@@ -317,7 +318,8 @@ def test_inconsistent_singular_supports_skip_the_lp_and_solve_linear(monkeypatch
     matrix = RationalMatrix([[1, 0], [1, 0]])
     q = [-2, 1]
     assert [sol.x for sol in solve_lcp(LcpInstance(matrix, q))] == [(2, 0)]
-    assert sorted((mask, solved) for mask, _, _, _, solved in walk(matrix, q, lex=True)) == [
+    records = walk(integer_system(matrix, q)[1], lex=True)
+    assert sorted((mask, solved) for mask, _, _, _, solved in records) == [
         (0, False),
         (1, True),
     ]
@@ -328,13 +330,14 @@ def test_inconsistent_singular_supports_skip_the_lp_and_solve_linear(monkeypatch
     q = [-2, -2]
     assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
     assert len(lps) == 1
-    assert (3, None) in [(mask, solved) for mask, _, _, _, solved in walk(matrix, q, lex=True)]
+    records = walk(integer_system(matrix, q)[1], lex=True)
+    assert (3, None) in [(mask, solved) for mask, _, _, _, solved in records]
 
 
 def test_is_solvable_stops_at_the_first_solution(monkeypatch):
     walked = []
-    def counted_walk(matrix, q):
-        for record in walk(matrix, q):
+    def counted_walk(rows):
+        for record in walk(rows):
             walked.append(record[0])
             yield record
 
@@ -364,6 +367,25 @@ def test_is_solvable_stops_at_the_first_solution(monkeypatch):
     assert len(lps) == 1
 
 
+def test_each_lcp_question_builds_one_integer_system(monkeypatch):
+    # Only the singular supports {2} and {1, 2} solve LCP(A, (-1, 0)), and
+    # {1} holds a nonzero solution of LCP(A, 0), so every question below
+    # runs family LPs; they read the rows its walk read.
+    systems = count_calls(monkeypatch, integer_system)
+    lps = count_calls(monkeypatch, solve_feasibility)
+    matrix = RationalMatrix([[0, 1], [0, 0]])
+    questions = (
+        lambda: solve_lcp(LcpInstance(matrix, [-1, 0])),
+        lambda: is_solvable(matrix, [-1, 0]),
+        lambda: r0_degree(matrix),
+    )
+    for question in questions:
+        del systems[:], lps[:]
+        assert question()
+        assert len(systems) == 1
+        assert lps
+
+
 def test_zero_pivot_children_of_nonsingular_supports_need_no_elimination(monkeypatch):
     # {1} is nonsingular and the pivot of its child {1, 2} is det A = 0; the
     # parent's tableau already tells whether x_1 + x_2 = -q_1 = -q_2 is
@@ -379,7 +401,8 @@ def test_zero_pivot_children_of_nonsingular_supports_need_no_elimination(monkeyp
     matrix = RationalMatrix([[1, 1], [1, 1]])
     for q, consistent in (([-1, -1], True), ([-1, -2], False), ([Fraction(1, 2), Fraction(1, 2)], True)):
         for lex in (False, True):
-            masks = [mask for mask, _, _, _, _ in walk(matrix, q, lex)]
+            records = walk(integer_system(matrix, q)[1], lex)
+            masks = [mask for mask, _, _, _, _ in records]
             assert (3 in masks) == consistent
         assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
     assert eliminations == []
