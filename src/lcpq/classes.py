@@ -208,10 +208,10 @@ def _minor_scan(matrix: RationalMatrix, rule: str, least: int, fails: str, holds
 
 def is_Z(matrix: RationalMatrix) -> Verdict:
     """Z: off-diagonal entries are all nonpositive."""
-    n = matrix.n
-    for i in range(n):
-        for j in range(n):
-            if i != j and matrix.rows[i][j] > 0:
+    _, ints = matrix.integer_rows()
+    for i, row in enumerate(ints):
+        for j, v in enumerate(row):
+            if i != j and v > 0:
                 return Verdict(
                     NO, "Z", "positive off-diagonal entry", {"at": [i + 1, j + 1]}
                 )

@@ -11,6 +11,7 @@ structured paths.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 from .classes import NO, YES, Verdict, q_oracle
@@ -28,7 +29,6 @@ from .structure import (
     BDSW_TYPE_4,
     StructureClass,
     bdsw_determinant,
-    bdsw_offdiagonal,
     detect_structure,
     is_bdsw_shape,
     is_triangular_plus_row,
@@ -36,13 +36,15 @@ from .structure import (
 
 
 def _diag(matrix: RationalMatrix) -> list:
-    return [matrix.rows[i][i] for i in range(matrix.n)]
+    """The diagonal of the integer image: A's signs, no Fraction built."""
+    _, ints = matrix.integer_rows()
+    return [ints[i][i] for i in range(matrix.n)]
 
 
 def _first_nonpositive_diag(matrix: RationalMatrix):
     for i, v in enumerate(_diag(matrix)):
         if v <= 0:
-            return i + 1, v
+            return i + 1, matrix[i, i]
     return None
 
 
@@ -96,8 +98,7 @@ def classify_2x2(matrix: RationalMatrix) -> Verdict:
     """
     if matrix.n != 2:
         raise StructureError("classify_2x2 needs a 2x2 matrix")
-    a, b = matrix.rows[0]
-    c, d = matrix.rows[1]
+    scale, ((a, b), (c, d)) = matrix.integer_rows()
 
     if a > 0 and c >= 0 and d > 0:
         return Verdict(YES, "T9.1", "pattern (i)-1: [+ *; >=0 +]", {})
@@ -108,7 +109,7 @@ def classify_2x2(matrix: RationalMatrix) -> Verdict:
     if a > 0 and b < 0 and c > 0 and d == 0:
         return Verdict(YES, "T9.1", "pattern (i)-4: [+ -; + 0]", {})
 
-    det = a * d - b * c
+    det = Fraction(a * d - b * c, scale * scale)
     if a > 0 and b < 0 and c < 0 and d > 0:
         answer = YES if det > 0 else NO
         return Verdict(answer, "T9.1", "pattern (ii)-1: [+ -; - +] needs det > 0", {"det": det})
@@ -138,8 +139,9 @@ def classify_bdsw_type1(matrix: RationalMatrix, k: int) -> Verdict:
     if not is_bdsw_shape(matrix):
         raise StructureError("matrix does not have the bdsw shape")
     n = matrix.n
-    an1 = matrix.rows[n - 1][0]
-    ann = matrix.rows[n - 1][n - 1]
+    _, ints = matrix.integer_rows()
+    an1 = ints[n - 1][0]
+    ann = ints[n - 1][n - 1]
     diag = _diag(matrix)
 
     if an1 >= 0 and ann > 0:
@@ -155,7 +157,7 @@ def classify_bdsw_type1(matrix: RationalMatrix, k: int) -> Verdict:
 
     if an1 > 0 and ann == 0:
         lead_ok = all(diag[i] > 0 for i in range(n - 1))
-        super_ok = all(matrix.rows[i][i + 1] < 0 for i in range(n - 1))
+        super_ok = all(ints[i][i + 1] < 0 for i in range(n - 1))
         if lead_ok and super_ok:
             return Verdict(
                 YES, "T5.2", "a_n1 > 0, a_nn = 0, positive leading diagonal, negative superdiagonal", {}
@@ -170,19 +172,16 @@ def classify_bdsw_type1(matrix: RationalMatrix, k: int) -> Verdict:
     if an1 < 0 and ann > 0:
         if not (1 <= k < n):
             raise StructureError("type-1 case with a_n1 < 0 needs a nonnegative row k < n")
-        if any(v < 0 for v in matrix.rows[k - 1]):
+        if any(v < 0 for v in ints[k - 1]):
             raise StructureError("row k is not nonnegative")
         if all(v > 0 for v in diag):
             return Verdict(YES, "T5.3", "a_n1 < 0, a_nn > 0, positive diagonal", {"k": k})
-        cond_b = matrix.rows[k - 1][k - 1] == 0 and matrix.rows[k - 1][k] > 0
-        if cond_b:
-            for i in range(n):
-                if i == k - 1:
-                    continue
-                if not (diag[i] > 0 and bdsw_offdiagonal(matrix, i) < 0):
-                    cond_b = False
-                    break
-        if cond_b:
+        # Row i's relevant off-diagonal entry is a_i(i+1), and a_n1 for i = n.
+        if (
+            ints[k - 1][k - 1] == 0
+            and ints[k - 1][k] > 0
+            and all(diag[i] > 0 and ints[i][(i + 1) % n] < 0 for i in range(n) if i != k - 1)
+        ):
             return Verdict(
                 YES,
                 "T5.3",
@@ -277,7 +276,7 @@ def classify_by_rules(
             {"row": bad[0] + 1},
         )
     if matrix.n == 1:
-        value = matrix.rows[0][0]
+        value = matrix[0, 0]
         answer = YES if value > 0 else NO
         return Verdict(answer, "T3.1", "order-1 base case: Q iff the entry is positive", {"a": value})
     if matrix.n == 2:

@@ -13,6 +13,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from ..matrices import RationalMatrix
 from .algebra import (
     Algebra,
     JordanElement,
@@ -73,8 +74,10 @@ def bracket(x: JordanElement, frame: JordanFrame) -> np.ndarray:
 
 
 def _as_float_array(matrix, rank: int) -> np.ndarray:
-    if hasattr(matrix, "rows"):  # RationalMatrix
-        arr = np.array([[float(v) for v in row] for row in matrix.rows])
+    if isinstance(matrix, RationalMatrix):
+        # int / int rounds once, as float(Fraction) does (numpy: twice).
+        scale, ints = matrix.integer_rows()
+        arr = np.array([[v / scale for v in row] for row in ints])
     else:
         arr = np.asarray(matrix, dtype=float)
     if arr.shape != (rank, rank):

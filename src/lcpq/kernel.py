@@ -2,9 +2,9 @@
 
 A rational system is brought to integer form once: the whole of [A | b] is
 multiplied by one positive scale, a common multiple of every denominator
-(clear_denominators; RationalMatrix.integer_rows keeps A's).  Scaling by a
-positive number keeps the sign of every minor and leaves the solution of
-the system unchanged.
+(clear_denominators; a RationalMatrix is held as A's integer image,
+integer_rows).  Scaling by a positive number keeps the sign of every minor
+and leaves the solution of the system unchanged.
 
 Elimination then runs on plain ints with the Bareiss/Montante update
 

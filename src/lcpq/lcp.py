@@ -124,9 +124,8 @@ def minor_sign(matrix: RationalMatrix, idx: Sequence[int]) -> int:
         return 1
     # matrices.determinant is fraction-free too; going through it keeps
     # one determinant routine, which perfbench's trace counts.  The block
-    # inherits the matrix's cached scaled integer rows, so no row's
-    # denominators are cleared again per minor, and the sign is read from
-    # the numerator, an int.
+    # keeps the matrix's scale, so no denominators are cleared again per
+    # minor, and the sign is read from the numerator, an int.
     return _sign(determinant(matrix.principal_submatrix(idx)).numerator)
 
 

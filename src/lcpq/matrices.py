@@ -1,17 +1,17 @@
 """Exact rational matrices and their parsing/linear-algebra helpers.
 
-All entries are fractions.Fraction values; nothing in this module touches
-floating point.  Matrices are immutable once constructed, so they can be
-hashed, shared and reused as dictionary keys.  Each matrix also keeps one
-integer image, A times one positive scale (RationalMatrix.integer_rows),
-and every exact routine reads that image: the determinant, the sign
-predicates, pivot.ppt, the support walk and the LPs of lcp and classes.
+A matrix is its integer image, A times one positive scale held as (scale,
+int rows) (RationalMatrix.integer_rows), and every exact routine reads it.
+A fractions.Fraction is built only at the boundary: a non-integer literal
+read in, an entry read out (rows, indexing).  Matrices are immutable and
+hashable.  Nothing in this module touches floating point.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -65,68 +65,78 @@ def _to_fraction(value) -> Fraction:
 
 
 class RationalMatrix:
-    """Immutable square matrix over the rationals.
+    """Immutable square matrix over the rationals, held as its integer
+    image (integer_rows) alone; rows and indexing build Fractions on read.
 
     Indexing is 0-based internally; helpers that mirror structural
     definitions stated with 1-based indices say so explicitly.
     """
 
-    __slots__ = ("rows", "n", "_image")
+    __slots__ = ("n", "_image")
 
     def __init__(self, rows: Iterable[Iterable]):
-        converted = tuple(tuple(_to_fraction(v) for v in row) for row in rows)
-        n = len(converted)
+        # An int enters the image as it is; anything else is read as a Fraction.
+        rows = [tuple([v if type(v) is int else _to_fraction(v) for v in row]) for row in rows]
+        n = len(rows)
         if n == 0:
             raise MatrixFormatError("matrix must have at least one row")
-        for row in converted:
+        for row in rows:
             if len(row) != n:
                 raise MatrixFormatError(
                     "matrix is not square: %d rows but a row of length %d" % (n, len(row))
                 )
-        object.__setattr__(self, "rows", converted)
+        if all(type(v) is int for row in rows for v in row):
+            image = 1, tuple(rows)
+        else:
+            scale, flat = clear_denominators([v for row in rows for v in row])
+            image = scale, tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_image", image)
+
+    @classmethod
+    def _of_image(cls, scale: int, ints: tuple) -> "RationalMatrix":
+        """ints / scale as given: a nonempty square tuple of int tuples, scale > 0."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "n", len(ints))
+        object.__setattr__(matrix, "_image", (scale, ints))
+        return matrix
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
+    @property
+    def rows(self) -> tuple:
+        """The entries as Fractions, built again on each access."""
+        scale, ints = self._image
+        return tuple(tuple(Fraction(v, scale) for v in row) for row in ints)
+
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.rows[i][j]
+        scale, ints = self._image
+        return Fraction(ints[i][j], scale)
+
+    def _reduced(self) -> tuple:
+        """The image over the gcd of its scale and entries: one per value."""
+        scale, ints = self._image
+        g = gcd(scale, *(v for row in ints for v in row))
+        if g == 1:
+            return self._image
+        return scale // g, tuple(tuple(v // g for v in row) for row in ints)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
+        return isinstance(other, RationalMatrix) and self._reduced() == other._reduced()
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self._reduced())
 
     def __repr__(self) -> str:
         return "RationalMatrix(%r)" % ([[str(v) for v in row] for row in self.rows],)
 
     def integer_rows(self) -> tuple:
-        """(scale, rows): the matrix's one integer image.  rows[i][j] is
-        a_ij times scale, a positive common multiple of every entry's
-        denominator (their lcm, for a matrix built from its entries).
-        Computed once per matrix; a submatrix inherits its parent's scale
-        and picks its rows.  An integer matrix has scale 1."""
-        try:
-            return self._image
-        except AttributeError:
-            n = self.n
-            scale, flat = clear_denominators([v for row in self.rows for v in row])
-            image = scale, tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
-            object.__setattr__(self, "_image", image)
-            return image
-
-    @classmethod
-    def _of_fractions(cls, rows: tuple, image: tuple) -> "RationalMatrix":
-        """A matrix on rows, a nonempty square tuple of tuples of Fractions,
-        taken as they are: no entry is converted or checked again.  image
-        is its integer_rows()."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "rows", rows)
-        object.__setattr__(matrix, "n", len(rows))
-        object.__setattr__(matrix, "_image", image)
-        return matrix
+        """(scale, rows), rows[i][j] = a_ij * scale: a common multiple of the
+        denominators, their lcm for a matrix built from its entries (1 for
+        ints).  A submatrix keeps its parent's scale and picks its rows."""
+        return self._image
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
         """Submatrix on the given 0-based index lists (must be nonempty)."""
@@ -136,13 +146,12 @@ class RationalMatrix:
             raise MatrixFormatError(
                 "matrix is not square: %d rows but a row of length %d" % (len(row_idx), len(col_idx))
             )
-        scale, ints = self.integer_rows()
+        scale, ints = self._image
         # itemgetter of one index returns the entry itself, so one column
         # is picked as a slice, which keeps the row a tuple.
         j = col_idx[0]
         pick = itemgetter(*col_idx) if len(col_idx) > 1 else itemgetter(slice(j, j + 1))
-        rows = tuple([pick(self.rows[i]) for i in row_idx])
-        return RationalMatrix._of_fractions(rows, (scale, tuple([pick(ints[i]) for i in row_idx])))
+        return RationalMatrix._of_image(scale, tuple([pick(ints[i]) for i in row_idx]))
 
     def principal_submatrix(self, idx: Sequence[int]) -> "RationalMatrix":
         return self.submatrix(idx, idx)
@@ -172,7 +181,9 @@ def parse_matrix(text: str) -> RationalMatrix:
             obj = json.loads(
                 stripped,
                 parse_float=lambda text: Fraction(_checked_literal(text)),
-                parse_int=lambda text: int(_checked_literal(text)),
+                parse_int=lambda text: int(
+                    text if len(text) <= MAX_LITERAL_DIGITS else _checked_literal(text)
+                ),
             )
         except json.JSONDecodeError as exc:
             raise MatrixFormatError("invalid JSON: %s" % (exc,))
@@ -219,7 +230,7 @@ def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction]):
     n = matrix.n
     if len(rhs) != n:
         raise ValueError("rhs length mismatch")
-    work = [list(matrix.rows[i]) + [Fraction(rhs[i])] for i in range(n)]
+    work = [list(row) + [Fraction(v)] for row, v in zip(matrix.rows, rhs)]
     pivots = []
     row = 0
     for col in range(n):

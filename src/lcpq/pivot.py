@@ -9,10 +9,11 @@ PPT M of A on J has, in A's own index labelling, the blocks
 and M_CC is the Schur complement A/E.  The whole transform is one
 fraction-free Gauss-Jordan pass (see kernel) over [A_JJ A_JC | -I;
 A_CJ A_CC | 0] times s, J rows first, s the scale of the matrix's integer
-rows (RationalMatrix.integer_rows).  With det the determinant of the
+image (RationalMatrix.integer_rows).  With det the determinant of the
 scaled pivot block s * A_JJ, it leaves -det times row j of M in the
 trailing columns of each row j in J, and det * s times row c of M in
-those of each row c in C.  The transform is an involution and preserves
+those of each row c in C, so M is one integer image over |det| * s and
+no Fraction is built.  The transform is an involution and preserves
 Q-membership and R0; the LCP degree picks up the factor sgn det A_JJ.  On
 the whole index set (C empty) the transform is A^-1 (M. Tsatsomeros,
 *Principal pivot transforms: properties and applications*, LAA 307,
@@ -21,7 +22,7 @@ the whole index set (C empty) the transform is A^-1 (M. Tsatsomeros,
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import SingularPivotError
@@ -61,10 +62,12 @@ def ppt(matrix: RationalMatrix, j_set: Sequence[int]) -> RationalMatrix:
     if det == 0:
         raise SingularPivotError("pivot block A_JJ is singular")
     # The trailing columns of work are A's columns C then J: column j of A
-    # is work column k + place[j].
+    # is work column k + place[j].  Over det * s every row of M is ints, and
+    # one gcd, signed as det, leaves the lcm scale M's entries would give.
     place = sorted(range(matrix.n), key=(comp + j0).__getitem__)
     out = [None] * matrix.n
     for r, i in enumerate(order):
-        d = -det if r < k else det * scale
-        out[i] = [Fraction(work[r][k + p], d) for p in place]
-    return RationalMatrix(out)
+        f = -scale if r < k else 1
+        out[i] = [f * work[r][k + p] for p in place]
+    g = gcd(det * scale, *(v for row in out for v in row)) * (1 if det > 0 else -1)
+    return RationalMatrix._of_image(det * scale // g, tuple(tuple(v // g for v in row) for row in out))

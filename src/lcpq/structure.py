@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
 from .errors import NotBdswShapeError
@@ -47,24 +48,13 @@ class StructureClass:
 
 def is_bdsw_shape(matrix: RationalMatrix) -> bool:
     """True when nonzeros appear only on diagonal, superdiagonal, corner (n,1)."""
-    n = matrix.n
-    if n < 2:
+    if matrix.n < 2:
         return False
-    for i in range(n):
-        for j in range(n):
-            if i == j or j == i + 1 or (i == n - 1 and j == 0):
-                continue
-            if matrix.rows[i][j] != 0:
-                return False
-    return True
-
-
-def bdsw_offdiagonal(matrix: RationalMatrix, i: int) -> Fraction:
-    """The single relevant off-diagonal entry of 0-based row i of a bdsw matrix."""
-    n = matrix.n
-    if i < n - 1:
-        return matrix.rows[i][i + 1]
-    return matrix.rows[n - 1][0]
+    _, ints = matrix.integer_rows()
+    *head, last = ints
+    return not any(last[1:-1]) and not any(
+        any(row[:i]) or any(row[i + 2 :]) for i, row in enumerate(head)
+    )
 
 
 def bdsw_determinant(matrix: RationalMatrix) -> Fraction:
@@ -76,16 +66,9 @@ def bdsw_determinant(matrix: RationalMatrix) -> Fraction:
     if not is_bdsw_shape(matrix):
         raise NotBdswShapeError("matrix does not have the bdsw zero pattern")
     n = matrix.n
-    diag_term = Fraction(1)
-    for i in range(n):
-        diag_term *= matrix.rows[i][i]
-    cycle_term = Fraction(1)
-    for i in range(n - 1):
-        cycle_term *= matrix.rows[i][i + 1]
-    cycle_term *= matrix.rows[n - 1][0]
-    if (n + 1) % 2 == 1:
-        cycle_term = -cycle_term
-    return diag_term + cycle_term
+    scale, ints = matrix.integer_rows()
+    cycle = prod(ints[i][(i + 1) % n] for i in range(n))
+    return Fraction(prod(ints[i][i] for i in range(n)) + (-1) ** (n + 1) * cycle, scale**n)
 
 
 def conjugate(matrix: RationalMatrix, order) -> RationalMatrix:
@@ -94,8 +77,8 @@ def conjugate(matrix: RationalMatrix, order) -> RationalMatrix:
     order = list(order)
     if sorted(order) != list(range(matrix.n)):
         raise ValueError("not a permutation of 0..%d: %r" % (matrix.n - 1, order))
-    rows = matrix.rows
-    return RationalMatrix([[rows[i][j] for j in order] for i in order])
+    scale, ints = matrix.integer_rows()
+    return RationalMatrix._of_image(scale, tuple(tuple(ints[i][j] for j in order) for i in order))
 
 
 def rotate_conjugate(matrix: RationalMatrix, k: int) -> RationalMatrix:
@@ -144,7 +127,8 @@ def detect_structure(matrix: RationalMatrix) -> StructureClass:
         return StructureClass(GENERAL, notes=tuple(notes))
 
     if is_bdsw_shape(matrix):
-        if matrix.rows[n - 1][0] == 0:
+        _, ints = matrix.integer_rows()
+        if ints[n - 1][0] == 0:
             notes.append("bidiagonal")
         if is_upper_triangular(matrix):
             notes.append("upper-triangular")
@@ -162,13 +146,12 @@ def detect_structure(matrix: RationalMatrix) -> StructureClass:
         # No nonpositive and no nonnegative row: every row holds exactly one
         # positive and one negative entry among its diagonal and relevant
         # off-diagonal slot, so the sign of the diagonal decides the type.
-        diag_signs = [matrix.rows[i][i] > 0 for i in range(n)]
+        diag_signs = [ints[i][i] > 0 for i in range(n)]
         if all(diag_signs):
             return StructureClass(BDSW_TYPE_2, notes=tuple(notes))
         if not any(diag_signs):
             return StructureClass(BDSW_TYPE_3, notes=tuple(notes))
-        neg_count = sum(1 for i in range(n) if matrix.rows[i][i] < 0)
-        return StructureClass(BDSW_TYPE_4, k=neg_count, notes=tuple(notes))
+        return StructureClass(BDSW_TYPE_4, k=diag_signs.count(False), notes=tuple(notes))
 
     if is_upper_triangular(matrix):
         return StructureClass(UPPER_TRIANGULAR, notes=tuple(notes))

@@ -76,9 +76,10 @@ def matmul(a, b):
     """The product of two RationalMatrix objects of one order, by the
     definition."""
     n = a.n
+    a_rows, b_rows = a.rows, b.rows
     return RationalMatrix(
         [
-            [sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+            [sum((a_rows[i][k] * b_rows[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
             for i in range(n)
         ]
     )
@@ -289,8 +290,9 @@ def _support_solution(matrix, q, idx):
     return status, x
 
 
-def _principal_sign(matrix, idx):
-    return _sign(cofactor_det([[matrix.rows[i][j] for j in idx] for i in idx])) if idx else 1
+def _principal_sign(rows, idx):
+    """sgn det A_II by cofactor expansion, for A's Fraction rows."""
+    return _sign(cofactor_det([[rows[i][j] for j in idx] for i in idx])) if idx else 1
 
 
 def reference_solve_lcp(matrix, q):
@@ -301,6 +303,7 @@ def reference_solve_lcp(matrix, q):
     LP builds.  The first occurrence of each vector is kept.
     """
     n = matrix.n
+    rows = matrix.rows
     q = [Fraction(v) for v in q]
     seen = {}
     for mask in range(1 << n):
@@ -310,9 +313,9 @@ def reference_solve_lcp(matrix, q):
         if status != "unique":
             system = RationalSystem(len(idx))
             for i in idx:
-                system.add_eq([matrix.rows[i][j] for j in idx], -q[i])
+                system.add_eq([rows[i][j] for j in idx], -q[i])
             for j in comp:
-                system.add_ge([matrix.rows[j][i] for i in idx], -q[j])
+                system.add_ge([rows[j][i] for i in idx], -q[j])
             point = reference_feasibility(system)
             if point is None:
                 continue
@@ -334,6 +337,7 @@ def reference_generic_degree(matrix, q):
     q is not generic, that is on a consistent singular support or an exact
     zero in a candidate's x_I or complementary slack."""
     n = matrix.n
+    rows = matrix.rows
     q = [Fraction(v) for v in q]
     total = 0
     for mask in range(1 << n):
@@ -355,7 +359,7 @@ def reference_generic_degree(matrix, q):
             return None
         if any(v < 0 for v in slacks):
             continue
-        total += _principal_sign(matrix, idx)
+        total += _principal_sign(rows, idx)
     return total
 
 
@@ -376,23 +380,24 @@ def reference_lex_walk(matrix, q):
     A_II: x_I(eps) = -B q_I - sum over k in I of eps^(k+1) B e_k, and
     w_j(eps) = (A x(eps))_j + q_j + eps^(j+1)."""
     n = matrix.n
+    rows = matrix.rows
     q = [Fraction(v) for v in q]
     out = {}
     for mask in range(1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
         comp = [j for j in range(n) if not mask >> j & 1]
-        if _principal_sign(matrix, idx) == 0:
+        if _principal_sign(rows, idx) == 0:
             status, _ = _support_solution(matrix, q, idx)
             if status != "inconsistent":
                 out[mask] = None
             continue
-        inverse = _fraction_inverse([[matrix.rows[i][j] for j in idx] for i in idx])
+        inverse = _fraction_inverse([[rows[i][j] for j in idx] for i in idx])
         # Row t of x holds the coefficients of x_(idx[t]): power 0, then
         # the powers k + 1 of k in idx, in increasing order.
         x = [[-sum(b * q[i] for b, i in zip(row, idx))] + [-b for b in row] for row in inverse]
         solved = all(_lex_sign(row) > 0 for row in x)
         for j in comp:
-            w = [sum(matrix.rows[j][i] * row[c] for i, row in zip(idx, x)) for c in range(len(idx) + 1)]
+            w = [sum(rows[j][i] * row[c] for i, row in zip(idx, x)) for c in range(len(idx) + 1)]
             w[0] += q[j]
             below = [c + 1 for c, k in enumerate(idx) if k < j]
             solved = solved and _lex_sign([w[c] for c in [0] + below] + [1]) > 0
@@ -570,17 +575,18 @@ def reference_is_R0(matrix):
     The LP is the package's (test_simplex holds it to the Fraction
     tableau), so the census comparison stays fast."""
     n = matrix.n
+    rows = matrix.rows
     for mask in range(1, 1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
         comp = [j for j in range(n) if not mask >> j & 1]
-        if _principal_sign(matrix, idx) != 0:
+        if _principal_sign(rows, idx) != 0:
             continue  # x_I = 0 is the only solution, and sum x_I = 1 fails
         system = RationalSystem(len(idx))
         for i in idx:
-            system.add_eq([matrix.rows[i][j] for j in idx], 0)
+            system.add_eq([rows[i][j] for j in idx], 0)
         system.add_eq([1] * len(idx), 1)
         for j in comp:
-            system.add_ge([matrix.rows[j][i] for i in idx], 0)
+            system.add_ge([rows[j][i] for i in idx], 0)
         point = solve_feasibility(system.integer())
         if point is not None:
             x = [Fraction(0)] * n

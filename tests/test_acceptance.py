@@ -184,9 +184,10 @@ def test_criterion_04_type3_signed_determinant_and_inverse_positivity():
             nonsingular += 1
             inv = inverse(m)
             scale = det * sign
+            inv_rows = inv.rows
             for r in range(n):
                 for c in range(n):
-                    if inv.rows[r][c] * scale <= 0:
+                    if inv_rows[r][c] * scale <= 0:
                         problems.append(
                             "instance %d: signed adjugate entry (%d,%d) not positive" % (i, r, c)
                         )
@@ -207,7 +208,8 @@ def _rotate_to_last(matrix, j):
     """
     n = matrix.n
     order = [(p + j + 1) % n for p in range(n)]
-    return RationalMatrix([[matrix.rows[a][b] for b in order] for a in order])
+    rows = matrix.rows
+    return RationalMatrix([[rows[a][b] for b in order] for a in order])
 
 
 def test_criterion_05_type4_rule_ppt_recursion_and_degree():

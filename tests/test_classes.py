@@ -94,18 +94,19 @@ def _has_nonzero_homogeneous_solution(m):
     """Support enumeration with a pinned coordinate instead of a sum
     normalisation; independent of the route is_R0 takes."""
     n = m.n
+    rows = m.rows
     for mask in range(1, 1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
         comp = [j for j in range(n) if j not in idx]
         for pinned in idx:
             system = RationalSystem(len(idx))
             for i in idx:
-                system.add_eq([m.rows[i][j] for j in idx], 0)
+                system.add_eq([rows[i][j] for j in idx], 0)
             system.add_eq(
                 [Fraction(1) if j == pinned else Fraction(0) for j in idx], 1
             )
             for j in comp:
-                system.add_ge([m.rows[j][i] for i in idx], 0)
+                system.add_ge([rows[j][i] for i in idx], 0)
             if solve_feasibility(system.integer()) is not None:
                 return True
     return False
@@ -361,10 +362,11 @@ def _oracle_corpus():
 def _minor_signs_by_cofactor(matrix):
     """mask -> sgn det A_II for every principal minor, the empty one 1."""
     n = matrix.n
+    rows = matrix.rows
     signs = {0: 1}
     for mask in range(1, 1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
-        det = cofactor_det([[matrix.rows[i][j] for j in idx] for i in idx])
+        det = cofactor_det([[rows[i][j] for j in idx] for i in idx])
         signs[mask] = (det > 0) - (det < 0)
     return signs
 

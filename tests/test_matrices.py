@@ -1,6 +1,7 @@
 """Exact matrix core: parsing, determinants, inverses, linear solves."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from helpers import cofactor_det, identity, matmul, matvec, plain_text, transpose
 from lcpq import matrices
 from lcpq.errors import MatrixFormatError, SingularPivotError
+from lcpq.generate import generate
 from lcpq.matrices import (
     RationalMatrix,
     determinant,
@@ -20,6 +22,8 @@ from lcpq.matrices import (
     parse_vector,
     solve_linear,
 )
+from lcpq.pivot import ppt
+from lcpq.structure import conjugate
 
 
 def test_entries_become_fractions():
@@ -99,15 +103,22 @@ def test_literals_up_to_the_bound_are_read_exactly():
     assert parse_matrix(ratio)[0, 0] == Fraction(ratio)
 
 
-def test_literals_past_the_bound_are_rejected_before_fraction_reads_them(monkeypatch):
+def _record_fractions(monkeypatch, modules):
+    """A list that each Fraction the modules build appends its arguments to."""
     seen = []
 
     class RecordingFraction(Fraction):
         def __new__(cls, *args):
             seen.append(args)
-            return Fraction(*args)
+            return super().__new__(cls, *args)
 
-    monkeypatch.setattr(matrices, "Fraction", RecordingFraction)
+    for module in modules:
+        monkeypatch.setattr(module, "Fraction", RecordingFraction)
+    return seen
+
+
+def test_literals_past_the_bound_are_rejected_before_fraction_reads_them(monkeypatch):
+    seen = _record_fractions(monkeypatch, [matrices])
     rejected = ("1" * 4301, "-0.%s" % ("0" * 4300), "1e4301", "1E-4301", "2.5e+04301")
     for text in rejected:
         for parse in _literal_parsers():
@@ -118,6 +129,32 @@ def test_literals_past_the_bound_are_rejected_before_fraction_reads_them(monkeyp
     with pytest.raises(MatrixFormatError, match="exponent 4301"):
         parse_matrix("1e4_301")  # Fraction reads underscores; JSON numbers have none
     assert seen == []
+
+
+def test_integer_input_builds_no_fraction(monkeypatch):
+    # An int entry goes into the integer image as it is; a Fraction is
+    # built only when an entry is read out.
+    seen = _record_fractions(
+        monkeypatch,
+        [
+            module
+            for name, module in list(sys.modules.items())
+            if name.partition(".")[0] == "lcpq" and getattr(module, "Fraction", None) is Fraction
+        ],
+    )
+    rows = [[2, -1, 0], [0, 3, 1], [4, 0, 5]]
+    parsed = parse_matrix('{"n": 3, "rows": %s}' % rows)
+    built = RationalMatrix(rows)
+    generated = generate("bdsw-2", 4, 2, 0)
+    sub = built.submatrix([2, 0], [1, 2])
+    conjugated = conjugate(built, [2, 0, 1])
+    transformed = ppt(built, [1, 2])
+    assert seen == []
+    assert parsed == built and built.integer_rows() == (1, tuple(map(tuple, rows)))
+    assert [m.integer_rows()[0] for m in generated + [sub, conjugated]] == [1] * 4
+    assert sub.integer_rows() == (1, ((0, 5), (-1, 0)))
+    assert conjugated.integer_rows() == (1, ((5, 4, 0), (0, 2, -1), (1, 0, 3)))
+    assert transformed.integer_rows()[0] == 6  # det A_JJ = 6 for J = {1, 2}
 
 
 def test_a_bad_literal_is_named_once_and_cut_short():
@@ -262,8 +299,33 @@ def test_integer_rows_share_one_scale():
     # would need less.
     assert m.principal_submatrix([1]).integer_rows() == (30, ((30,),))
     assert m.submatrix([0], [1]).integer_rows() == (30, ((10,),))
+    # It still equals, and hashes like, the matrix built from its entries.
+    assert m.principal_submatrix([1]) == RationalMatrix([[1]])
+    assert hash(m.submatrix([0], [1])) == hash(RationalMatrix([["1/3"]]))
     integer = RationalMatrix([[1, -2], [0, 3]])
     assert integer.integer_rows() == (1, ((1, -2), (0, 3)))
+    # ppt, inverse and conjugate write their images themselves: each is at
+    # the lcm scale, gcd-reduced, as if built from its entries.
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        a = RationalMatrix(
+            [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+        )
+        j_set = rng.sample(range(1, n + 1), rng.randint(1, n))
+        results = [conjugate(a, rng.sample(range(n), n))]
+        for transform in (lambda: ppt(a, j_set), lambda: inverse(a)):
+            try:
+                results.append(transform())
+            except SingularPivotError:
+                pass
+        for result in results:
+            rebuilt = RationalMatrix(result.rows)
+            assert result.integer_rows() == rebuilt.integer_rows()
+            assert result == rebuilt and hash(result) == hash(rebuilt)
+            checked += 1
+    assert checked > 120
 
 
 def test_parse_vector_forms():

@@ -21,6 +21,25 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_only_matrices_reads_the_rows_attribute():
+    # A matrix is its integer image, and its rows are Fractions built again
+    # on every read.  Outside matrices.py the package reads integer_rows(),
+    # so no O(n^2) rebuild sits in a loop and one module owns the
+    # representation.
+    root = pathlib.Path(lcpq.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.relative_to(root) == pathlib.Path("matrices.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            "%s:%d" % (path.relative_to(root), node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "rows"
+        ]
+    assert found == []
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # The package's two __init__ modules import names only to re-export them.
     root = pathlib.Path(lcpq.__file__).parent
