@@ -28,6 +28,7 @@ from .lcp import (
     minor_sign,
     solve_lcp,
     supports,
+    walk,
 )
 from .matrices import RationalMatrix, nonpositive_rows, vec_to_fractions
 from .simplex import FeasibilitySystem, solve_feasibility
@@ -73,8 +74,13 @@ class Verdict:
 
 
 def is_R0(matrix: RationalMatrix) -> Verdict:
-    """R0: x = 0 is the only solution of LCP(A, 0).  See r0_degree."""
-    return r0_degree(matrix)[0]
+    """R0: x = 0 is the only solution of LCP(A, 0).  The same verdict as
+    r0_degree's, from a plain walk (lcp.walk): the singular supports it
+    yields are the lexicographic walk's, so the degree columns are not
+    carried."""
+    scale, rows = integer_system(matrix, [0] * matrix.n)
+    singular = sorted((mask, idx, comp) for mask, idx, comp, sign, _ in walk(rows) if sign == 0)
+    return _r0_verdict(rows, scale, singular)
 
 
 def r0_degree(matrix: RationalMatrix) -> Tuple[Verdict, int]:
@@ -83,21 +89,25 @@ def r0_degree(matrix: RationalMatrix) -> Tuple[Verdict, int]:
 
     A nonzero solution of LCP(A, 0) on support I has A_II x_I = 0, so
     A_II is singular.  The walk yields the singular supports, and reads
-    each minor's sign from its pivot, with no determinant call.  They are
-    tried in bitmask order: A_II x_I = 0, sum x_I = 1, x_I >= 0,
+    each minor's sign from its pivot, with no determinant call.
+    """
+    scale, rows = integer_system(matrix, [0] * matrix.n)
+    singular, deg = lex_walk(rows)
+    return _r0_verdict(rows, scale, singular), deg
+
+
+def _r0_verdict(rows: list, scale: int, singular: list) -> Verdict:
+    """The R0 verdict from the singular supports (mask, idx, comp) of
+    LCP(A, 0), in bitmask order: A_II x_I = 0, sum x_I = 1, x_I >= 0,
     A_(I^c,I) x_I >= 0 must be infeasible, and the first feasible one
     gives the witness x.  That LP is lcp.family_point with the sum row,
-    on the integer rows of [A | 0] that the walk read.
-    """
-    n = matrix.n
-    scale, rows = integer_system(matrix, [0] * n)
-    singular, deg = lex_walk(rows)
+    on the integer rows (at scale) of [A | 0] that the walk read."""
     for _, idx, comp in singular:
         point = family_point(rows, idx, comp, scale)
         if point is not None:
-            x = embed(n, idx, point)
-            return Verdict(NO, "R0", "nonzero solution of LCP(A,0)", {"x": x}), deg
-    return Verdict(YES, "R0", "LCP(A,0) has only the zero solution", {}), deg
+            x = embed(len(rows), idx, point)
+            return Verdict(NO, "R0", "nonzero solution of LCP(A,0)", {"x": x})
+    return Verdict(YES, "R0", "LCP(A,0) has only the zero solution", {})
 
 
 def is_Rd(matrix: RationalMatrix, d: Sequence) -> Verdict:

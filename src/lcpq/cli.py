@@ -270,7 +270,10 @@ def cmd_jordan_identities(args) -> int:
     return EXIT_YES if passed else EXIT_NO
 
 
-def _parse_eigs(text: str) -> list:
+def _parse_eigs(text: str) -> Tuple[list, list]:
+    """The eigenvalues of an eigs: literal twice: as floats, for the
+    elements and the sampler, and exactly, through parse_vector, for the
+    verdict."""
     body = text[5:] if text.startswith("eigs:") else text
     try:
         values = [float(part) for part in body.split(",") if part.strip() != ""]
@@ -280,12 +283,22 @@ def _parse_eigs(text: str) -> list:
         raise ValueError("empty eigenvalue list %r" % (text,))
     if not all(map(math.isfinite, values)):
         raise ValueError("non-finite eigenvalue in %r" % (text,))
-    return values
+    try:
+        # float read every part as one number, so parse_vector finds the
+        # same parts, and refuses only a literal past its digit bounds.
+        exact = parse_vector(body)
+    except MatrixFormatError:
+        raise ValueError("bad eigenvalue list %r" % (text,))
+    return values, exact
 
 
 def cmd_jordan_rank_one(args) -> int:
+    """Decided by the exact signs of the eigenvalue literals (the paper's
+    rank-one theorem, classify_rank_one_exact); the float elements give the
+    reported eigenvalue extremes and, under a no, the evidence sampler,
+    which alone reads --tol."""
     from .jordan.algebra import Algebra, element_from_eigenvalues
-    from .jordan.sclcp import classify_rank_one_q, sample_positivity_violation
+    from .jordan.sclcp import classify_rank_one_exact, sample_positivity_violation
     from .jordan.transforms import rank_one
 
     if args.samples < 1:
@@ -297,8 +310,8 @@ def cmd_jordan_rank_one(args) -> int:
     if not 0 <= args.tol < math.inf:  # nan fails too
         return _fail("need --tol >= 0, got %g" % args.tol, EXIT_USAGE)
     try:
-        eigs_a = _parse_eigs(args.a)
-        eigs_b = _parse_eigs(args.b)
+        eigs_a, alpha = _parse_eigs(args.a)
+        eigs_b, beta = _parse_eigs(args.b)
         algebra = (
             _parse_algebra_arg(args.algebra)
             if args.algebra
@@ -315,7 +328,7 @@ def cmd_jordan_rank_one(args) -> int:
     frame = _build_frame(algebra, args.frame, args.seed)
     a = element_from_eigenvalues(frame, eigs_a)
     b = element_from_eigenvalues(frame, eigs_b)
-    verdict = classify_rank_one_q(a, b, tol=args.tol)
+    verdict = classify_rank_one_exact(alpha, beta, a, b)
     sampler = None
     if verdict.is_no:
         sampler = sample_positivity_violation(
@@ -349,6 +362,10 @@ def cmd_jordan_rank_one(args) -> int:
 
 
 def cmd_jordan_embed_check(args) -> int:
+    """Solve LCP(A, q) exactly and check its first solution lifted along
+    the frame.  unsolvable rules out every cone solution of
+    LCP(hat A, hat q), not only the frame-diagonal ones (see
+    sclcp.EmbedOutcome); the printed line keeps its wording."""
     from .jordan.algebra import sym_algebra
     from .jordan.sclcp import embed_solve
 

@@ -41,6 +41,7 @@ from .transforms import (
 from .sclcp import (
     EmbedOutcome,
     ScLcpSolutionCheck,
+    classify_rank_one_exact,
     classify_rank_one_q,
     embed_solve,
     sample_positivity_violation,

@@ -10,7 +10,15 @@ coordinates in both algebras.
 The maps between sym coordinates and matrices (svec and its inverse) are
 index arrays: the diagonal through np.arange(m) and the off-diagonal units
 through np.triu_indices(m, 1), which lists the pairs i < j in that
-lexicographic order.  They are built once per order m and are read-only.
+lexicographic order.  They are built once per order m and are read-only,
+and they also map a whole stack of elements at once (_sym_matrices, _svec).
+
+A frame is built and checked on such stacks: frame_from_orthogonal forms
+every q_i q_i^T in one product and maps them in one svec, and
+JordanFrame.validate forms e_i o e_j for every pair i <= j in stacked
+matrix products (_stacked_products), not one jordan_product per pair.
+Each entry goes through the same float operations as in jordan_product,
+so the residuals are bit for bit the same.
 """
 
 from __future__ import annotations
@@ -27,6 +35,11 @@ DEFAULT_TOL = 1e-9
 # (m(m+1)/2)^2 floats, so sym:64 already takes about 75 MB and a second per
 # identities sample, and sym:3000 would not fit in memory.
 MAX_RANK = 64
+
+# JordanFrame.validate multiplies its pairs in stacks of at most this many
+# floats per m x m matrix stack: at sym:64 a stack holds 64 pairs (2 MB), where
+# all 2,080 pairs at once would hold 68 MB per stack.
+_STACK_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -127,6 +140,43 @@ def _svec_indices(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return diag, rows, cols
 
 
+# The stacked forms of JordanElement.to_matrix and element_from_matrix,
+# with the same float operations.  Those two keep their own unstacked
+# indexing: every jordan_product runs them, and a stack axis would cost
+# it about a tenth of its time.
+
+
+def _sym_matrices(m: int, coords: np.ndarray) -> np.ndarray:
+    """The symmetric matrices of a k x dim stack of sym:m coordinates, k x m x m."""
+    diag, rows, cols = _svec_indices(m)
+    out = np.zeros((len(coords), m, m))
+    out[:, diag, diag] = coords[:, :m]
+    off = coords[:, m:] / np.sqrt(2.0)
+    out[:, rows, cols] = off
+    out[:, cols, rows] = off
+    return out
+
+
+def _svec(m: int, mats: np.ndarray) -> np.ndarray:
+    """The sym:m coordinates of a k x m x m stack, read from each diagonal
+    and upper triangle, k x dim."""
+    diag, rows, cols = _svec_indices(m)
+    coords = np.empty((len(mats), m * (m + 1) // 2))
+    coords[:, :m] = mats[:, diag, diag]
+    coords[:, m:] = mats[:, rows, cols] * np.sqrt(2.0)
+    return coords
+
+
+def _stacked_products(algebra: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row k is the coordinates of x_k o y_k, for k x dim coordinate
+    arrays x and y: jordan_product's float operations on a whole stack."""
+    if algebra.kind == "rn":
+        return x * y
+    m = algebra.size
+    mx, my = _sym_matrices(m, x), _sym_matrices(m, y)
+    return _svec(m, (mx @ my + my @ mx) / 2.0)
+
+
 def _same_algebra(a: JordanElement, b: JordanElement) -> None:
     if a.algebra != b.algebra:
         raise ValueError("elements live in different algebras")
@@ -198,15 +248,26 @@ class JordanFrame:
 
     def validate(self, tol: float = DEFAULT_TOL) -> float:
         """Max residual over idempotency, orthogonality, unit traces and
-        the completeness sum; raises ValueError above tol."""
+        the completeness sum; raises ValueError above tol.
+
+        e_i o e_j for every pair i <= j comes from stacked products, at
+        most _STACK_FLOATS floats per matrix stack.  A residual that is
+        nan is passed over, as max(worst, nan) passes it over."""
+        if any(e.algebra != self.algebra for e in self.elements):
+            raise ValueError("elements live in different algebras")
+        coords = np.array([e.coords for e in self.elements])
+        first, second = np.triu_indices(len(coords))
+        size = self.algebra.size
+        step = max(1, _STACK_FLOATS // (size * size))
         worst = 0.0
-        for i, e in enumerate(self.elements):
-            worst = max(worst, _max_abs(jordan_product(e, e) - e))
+        for start in range(0, len(first), step):
+            i, j = first[start : start + step], second[start : start + step]
+            residual = _stacked_products(self.algebra, coords[i], coords[j])
+            same = i == j
+            residual[same] -= coords[i[same]]  # e_i o e_i - e_i
+            worst = float(np.fmax.reduce(np.max(np.abs(residual), axis=1), initial=worst))
+        for e in self.elements:
             worst = max(worst, abs(trace_inner_product(e, e) - 1.0))
-            for j in range(i + 1, len(self.elements)):
-                worst = max(
-                    worst, _max_abs(jordan_product(e, self.elements[j]))
-                )
         total = element_from_eigenvalues(self, np.ones(len(self)))
         worst = max(worst, _max_abs(total - identity_element(self.algebra)))
         if worst > tol:
@@ -232,11 +293,14 @@ def frame_from_orthogonal(algebra: Algebra, q: np.ndarray) -> JordanFrame:
     """Frame e_i = q_i q_i^T from the columns of an orthogonal matrix (sym)."""
     if algebra.kind != "sym":
         raise ValueError("orthogonal-conjugated frames exist only for sym")
-    elements = tuple(
-        element_from_matrix(algebra, np.outer(q[:, i], q[:, i]))
-        for i in range(algebra.size)
-    )
-    return JordanFrame(algebra, elements)
+    m = algebra.size
+    q = np.asarray(q, dtype=float)
+    if q.shape != (m, m):
+        raise ValueError(
+            "orthogonal matrix shape %r does not match sym:%d, which needs %r" % (q.shape, m, (m, m))
+        )
+    coords = _svec(m, np.einsum("ai,bi->iab", q, q))
+    return JordanFrame(algebra, tuple(JordanElement(algebra, row.copy()) for row in coords))
 
 
 def random_frame(algebra: Algebra, rng: np.random.Generator) -> JordanFrame:

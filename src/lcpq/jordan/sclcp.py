@@ -2,6 +2,10 @@
 frame, verifying cone solutions, classifying rank-one transforms for the
 Q-property, and sampling-based falsifiers.
 
+A rank-one transform given by exact eigenvalues along one frame is decided
+by their signs (classify_rank_one_exact); classify_rank_one_q reads the
+eigenvalues back from float elements, so it leaves a tolerance band open.
+
 The complementarity problem for a transform L and element q asks for x in
 the cone with y := L(x) + q in the cone and <x, y> = 0.  Verification is
 numeric with explicit tolerances; the underlying matrix LCP is solved in
@@ -75,7 +79,11 @@ class EmbedOutcome:
     status "embedded": a solution r was found exactly and its frame-diagonal
     image passed verification (check holds the record, r the rational
     solution).  status "unsolvable": the matrix LCP has no solution, which
-    also certifies that no frame-diagonal cone solution exists.
+    certifies that LCP(hat A, hat q) has no cone solution at all, not only
+    no frame-diagonal one: for a cone solution x, the frame coordinates
+    [x] are >= 0 (each e_i is in the cone), A[x] + q >= 0 (y = hat(A[x] +
+    q) is in the cone) and [x]^T (A[x] + q) = <x, y> = 0, so [x] solves
+    LCP(A, q).
     """
 
     status: str
@@ -119,22 +127,56 @@ def classify_rank_one_q(
     Yes when both factors are interior to the cone, or both interior to its
     negative.  No when the signs decisively rule out both orientations.
     Eigenvalues inside the tolerance band leave the question open."""
+    data = _eigenvalue_extremes(a, b)
+    a_min, a_max, b_min, b_max = data["a_min"], data["a_max"], data["b_min"], data["b_max"]
+    return _eigensign_verdict(
+        a_min > tol and b_min > tol,
+        a_max < -tol and b_max < -tol,
+        (a_min < -tol or b_min < -tol) and (a_max > tol or b_max > tol),
+        data,
+    )
+
+
+def classify_rank_one_exact(
+    alpha: Sequence[Fraction], beta: Sequence[Fraction], a: JordanElement, b: JordanElement
+) -> Verdict:
+    """Q-property of x -> <b, x> a for a = sum alpha_i e_i and b = sum
+    beta_i e_i along one frame, decided by the exact signs of alpha and
+    beta, the eigenvalues of a and b.  By the paper's rank-one theorem the
+    map has Q iff a and b are both interior to the cone (every alpha_i and
+    beta_i > 0) or both interior to its negative, so the answer is yes or
+    no, never undecided.  The data are the float eigenvalue extremes of the
+    elements a and b, as classify_rank_one_q reports them."""
+    data = _eigenvalue_extremes(a, b)
+    return _eigensign_verdict(
+        min(alpha) > 0 and min(beta) > 0, max(alpha) < 0 and max(beta) < 0, True, data
+    )
+
+
+def _eigenvalue_extremes(a: JordanElement, b: JordanElement) -> dict:
     if a.algebra != b.algebra:
         raise ValueError("elements live in different algebras")
     a_eigs = eigenvalues_of(a)
     b_eigs = eigenvalues_of(b)
-    a_min, a_max = float(a_eigs.min()), float(a_eigs.max())
-    b_min, b_max = float(b_eigs.min()), float(b_eigs.max())
-    data = {"a_min": a_min, "a_max": a_max, "b_min": b_min, "b_max": b_max}
-    if a_min > tol and b_min > tol:
+    return {
+        "a_min": float(a_eigs.min()),
+        "a_max": float(a_eigs.max()),
+        "b_min": float(b_eigs.min()),
+        "b_max": float(b_eigs.max()),
+    }
+
+
+def _eigensign_verdict(positive: bool, negative: bool, decided: bool, data: dict) -> Verdict:
+    """The rank-one-eigensign verdict: yes if both factors are interior to
+    the cone (positive) or to its negative (negative), else no if decided,
+    else undecided."""
+    if positive:
         return Verdict(YES, "rank-one-eigensign", "both factors interior to the cone", data)
-    if a_max < -tol and b_max < -tol:
+    if negative:
         return Verdict(
             YES, "rank-one-eigensign", "both factors interior to the negated cone", data
         )
-    fails_positive = a_min < -tol or b_min < -tol
-    fails_negative = a_max > tol or b_max > tol
-    if fails_positive and fails_negative:
+    if decided:
         return Verdict(
             NO,
             "rank-one-eigensign",

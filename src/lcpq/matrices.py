@@ -21,6 +21,12 @@ from .kernel import clear_denominators, eliminate
 
 MAX_LITERAL_DIGITS = 4300
 
+# A byte table that keeps each ASCII digit as b"0" and makes every other
+# byte b" ", so that a run of digits in UTF-8 text becomes a run of b"0"
+# (no byte of a multibyte character is ASCII).
+_DIGITS_AS_ZEROS = bytes(48 if 48 <= b <= 57 else 32 for b in range(256))
+_LONG_RUN = b"0" * (MAX_LITERAL_DIGITS + 1)
+
 
 def _checked_literal(text: str) -> str:
     """text, if Fraction and int can read it in bounded time: at most
@@ -40,6 +46,17 @@ def _checked_literal(text: str) -> str:
     if abs(power) > MAX_LITERAL_DIGITS:
         raise MatrixFormatError("exponent %d is beyond +-%d" % (power, MAX_LITERAL_DIGITS))
     return text
+
+
+def _checked_int(text: str) -> int:
+    return int(text if len(text) <= MAX_LITERAL_DIGITS else _checked_literal(text))
+
+
+def _has_long_digit_run(text: str) -> bool:
+    """Whether text holds more than MAX_LITERAL_DIGITS ASCII digits in a
+    row: one translate and one substring search, both in C."""
+    data = text.encode("utf-8", "surrogatepass").translate(_DIGITS_AS_ZEROS)
+    return _LONG_RUN in data
 
 
 def _to_fraction(value) -> Fraction:
@@ -177,13 +194,15 @@ def parse_matrix(text: str) -> RationalMatrix:
     if not stripped:
         raise MatrixFormatError("empty input")
     if stripped[0] in "{[":
+        # Every JSON int literal is one run of ASCII digits.  When no run is
+        # longer than the bound, int reads each as _checked_int would, and
+        # json calls it in C; a longer run anywhere takes the checked route.
+        parse_int = _checked_int if _has_long_digit_run(stripped) else int
         try:
             obj = json.loads(
                 stripped,
                 parse_float=lambda text: Fraction(_checked_literal(text)),
-                parse_int=lambda text: int(
-                    text if len(text) <= MAX_LITERAL_DIGITS else _checked_literal(text)
-                ),
+                parse_int=parse_int,
             )
         except json.JSONDecodeError as exc:
             raise MatrixFormatError("invalid JSON: %s" % (exc,))

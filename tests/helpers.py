@@ -17,9 +17,12 @@ decides S by LP alone and scans R0 before it asks for P (the package takes
 x = 1 when A1 > 0 and asks for P first).  R0 is a scan of the supports in
 bitmask order with a cofactor sign per minor, and the degree is sampled at
 random q until one is generic (the package reads both from one
-lexicographic walk of LCP(A, 0)).  LP systems are written over Fractions
-(RationalSystem) and handed to the package as integer rows at one common
-scale.
+lexicographic walk of LCP(A, 0)).  A Jordan frame is validated by one
+jordan_product per pair of elements and built by one outer product per
+column (the package multiplies stacks of pairs and maps all columns in one
+svec), with the same float operations, so the two agree bit for bit.  LP
+systems are written over Fractions (RationalSystem) and handed to the
+package as integer rows at one common scale.
 """
 
 import math
@@ -32,7 +35,14 @@ import numpy as np
 
 from lcpq.classes import NO, UNDECIDED, YES, Verdict, _sign_corners, is_P
 from lcpq.errors import SingularPivotError
-from lcpq.jordan.algebra import JordanElement
+from lcpq.jordan import algebra as jordan_algebra
+from lcpq.jordan.algebra import (
+    JordanElement,
+    JordanFrame,
+    element_from_eigenvalues,
+    identity_element,
+    trace_inner_product,
+)
 from lcpq.kernel import clear_denominators
 from lcpq.lcp import LcpSolution, check_cap, is_solvable
 from lcpq.matrices import RationalMatrix, nonpositive_rows, solve_linear
@@ -627,3 +637,38 @@ def reference_q_oracle(matrix, budget=64, rng_seed=0):
         if not is_solvable(matrix, q):
             return Verdict(NO, "unsolvable-q", "LCP(A,q) has no solution", {"q": q})
     return Verdict(UNDECIDED, "undecided", "no decision within budget", {})
+
+
+def reference_validate(frame, tol):
+    """lcpq.jordan.algebra.JordanFrame.validate by one jordan_product per
+    pair of frame elements, i <= j, taking the running max residual.
+    jordan_product is looked up on its module at each call, so that
+    count_calls sees the calls."""
+    worst = 0.0
+    for i, e in enumerate(frame.elements):
+        worst = max(worst, _reference_max_abs(jordan_algebra.jordan_product(e, e) - e))
+        worst = max(worst, abs(trace_inner_product(e, e) - 1.0))
+        for j in range(i + 1, len(frame.elements)):
+            f = frame.elements[j]
+            worst = max(worst, _reference_max_abs(jordan_algebra.jordan_product(e, f)))
+    total = element_from_eigenvalues(frame, np.ones(len(frame)))
+    worst = max(worst, _reference_max_abs(total - identity_element(frame.algebra)))
+    if worst > tol:
+        raise ValueError("frame residual %.3e exceeds tolerance %.3e" % (worst, tol))
+    return worst
+
+
+def _reference_max_abs(x):
+    return float(np.max(np.abs(x.coords))) if x.coords.size else 0.0
+
+
+def reference_frame_from_orthogonal(algebra, q):
+    """lcpq.jordan.algebra.frame_from_orthogonal by one np.outer and one
+    coordinate loop (reference_element_from_matrix) per column of q."""
+    return JordanFrame(
+        algebra,
+        tuple(
+            reference_element_from_matrix(algebra, np.outer(q[:, i], q[:, i]))
+            for i in range(algebra.size)
+        ),
+    )

@@ -465,6 +465,31 @@ def test_determinant_counts_of_is_R0_degree_and_is_P(monkeypatch):
     assert is_P(matrix.principal_submatrix([0, 1])).is_yes and len(dets) == 3
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, 1], [1, 1, 0], [0, 0, 1]],  # R0
+        [[1, -1, 0], [-1, 1, 0], [0, 0, 1]],  # not R0: x = (1, 1, 0)
+        [[0, 1], [1, 0]],  # not R0: x = (1, 0)
+    ],
+)
+def test_is_R0_and_is_Rstar_walk_once_without_the_lex_columns(monkeypatch, rows):
+    matrix = RationalMatrix(rows)
+    expected = classes.r0_degree(matrix)[0]
+    lex_flags = []
+
+    def recorded(rows, lex=False):
+        lex_flags.append(lex)
+        return walk(rows, lex)
+
+    monkeypatch.setattr(classes, "walk", recorded)
+    monkeypatch.setattr(lcp, "walk", recorded)
+    assert is_R0(matrix) == expected
+    assert lex_flags == [False]
+    is_Rstar(matrix)
+    assert lex_flags == [False, False]
+
+
 def test_is_R0_matches_the_per_minor_reference_on_the_small_census():
     """Every 3x3 matrix with entries in {-1, 0, 1}: the walk finds the
     reference scan's answer and, on a NO, its witness x."""

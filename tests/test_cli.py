@@ -380,8 +380,49 @@ def test_jordan_rank_one_answers(capsys):
     out = capsys.readouterr().out
     assert "Q: no" in out and "violation" in out
 
-    assert main(["jordan", "rank-one", "--a", "eigs:0,1", "--b", "eigs:1,1"]) == 2
-    capsys.readouterr()
+    # A zero eigenvalue: a is not interior to either cone, so no Q.
+    assert main(["jordan", "rank-one", "--a", "eigs:0,1", "--b", "eigs:1,1"]) == 1
+    assert capsys.readouterr().out.startswith("Q: no (rank-one-eigensign:")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_jordan_rank_one_decides_a_zero_eigenvalue_exactly_in_a_rotated_frame(capsys, seed):
+    # The float readback of the zero lands near +-2e-16, on either side of
+    # a --tol 0 band depending on the frame; the literal 0 decides.
+    argv = ["jordan", "rank-one", "--a", "0,1,1", "--b", "1,1,1", "--algebra", "sym:3",
+            "--frame", "rotated", "--tol", "0", "--seed", str(seed)]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "Q: no (rank-one-eigensign: eigenvalue signs rule out both cone orientations; a_max="
+    )
+
+
+@pytest.mark.parametrize(
+    "a, b, code, condition",
+    [
+        ("1e-12,1", "1,1", 0, "both factors interior to the cone"),
+        ("-1e-12,-1", "-1,-3", 0, "both factors interior to the negated cone"),
+        ("0,1", "1,1", 1, "eigenvalue signs rule out both cone orientations"),
+        ("-0.0,-1", "-1,-1", 1, "eigenvalue signs rule out both cone orientations"),
+        ("1e-400,1", "1,1", 0, "both factors interior to the cone"),  # 0.0 as a float
+    ],
+)
+def test_jordan_rank_one_reads_the_literal_signs_inside_the_float_band(capsys, a, b, code, condition):
+    assert main(["jordan", "rank-one", "--a", a, "--b", b, "--json"]) == code
+    record = json.loads(capsys.readouterr().out)
+    assert record["verdict"]["condition"] == condition
+    assert record["a"] == [float(v) for v in a.split(",")]  # floats, as before
+    assert set(record["verdict"]["witness"]) == {"a_min", "a_max", "b_min", "b_max"}
+
+
+def test_jordan_rank_one_refuses_what_float_or_the_digit_bound_refuses(capsys):
+    # float reads the long literal, the exact parse does not; "1/2" is no
+    # float.  Both get the message of any bad list.
+    for bad in ("0." + "0" * 4300 + "1,1", "1/2,1"):
+        assert main(["jordan", "rank-one", "--a", bad, "--b", "1,1"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "bad eigenvalue list %r\n" % bad
 
 
 def test_jordan_rank_one_length_error_names_the_default_algebra(capsys):

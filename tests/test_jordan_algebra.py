@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_element_from_matrix, reference_to_matrix
+from helpers import (
+    count_calls,
+    reference_element_from_matrix,
+    reference_frame_from_orthogonal,
+    reference_to_matrix,
+    reference_validate,
+)
+from lcpq.jordan import algebra as jordan_algebra
 from lcpq.jordan.algebra import (
     MAX_RANK,
     Algebra,
@@ -15,6 +22,7 @@ from lcpq.jordan.algebra import (
     element_from_eigenvalues,
     element_from_matrix,
     eigenvalues_of,
+    frame_from_orthogonal,
     identity_element,
     in_cone,
     in_interior,
@@ -238,6 +246,132 @@ def test_frame_validation_catches_junk():
     broken = JordanFrame(SYM2, (e[0], e[0]))
     with pytest.raises(ValueError):
         broken.validate()
+
+
+def test_frame_validation_refuses_elements_of_another_algebra():
+    # rn:3 and sym:2 both have dimension 3
+    mixed = JordanFrame(SYM2, (standard_frame(SYM2)[0], standard_frame(RN3)[0]))
+    with pytest.raises(ValueError, match="elements live in different algebras"):
+        mixed.validate(tol=np.inf)
+
+
+# Junk coordinates: seeded floats of a magnitude drawn per frame and, in
+# half the frames, about one in twenty replaced by a value that overflows a
+# product, an infinity or a nan (such a frame's residual is mostly inf).
+SPECIALS = np.array([0.0, -0.0, 1e200, -1e200, np.inf, -np.inf, np.nan])
+
+
+def _junk_frame(algebra, rng):
+    shape = (algebra.rank, algebra.dim)
+    spread = rng.choice([0, 3, 150])
+    coords = rng.standard_normal(shape) * 10.0 ** rng.integers(-spread, spread + 1, size=shape)
+    if rng.random() < 0.5:
+        special = rng.random(shape) < 0.05
+        coords[special] = rng.choice(SPECIALS, size=int(special.sum()))
+    return JordanFrame(algebra, tuple(JordanElement(algebra, row) for row in coords))
+
+
+def _frame_off_at_the_end(algebra, rng):
+    """A random frame whose last two elements move by +-d, d a small element
+    orthogonal to both: the sum and, to first order, the unit traces stay,
+    so the worst residuals are the last pairs' products, of size |d|."""
+    frame = random_frame(algebra, rng)
+    a, b = frame[-2].coords, frame[-1].coords
+    d = rng.standard_normal(algebra.dim)
+    d -= np.dot(d, a) * a + np.dot(d, b) * b
+    d *= 1e-3 / np.linalg.norm(d)
+    d = JordanElement(algebra, d)
+    return JordanFrame(algebra, frame.elements[:-2] + (frame[-2] + d, frame[-1] - d))
+
+
+@st.composite
+def frames(draw):
+    """A frame of rn:m or sym:m, m in 1..12: the standard one, a random
+    one, the spectral frame of a random element, a random one off at its
+    end (m >= 3), or rank junk elements."""
+    algebra = Algebra(draw(st.sampled_from(("rn", "sym"))), draw(st.integers(1, 12)))
+    how = draw(st.sampled_from(("standard", "random", "spectral", "junk", "off")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if how == "standard":
+        return standard_frame(algebra)
+    if how == "random":
+        return random_frame(algebra, rng)
+    if how == "spectral":
+        return spectral_decomposition(random_element(algebra, rng))[1]
+    if how == "off" and algebra.rank >= 3:
+        return _frame_off_at_the_end(algebra, rng)
+    return _junk_frame(algebra, rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames())
+def test_validate_matches_the_pairwise_loop_bit_for_bit(frame):
+    with np.errstate(all="ignore"):
+        expected = reference_validate(frame, np.inf)
+        worst = frame.validate(tol=np.inf)
+        assert type(worst) is float and worst.hex() == expected.hex()
+        if worst > 0:
+            tol = worst / 2 if np.isfinite(worst) else 1.0
+            with pytest.raises(ValueError) as reference_error:
+                reference_validate(frame, tol)
+            with pytest.raises(ValueError, match="exceeds tolerance") as error:
+                frame.validate(tol=tol)
+            assert str(error.value) == str(reference_error.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.sampled_from(("qr", "eigh", "junk")), st.integers(0, 2**32 - 1))
+def test_frame_from_orthogonal_matches_the_outer_product_loop_bit_for_bit(m, how, seed):
+    algebra = sym_algebra(m)
+    rng = np.random.default_rng(seed)
+    if how == "qr":
+        q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    elif how == "eigh":
+        q = np.linalg.eigh(random_element(algebra, rng).to_matrix())[1]
+    else:
+        q = rng.standard_normal((m, m)) * 10.0 ** rng.integers(-150, 150, size=(m, m))
+    frame = frame_from_orthogonal(algebra, q)
+    reference = reference_frame_from_orthogonal(algebra, q)
+    for e, r in zip(frame, reference, strict=True):
+        assert e.coords.tobytes() == r.coords.tobytes()
+    assert all(e.coords.base is None for e in frame)  # each element owns its coordinates
+
+
+def test_frame_from_orthogonal_checks_the_shape():
+    with pytest.raises(ValueError, match=r"\(3, 2\) does not match sym:3"):
+        frame_from_orthogonal(SYM3, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="only for sym"):
+        frame_from_orthogonal(RN3, np.eye(3))
+
+
+@pytest.mark.parametrize("stack_floats", [1, 300, 1 << 18])
+def test_validate_in_stacks_of_any_size_matches_the_pairwise_loop(monkeypatch, stack_floats):
+    monkeypatch.setattr(jordan_algebra, "_STACK_FLOATS", stack_floats)
+    rng = np.random.default_rng(11)
+    for algebra in (rn_algebra(1), rn_algebra(7), sym_algebra(1), sym_algebra(5), sym_algebra(12)):
+        frames = [random_frame(algebra, rng), _junk_frame(algebra, rng)]
+        if algebra.rank >= 3:
+            frames.append(_frame_off_at_the_end(algebra, rng))
+            assert 1e-4 < reference_validate(frames[-1], np.inf) < 1e-2
+        for frame in frames:
+            with np.errstate(all="ignore"):
+                expected = reference_validate(frame, np.inf)
+                assert frame.validate(tol=np.inf).hex() == expected.hex()
+
+
+def test_validate_at_the_largest_rank_runs_in_stacks_and_matches_the_loop():
+    frame = random_frame(sym_algebra(MAX_RANK), np.random.default_rng(3))
+    assert frame.validate(tol=1e-9).hex() == reference_validate(frame, 1e-9).hex()
+
+
+def test_validate_makes_no_jordan_product_call(monkeypatch):
+    frame = random_frame(sym_algebra(10), np.random.default_rng(0))
+    calls = count_calls(monkeypatch, jordan_product)
+    frame.validate(tol=1e-9)
+    random_frame(rn_algebra(10), np.random.default_rng(0)).validate()
+    assert calls == []
+    reference_validate(frame, 1e-9)  # one per pair i <= j
+    assert len(calls) == 55
 
 
 def test_element_from_eigenvalues_checks_length():

@@ -18,7 +18,9 @@ from lcpq.jordan.algebra import (
     standard_frame,
     sym_algebra,
 )
+from lcpq.classes import q_oracle
 from lcpq.jordan.sclcp import (
+    classify_rank_one_exact,
     classify_rank_one_q,
     embed_solve,
     sample_positivity_violation,
@@ -104,6 +106,33 @@ def test_rank_one_classification():
 
     v = verdict([0.0, 1.0], [1.0, 1.0])
     assert v.answer == "undecided"
+
+
+def test_exact_rank_one_verdict_matches_the_float_one_outside_the_band_and_the_oracle():
+    # Literal eigenvalues along one frame.  Where the float readback
+    # decides, the exact verdict is the same Verdict; it is never
+    # undecided; and it is the Q answer of the matrix alpha beta^T, whose
+    # hat transform along the frame is the rank-one map.
+    values = [Fraction(-2), Fraction(-1, 3), Fraction(0), Fraction(1, 2), Fraction(3)]
+    rng = np.random.default_rng(4)
+    decided = 0
+    for trial in range(120):
+        n = 1 + trial % 3
+        algebra = (rn_algebra if trial % 2 else sym_algebra)(n)
+        frame = random_frame(algebra, rng)
+        alpha = [values[i] for i in rng.integers(0, len(values), size=n)]
+        beta = [values[i] for i in rng.integers(0, len(values), size=n)]
+        a = element_from_eigenvalues(frame, [float(v) for v in alpha])
+        b = element_from_eigenvalues(frame, [float(v) for v in beta])
+        exact = classify_rank_one_exact(alpha, beta, a, b)
+        floated = classify_rank_one_q(a, b)
+        assert exact.answer in ("yes", "no") and exact.rule == "rank-one-eigensign"
+        if floated.answer != "undecided":
+            assert exact == floated
+            decided += 1
+        outer = RationalMatrix([[x * y for y in beta] for x in alpha])
+        assert q_oracle(outer).answer == exact.answer
+    assert decided > 60
 
 
 def test_rank_one_classification_algebra_mismatch():

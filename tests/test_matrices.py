@@ -131,6 +131,33 @@ def test_literals_past_the_bound_are_rejected_before_fraction_reads_them(monkeyp
     assert seen == []
 
 
+def test_json_ints_take_the_checked_route_only_past_a_long_digit_run(monkeypatch):
+    checked = []
+    real = matrices._checked_int
+
+    def recorded(text):
+        checked.append(text)
+        return real(text)
+
+    monkeypatch.setattr(matrices, "_checked_int", recorded)
+    edge = "1" * 4300
+    assert parse_matrix('{"n": 2, "rows": [[%s, -3], [0, 1]]}' % edge)[0, 0] == int(edge)
+    assert checked == []  # json read every int with int itself
+    note = "7" * 4301  # not an entry, but a run past the bound all the same
+    text = '{"note": "%s", "rows": [[%s, -3], [0, 1]]}' % (note, edge)
+    assert parse_matrix(text) == RationalMatrix([[int(edge), -3], [0, 1]])
+    assert checked == [edge, "-3", "0", "1"]
+    with pytest.raises(MatrixFormatError, match="literal of 4301 digits"):
+        parse_matrix('{"rows": [[-%s]]}' % note)
+
+
+def test_long_digit_runs_are_found_in_any_text():
+    assert not matrices._has_long_digit_run("1" * 4300 + "\u00e9" + "1" + "\u4e00" * 3 + "2" * 4300)
+    assert matrices._has_long_digit_run("x" + "1" * 4301)
+    assert matrices._has_long_digit_run("\ud800" + "0" * 4301 + "\u00e9")
+    assert not matrices._has_long_digit_run("\u0661" * 5000)  # not ASCII: no JSON number
+
+
 def test_integer_input_builds_no_fraction(monkeypatch):
     # An int entry goes into the integer image as it is; a Fraction is
     # built only when an entry is read out.
