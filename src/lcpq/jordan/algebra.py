@@ -252,7 +252,8 @@ class JordanFrame:
 
         e_i o e_j for every pair i <= j comes from stacked products, at
         most _STACK_FLOATS floats per matrix stack.  A residual that is
-        nan is passed over, as max(worst, nan) passes it over."""
+        nan makes the max nan, which passes no tol, not even inf: a frame
+        with a nan coordinate is no frame."""
         if any(e.algebra != self.algebra for e in self.elements):
             raise ValueError("elements live in different algebras")
         coords = np.array([e.coords for e in self.elements])
@@ -265,12 +266,13 @@ class JordanFrame:
             residual = _stacked_products(self.algebra, coords[i], coords[j])
             same = i == j
             residual[same] -= coords[i[same]]  # e_i o e_i - e_i
-            worst = float(np.fmax.reduce(np.max(np.abs(residual), axis=1), initial=worst))
-        for e in self.elements:
-            worst = max(worst, abs(trace_inner_product(e, e) - 1.0))
+            worst = float(np.max(np.abs(residual), initial=worst))
+        terms = [abs(trace_inner_product(e, e) - 1.0) for e in self.elements]
         total = element_from_eigenvalues(self, np.ones(len(self)))
-        worst = max(worst, _max_abs(total - identity_element(self.algebra)))
-        if worst > tol:
+        terms.append(_max_abs(total - identity_element(self.algebra)))
+        # np.max, unlike the builtin max, carries a nan through.
+        worst = float(np.max(terms, initial=worst))
+        if not worst <= tol:
             raise ValueError("frame residual %.3e exceeds tolerance %.3e" % (worst, tol))
         return worst
 

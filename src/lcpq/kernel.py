@@ -17,6 +17,12 @@ is exact, so no gcd is ever taken and the entries stay minors of the input.
 Run as Gauss-Jordan over [A | b], the last pivot is det A and the right-hand
 columns end up as det * x, the solution scaled by the determinant.  Callers
 build a ``Fraction`` only at the boundary, when a result leaves as a value.
+
+A determinant alone (matrices.determinant, one call per principal minor in
+the P and P0 scans) runs the same update over the rows below each pivot
+only, as index loops that write each row in place (_determinant).  For the
+small blocks the scans see, building a new list per row per step cost more
+than the integer arithmetic itself.
 """
 
 from __future__ import annotations
@@ -36,11 +42,9 @@ def eliminate(work: List[List[int]], k: int) -> int:
     """Fraction-free elimination in place; returns det of the leading k x k
     block, 0 when it is singular.  Rows may be swapped among the first k.
 
-    With no columns past k (work is k x k) only the rows below each pivot
-    are reduced (plain Bareiss), which is all the determinant needs, and a
-    zero column ends the run.  This determinant mode updates only the
-    entries right of each pivot column, so the entries below a pivot are
-    not maintained and hold no meaning afterwards.  Otherwise the run is
+    With no columns past k (work is k x k) this is the determinant mode,
+    _determinant below: plain Bareiss over the rows below each pivot, the
+    only caller being matrices.determinant.  Otherwise the run is
     Gauss-Jordan over every row: pivots come from the first k rows only,
     a column without one is skipped, and a reduced column is zero outside
     its pivot row.  For a nonsingular block, work[i][k:] then holds
@@ -50,8 +54,8 @@ def eliminate(work: List[List[int]], k: int) -> int:
     on the block, so the system is consistent iff their trailing entries
     are zero.
     """
-    width = len(work[0]) if k else 0
-    gauss_jordan = width > k
+    if not k or len(work[0]) == k:
+        return _determinant(work, k)
     sign = 1
     prev = 1
     r = 0  # the row the next pivot goes to
@@ -60,27 +64,16 @@ def eliminate(work: List[List[int]], k: int) -> int:
         while pivot_row < k and work[pivot_row][c] == 0:
             pivot_row += 1
         if pivot_row == k:
-            if not gauss_jordan:
-                return 0
             continue
         if pivot_row != r:
             work[r], work[pivot_row] = work[pivot_row], work[r]
             sign = -sign
         p = work[r][c]
-        if gauss_jordan:
-            tail = work[r][c:]
-            for i, row in enumerate(work):
-                if i != r:
-                    f = row[c]
-                    row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], tail)]
-        else:
-            # Column c below the pivot is never read again, and a row
-            # with a zero multiplier under an unchanged pivot stays as it is.
-            tail = work[r][c + 1 :]
-            for row in work[r + 1 :]:
+        tail = work[r][c:]
+        for i, row in enumerate(work):
+            if i != r:
                 f = row[c]
-                if f or p != prev:
-                    row[c + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[c + 1 :], tail)]
+                row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], tail)]
         prev = p
         r += 1
     if r < k:
@@ -89,3 +82,44 @@ def eliminate(work: List[List[int]], k: int) -> int:
         for row in work:
             row[k:] = [-v for v in row[k:]]
     return sign * prev
+
+
+def _determinant(work: List[List[int]], k: int) -> int:
+    """det of the k x k int rows work, by Bareiss elimination in place.
+
+    Only the rows below each pivot are reduced, and only right of the
+    pivot column: that column is never read again, so the entries below a
+    pivot hold no meaning afterwards.  A zero pivot swaps in the first row
+    below with a nonzero entry there and flips the sign; none ends the run
+    with 0.  A row whose multiplier is 0 is left as it is when the pivot
+    equals the one before it, and otherwise only scaled by p / prev.  The
+    last entry reduced is det itself (work[0][0] when k is 1).
+    """
+    if not k:
+        return 1
+    sign = 1
+    prev = 1
+    for c in range(k - 1):
+        row = work[c]
+        p = row[c]
+        if not p:
+            for r in range(c + 1, k):
+                if work[r][c]:
+                    break
+            else:
+                return 0
+            work[c], work[r] = work[r], row
+            row = work[c]
+            p = row[c]
+            sign = -sign
+        cols = range(c + 1, k)
+        for other in work[c + 1 :]:
+            f = other[c]
+            if f:
+                for j in cols:
+                    other[j] = (p * other[j] - f * row[j]) // prev
+            elif p != prev:
+                for j in cols:
+                    other[j] = p * other[j] // prev
+        prev = p
+    return sign * work[k - 1][k - 1]

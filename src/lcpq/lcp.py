@@ -122,10 +122,11 @@ def minor_sign(matrix: RationalMatrix, idx: Sequence[int]) -> int:
     """sgn det A_II for the support idx; 1 for the empty support."""
     if not idx:
         return 1
-    # matrices.determinant is fraction-free too; going through it keeps
-    # one determinant routine, which perfbench's trace counts.  The block
-    # keeps the matrix's scale, so no denominators are cleared again per
-    # minor, and the sign is read from the numerator, an int.
+    # One matrices.determinant call per minor, the one determinant routine,
+    # which perfbench's trace counts: Bareiss elimination of the block's
+    # int rows in place (kernel).  The block keeps the matrix's scale, so
+    # no denominators are cleared again per minor, and the sign is read
+    # from the numerator, an int.
     return _sign(determinant(matrix.principal_submatrix(idx)).numerator)
 
 

@@ -10,6 +10,7 @@ hashable.  Nothing in this module touches floating point.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
@@ -26,6 +27,9 @@ MAX_LITERAL_DIGITS = 4300
 # (no byte of a multibyte character is ASCII).
 _DIGITS_AS_ZEROS = bytes(48 if 48 <= b <= 57 else 32 for b in range(256))
 _LONG_RUN = b"0" * (MAX_LITERAL_DIGITS + 1)
+# A plain-format token read with int: an ASCII integer literal within the
+# digit bound ([0-9] in a str pattern matches ASCII digits only).
+_PLAIN_INT = re.compile(r"[+-]?[0-9]{1,%d}" % MAX_LITERAL_DIGITS)
 
 
 def _checked_literal(text: str) -> str:
@@ -57,6 +61,32 @@ def _has_long_digit_run(text: str) -> bool:
     row: one translate and one substring search, both in C."""
     data = text.encode("utf-8", "surrogatepass").translate(_DIGITS_AS_ZEROS)
     return _LONG_RUN in data
+
+
+def _plain_row(line: str) -> list:
+    """The tokens of one plain-format row: an int for each token of the
+    form [+-]?[0-9]+ in ASCII with at most MAX_LITERAL_DIGITS digits (int
+    and Fraction read it alike), and the token itself otherwise, which
+    RationalMatrix reads as a literal and names in any error.
+
+    A row that is all such tokens is read by one map(int): on ASCII text
+    without "_" and within the bound, int accepts exactly that form."""
+    tokens = line.split()
+    if line.isascii() and "_" not in line and max(map(len, tokens)) <= MAX_LITERAL_DIGITS:
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    return [_plain_token(token) for token in tokens]
+
+
+def _plain_token(token: str):
+    if _PLAIN_INT.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # past a lowered sys.set_int_max_str_digits
+            pass
+    return token
 
 
 def _to_fraction(value) -> Fraction:
@@ -184,6 +214,8 @@ def parse_matrix(text: str) -> RationalMatrix:
     """Parse a matrix from plain whitespace text or the JSON format.
 
     Plain format: one row per line, entries are integers or p/q fractions.
+    A token that is an ASCII integer within the digit bound is read with
+    int; any other token is read as a literal, and named in any error.
     JSON format: {"n": int, "rows": [[entry, ...], ...]} where an entry is an
     integer, an exactly-representable decimal, or a "p/q" string.  Decimals
     are converted from their literal digits, never through binary floats.
@@ -220,7 +252,7 @@ def parse_matrix(text: str) -> RationalMatrix:
                 'declared order n=%r does not match %d rows' % (declared, matrix.n)
             )
         return matrix
-    rows = [line.split() for line in stripped.splitlines() if line.strip()]
+    rows = [_plain_row(line) for line in stripped.splitlines() if line.strip()]
     return RationalMatrix(rows)
 
 
@@ -228,7 +260,8 @@ def determinant(matrix: RationalMatrix) -> Fraction:
     """Exact determinant by fraction-free integer elimination (see kernel)
     of the matrix's integer rows: det(scale * A) / scale^n."""
     scale, ints = matrix.integer_rows()
-    return Fraction(eliminate([list(row) for row in ints], matrix.n), scale ** matrix.n)
+    det = eliminate(list(map(list, ints)), matrix.n)
+    return Fraction(det) if scale == 1 else Fraction(det, scale ** matrix.n)
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:

@@ -379,6 +379,45 @@ def _first_nonpositive_minor_mask(matrix):
     return next((mask for mask in range(1, full) if signs[mask] <= 0), full)
 
 
+def _p_scan_corpus():
+    """Seeded n = 7 and 8 matrices: dense with a positive diagonal;
+    diagonally dominant (P); dominant with a nonpositive minor on the last
+    two indices, the 2^(n-2) * 3-th in bitmask order; dominant with its
+    last row zero (P0, not P)."""
+    rng = random.Random(29)
+    out = []
+    for n in (7, 8, 8):
+        dense = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        dominant = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            dense[i][i] = rng.randint(1, 5)
+            dominant[i][i] = sum(abs(v) for v in dominant[i]) - abs(dominant[i][i]) + rng.randint(1, 5)
+        late = [list(row) for row in dominant]
+        late[n - 2][n - 1] = late[n - 1][n - 2] = max(late[n - 2][n - 2], late[n - 1][n - 1])
+        zero_row = [list(row) for row in dominant]
+        zero_row[n - 1] = [0] * n
+        out += [dense, dominant, late, zero_row]
+    return out
+
+
+def test_is_P_and_is_P0_match_the_cofactor_minor_signs_at_n_7_and_8():
+    outcomes = set()
+    for rows in _p_scan_corpus():
+        matrix = RationalMatrix(rows)
+        signs = _minor_signs_by_cofactor(matrix)
+        for scan, least in ((is_P, 1), (is_P0, 0)):
+            first = next((mask for mask in range(1, 1 << matrix.n) if signs[mask] < least), None)
+            verdict = scan(matrix)
+            if first is None:
+                assert verdict.is_yes
+            else:
+                assert verdict.is_no
+                assert verdict.data["indices"] == [i + 1 for i in range(matrix.n) if first >> i & 1]
+            outcomes.add((scan.__name__, verdict.answer, first is not None and first >= 1 << (matrix.n - 2)))
+    # P and P0 matrices, and scans that fail on a minor past the first 2^(n-2).
+    assert {("is_P", YES, False), ("is_P", NO, True), ("is_P0", YES, False), ("is_P0", NO, True)} <= outcomes
+
+
 def test_q_oracle_matches_the_r0_first_reference_and_reads_r0_minors_from_the_walk(monkeypatch):
     dets = count_calls(monkeypatch, determinant)
     walks = []  # (lex, records) per walk, the witness search's included

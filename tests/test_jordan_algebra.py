@@ -255,6 +255,32 @@ def test_frame_validation_refuses_elements_of_another_algebra():
         mixed.validate(tol=np.inf)
 
 
+def _with_nan_at(frame, i, k):
+    elements = list(frame.elements)
+    coords = elements[i].coords.copy()
+    coords[k] = np.nan
+    elements[i] = JordanElement(frame.algebra, coords)
+    return JordanFrame(frame.algebra, tuple(elements))
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-7, 1.0, np.inf])
+def test_frame_validation_refuses_a_nan_residual_at_every_tol(tol):
+    nan_frames = [
+        JordanFrame(SYM3, tuple(JordanElement(SYM3, np.full(SYM3.dim, np.nan)) for _ in range(3)))
+    ]
+    for algebra in (RN3, SYM3):
+        for i in range(algebra.rank):
+            for k in (0, algebra.dim - 1):
+                nan_frames.append(_with_nan_at(standard_frame(algebra), i, k))
+    for frame in nan_frames:
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=r"^frame residual nan exceeds tolerance"):
+                frame.validate(tol=tol)
+            with pytest.raises(ValueError, match=r"^frame residual nan exceeds tolerance"):
+                reference_validate(frame, tol)
+    assert standard_frame(SYM3).validate(tol=tol) == 0.0
+
+
 # Junk coordinates: seeded floats of a magnitude drawn per frame and, in
 # half the frames, about one in twenty replaced by a value that overflows a
 # product, an infinity or a nan (such a frame's residual is mostly inf).
@@ -303,14 +329,28 @@ def frames(draw):
     return _junk_frame(algebra, rng)
 
 
+def _validate_as_the_loop(frame):
+    """frame.validate(tol=inf), checked against the loop: the same float,
+    bit for bit, or, for a nan residual, the same ValueError; None then."""
+    try:
+        expected = reference_validate(frame, np.inf)
+    except ValueError as reference_error:
+        assert str(reference_error).startswith("frame residual nan ")
+        with pytest.raises(ValueError) as error:
+            frame.validate(tol=np.inf)
+        assert str(error.value) == str(reference_error)
+        return None
+    worst = frame.validate(tol=np.inf)
+    assert type(worst) is float and worst.hex() == expected.hex()
+    return worst
+
+
 @settings(max_examples=300, deadline=None)
 @given(frames())
 def test_validate_matches_the_pairwise_loop_bit_for_bit(frame):
     with np.errstate(all="ignore"):
-        expected = reference_validate(frame, np.inf)
-        worst = frame.validate(tol=np.inf)
-        assert type(worst) is float and worst.hex() == expected.hex()
-        if worst > 0:
+        worst = _validate_as_the_loop(frame)
+        if worst is not None and worst > 0:
             tol = worst / 2 if np.isfinite(worst) else 1.0
             with pytest.raises(ValueError) as reference_error:
                 reference_validate(frame, tol)
@@ -355,8 +395,7 @@ def test_validate_in_stacks_of_any_size_matches_the_pairwise_loop(monkeypatch, s
             assert 1e-4 < reference_validate(frames[-1], np.inf) < 1e-2
         for frame in frames:
             with np.errstate(all="ignore"):
-                expected = reference_validate(frame, np.inf)
-                assert frame.validate(tol=np.inf).hex() == expected.hex()
+                _validate_as_the_loop(frame)
 
 
 def test_validate_at_the_largest_rank_runs_in_stacks_and_matches_the_loop():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lcpq.jordan.algebra import (
+    JordanElement,
     JordanFrame,
     element_from_coords,
     element_from_eigenvalues,
@@ -114,6 +115,16 @@ def test_peirce_projection_fixture():
     diagonal, off = peirce_decompose(x, frame)
     assert np.allclose(diagonal, [0.0, 0.0])
     assert np.allclose(off[(0, 1)].coords, x.coords)
+
+
+def test_peirce_decompose_refuses_a_frame_with_a_nan_coordinate():
+    elements = list(standard_frame(SYM3).elements)
+    coords = elements[1].coords.copy()
+    coords[4] = np.nan
+    elements[1] = JordanElement(SYM3, coords)
+    x = element_from_matrix(SYM3, np.eye(3))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="frame residual nan"):
+        peirce_decompose(x, JordanFrame(SYM3, tuple(elements)))
 
 
 def test_peirce_decomposition_reconstructs():

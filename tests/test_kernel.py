@@ -1,11 +1,13 @@
 """Fraction-free integer kernel against independent exact references.
 
-The kernel's determinant is compared with cofactor expansion, its scaled
+The kernel's determinant is compared with cofactor expansion, on dense
+blocks up to 8 x 8 with entries up to 10^30 and on sparse ones, its scaled
 solutions det * x with the package's rational Gauss-Jordan solve_linear,
 and the support walk's integer sign tests with the same quantities
 computed in Fraction arithmetic.  Inputs cover non-integer entries, zero
-rows and columns, singular and rank-deficient blocks, and right-hand sides
-of the size the sampled degree reference in helpers draws (about 10^7).
+pivots, zero rows and columns, singular and rank-deficient blocks, and
+right-hand sides of the size the sampled degree reference in helpers draws
+(about 10^7).
 """
 
 import math
@@ -110,6 +112,51 @@ def test_determinant_mode_matches_cofactor_expansion_on_sparse_blocks(rows):
     # Determinant mode reduces only right of each pivot column and skips a
     # row whose multiplier is 0 under an unchanged pivot.
     assert eliminate([list(row) for row in rows], len(rows)) == cofactor_det(rows)
+
+
+BIG = st.integers(-(10 ** 30), 10 ** 30)
+
+
+@st.composite
+def dense_blocks(draw):
+    """(k x k int rows, denominator): k <= 8, entries up to 10^30 in size,
+    often with a zero pivot on the way or made singular."""
+    k = draw(st.integers(1, 8))
+    rows = [[draw(BIG) for _ in range(k)] for _ in range(k)]
+    damage = draw(
+        st.sampled_from(["none", "zero-leading", "zero-second", "zero-column", "repeat-row", "combination"])
+    )
+    a, b, c = (draw(st.integers(0, k - 1)) for _ in range(3))
+    if damage == "zero-leading":
+        rows[0][0] = 0
+    elif damage == "zero-second" and k >= 3:
+        # The leading 2 x 2 block is singular, so the second pivot is 0
+        # after the first step and a row below is swapped in.
+        t = draw(st.integers(-3, 3))
+        rows[1][:2] = [t * rows[0][0], t * rows[0][1]]
+    elif damage == "zero-column":
+        for row in rows:
+            row[a] = 0
+    elif damage == "repeat-row":
+        rows[a] = list(rows[b])
+    elif damage == "combination":
+        t = draw(st.integers(-(10 ** 6), 10 ** 6))
+        rows[a] = [u + t * v for u, v in zip(rows[b], rows[c])]
+    return rows, draw(st.sampled_from((1, 7, 10 ** 12 + 39)))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(dense_blocks())
+@example(([[0, 10 ** 30], [10 ** 30, 1]], 1))
+@example(([[2, 3, 1], [4, 6, 5], [1, 1, 1]], 1))  # the second pivot is 0
+@example(([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 7))  # singular, no row to swap in
+@example(([[5] * 8] * 8, 10 ** 12 + 39))
+def test_determinant_matches_cofactor_expansion_on_dense_blocks(block):
+    rows, denominator = block
+    assert eliminate([list(row) for row in rows], len(rows)) == cofactor_det(rows)
+    fractions = [[Fraction(v, denominator) for v in row] for row in rows]
+    det = determinant(RationalMatrix(fractions))
+    assert type(det) is Fraction and det == cofactor_det(fractions)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

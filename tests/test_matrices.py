@@ -1,5 +1,6 @@
 """Exact matrix core: parsing, determinants, inverses, linear solves."""
 
+import json
 import random
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from helpers import cofactor_det, identity, matmul, matvec, plain_text, transpose
 from lcpq import matrices
 from lcpq.errors import MatrixFormatError, SingularPivotError
-from lcpq.generate import generate
+from lcpq.generate import GENERATOR_TYPES, draw_instances, generate
 from lcpq.matrices import (
     RationalMatrix,
     determinant,
@@ -204,9 +205,72 @@ def test_a_bad_literal_is_named_once_and_cut_short():
             assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("kind", GENERATOR_TYPES)
+@pytest.mark.parametrize("n", [3, 40])
+def test_plain_rows_and_json_parse_to_one_image(monkeypatch, kind, n):
+    seen = _record_fractions(monkeypatch, [matrices])
+    for rows in draw_instances(kind, n, 3, n):
+        plain = parse_matrix("".join(" ".join(map(str, row)) + "\n" for row in rows))
+        assert seen == []  # every token read by int
+        assert plain.integer_rows() == parse_matrix(json.dumps({"n": len(rows), "rows": rows})).integer_rows()
+        assert plain.integer_rows() == (1, tuple(map(tuple, rows)))
+
+
+def test_plain_tokens_outside_the_int_form_read_as_before():
+    # Each token in a file of ints: those int reads the same way go by int,
+    # the rest by the per-literal route, with its value or its message.
+    cases = [
+        ("1_000", 1000),
+        ("\u0663", 3),
+        ("+5", 5),
+        ("-0", 0),
+        ("0012", 12),
+        ("1e5", 100000),
+        ("-" + "1" * 4300, -int("1" * 4300)),
+        ("1/0", "bad rational literal '1/0': zero denominator"),
+        ("--1", "bad rational literal '--1': not a rational number"),
+        ("1-2", "bad rational literal '1-2': not a rational number"),
+        ("+", "bad rational literal '+': not a rational number"),
+        ("1" * 4301, "literal of 4301 digits; at most 4300 are accepted"),
+    ]
+    for token, expected in cases:
+        text = "1 2\n3 %s\n" % token
+        if isinstance(expected, int):
+            assert parse_matrix(text).integer_rows() == (1, ((1, 2), (3, expected)))
+        else:
+            with pytest.raises(MatrixFormatError) as exc:
+                parse_matrix(text)
+            assert str(exc.value) == expected
+
+
+def test_plain_tokens_are_read_one_by_one(monkeypatch):
+    # A token outside the int form sends itself alone to the per-literal
+    # route, not its row or the file.
+    seen = _record_fractions(monkeypatch, [matrices])
+    m = parse_matrix("1 -2 3\n4 1/2 -6\n7 8 +9\n")
+    assert seen == [("1/2",)]
+    assert m.integer_rows() == (2, ((2, -4, 6), (8, 1, -12), (14, 16, 18)))
+
+
+def test_plain_token_past_a_lowered_int_digit_limit_reads_as_before():
+    # Under sys.set_int_max_str_digits(640) Fraction refuses a 700-digit
+    # literal, and the plain route gives its message, not int's ValueError.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(MatrixFormatError) as exc:
+            parse_matrix("1 2\n3 %s\n" % ("7" * 700))
+        assert str(exc.value) == "bad rational literal %r... (700 characters): not a rational number" % (
+            "7" * 40
+        )
+        assert parse_matrix("1 2\n3 -%s\n" % ("7" * 600)).integer_rows()[1][1][1] == -int("7" * 600)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_json_round_trip():
     m = parse_matrix('{"rows": [[1, "1/3"], [0, -2]]}')
-    again = parse_matrix(__import__("json").dumps(m.to_json_obj()))
+    again = parse_matrix(json.dumps(m.to_json_obj()))
     assert again == m
     assert parse_matrix(plain_text(m)) == m
 
