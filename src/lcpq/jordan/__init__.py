@@ -4,25 +4,22 @@ Works in floating point with explicit tolerances, unlike the exact rational
 matrix core.  Two algebras are provided: R^n with the componentwise product
 and the nonnegative orthant, and real symmetric m x m matrices with the
 symmetrised product and the positive semidefinite cone.
+
+The transforms are the matrix-based ones along a Jordan frame that the
+paper's results concern: the embedding hat(A) of a square matrix and the
+rank-one map x -> <b, x> a, with the Peirce decomposition along a frame.
 """
 
 from .algebra import (
     Algebra,
     JordanElement,
     JordanFrame,
-    element_from_coords,
     element_from_eigenvalues,
     identity_element,
-    in_cone,
-    in_interior,
-    inverse_element,
     jordan_product,
-    random_cone_element,
     random_element,
     random_frame,
-    rn_algebra,
     spectral_decomposition,
-    sqrt_element,
     standard_frame,
     sym_algebra,
     trace_inner_product,
@@ -30,12 +27,9 @@ from .algebra import (
 from .transforms import (
     LinearTransform,
     bracket,
-    conjugate_transform,
     hat_transform,
     hat_vector,
     peirce_decompose,
-    quadratic_representation,
-    r_ab_transform,
     rank_one,
 )
 from .sclcp import (

@@ -69,10 +69,6 @@ class Algebra:
         return self.size * (self.size + 1) // 2
 
 
-def rn_algebra(n: int) -> Algebra:
-    return Algebra("rn", n)
-
-
 def sym_algebra(m: int) -> Algebra:
     return Algebra("sym", m)
 
@@ -180,10 +176,6 @@ def _stacked_products(algebra: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndar
 def _same_algebra(a: JordanElement, b: JordanElement) -> None:
     if a.algebra != b.algebra:
         raise ValueError("elements live in different algebras")
-
-
-def element_from_coords(algebra: Algebra, coords) -> JordanElement:
-    return JordanElement(algebra, np.asarray(coords, dtype=float))
 
 
 def element_from_matrix(algebra: Algebra, mat: np.ndarray) -> JordanElement:
@@ -338,16 +330,6 @@ def eigenvalues_of(x: JordanElement) -> np.ndarray:
     return np.linalg.eigvalsh(x.to_matrix())
 
 
-def in_cone(x: JordanElement, tol: float = DEFAULT_TOL) -> bool:
-    """Membership in the cone of squares: all eigenvalues >= -tol."""
-    return bool(eigenvalues_of(x).min() >= -tol)
-
-
-def in_interior(x: JordanElement, tol: float = DEFAULT_TOL) -> bool:
-    """Interior membership: all eigenvalues > tol."""
-    return bool(eigenvalues_of(x).min() > tol)
-
-
 def element_from_eigenvalues(
     frame: JordanFrame, eigenvalues: Sequence[float]
 ) -> JordanElement:
@@ -361,39 +343,6 @@ def element_from_eigenvalues(
     return JordanElement(frame.algebra, coords)
 
 
-def _spectral_map(x: JordanElement, func, precondition=None) -> JordanElement:
-    eigenvalues, frame = spectral_decomposition(x)
-    if precondition is not None:
-        precondition(eigenvalues)
-    return element_from_eigenvalues(frame, [func(lam) for lam in eigenvalues])
-
-
-def sqrt_element(x: JordanElement, tol: float = DEFAULT_TOL) -> JordanElement:
-    def check(eigenvalues):
-        if eigenvalues.min() < -tol:
-            raise ValueError(
-                "sqrt needs eigenvalues >= 0; min is %.3e" % eigenvalues.min()
-            )
-
-    return _spectral_map(x, lambda lam: float(np.sqrt(max(lam, 0.0))), check)
-
-
-def inverse_element(x: JordanElement, tol: float = DEFAULT_TOL) -> JordanElement:
-    def check(eigenvalues):
-        if np.min(np.abs(eigenvalues)) <= tol:
-            raise ValueError(
-                "inverse needs eigenvalues bounded away from 0; min |lam| is %.3e"
-                % np.min(np.abs(eigenvalues))
-            )
-
-    return _spectral_map(x, lambda lam: 1.0 / lam, check)
-
-
 def random_element(algebra: Algebra, rng: np.random.Generator) -> JordanElement:
     return JordanElement(algebra, rng.standard_normal(algebra.dim))
 
-
-def random_cone_element(algebra: Algebra, rng: np.random.Generator) -> JordanElement:
-    """Random element of the cone of squares (y o y for Gaussian y)."""
-    y = random_element(algebra, rng)
-    return jordan_product(y, y)

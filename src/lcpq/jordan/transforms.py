@@ -1,6 +1,5 @@
 """Linear transformations on a Jordan algebra: multiplication operators,
-frame embeddings of square matrices, Peirce projections, rank-one maps and
-quadratic representations.
+frame embeddings of square matrices, Peirce projections and rank-one maps.
 
 Every transform is a dense matrix acting on ambient coordinates, so
 composition, adjoints and pointwise comparison are plain numpy operations.
@@ -22,8 +21,6 @@ from .algebra import (
     jordan_product,
     trace_inner_product,
 )
-
-SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -128,41 +125,9 @@ def peirce_decompose(
     return diagonal, off_parts
 
 
-def r_ab_transform(a_matrix, b_matrix, frame: JordanFrame) -> LinearTransform:
-    """Frame transform acting as a_matrix on diagonal coordinates and scaling
-    each off part x_{ij} by b_matrix[i, j]; b_matrix must be symmetric.
-    b_matrix = 0 recovers hat_transform(a_matrix)."""
-    rank = len(frame)
-    a = _as_float_array(a_matrix, rank)
-    b = _as_float_array(b_matrix, rank)
-    if np.max(np.abs(b - b.T)) > SYMMETRY_TOL:
-        raise ValueError("off-part coefficient matrix must be symmetric")
-    out = hat_transform(a, frame).matrix.copy()
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            if b[i, j] != 0.0:
-                out += b[i, j] * peirce_projection(frame, i, j).matrix
-    return LinearTransform(frame.algebra, out)
-
-
 def rank_one(a: JordanElement, b: JordanElement) -> LinearTransform:
     """x -> <b, x> a."""
     if a.algebra != b.algebra:
         raise ValueError("elements live in different algebras")
     return LinearTransform(a.algebra, np.outer(a.coords, b.coords))
 
-
-def quadratic_representation(c: JordanElement) -> LinearTransform:
-    """P(c): x -> 2 c o (c o x) - c^2 o x."""
-    lc = mult_operator(c)
-    lc2 = mult_operator(jordan_product(c, c))
-    return LinearTransform(c.algebra, 2.0 * (lc.matrix @ lc.matrix) - lc2.matrix)
-
-
-def conjugate_transform(transform: LinearTransform, phi: LinearTransform) -> LinearTransform:
-    """phi-conjugate: adjoint(phi) after transform after phi."""
-    if transform.algebra != phi.algebra:
-        raise ValueError("transforms live in different algebras")
-    return LinearTransform(
-        transform.algebra, phi.matrix.T @ transform.matrix @ phi.matrix
-    )

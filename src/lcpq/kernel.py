@@ -18,11 +18,14 @@ Run as Gauss-Jordan over [A | b], the last pivot is det A and the right-hand
 columns end up as det * x, the solution scaled by the determinant.  Callers
 build a ``Fraction`` only at the boundary, when a result leaves as a value.
 
-A determinant alone (matrices.determinant, one call per principal minor in
-the P and P0 scans) runs the same update over the rows below each pivot
-only, as index loops that write each row in place (_determinant).  For the
-small blocks the scans see, building a new list per row per step cost more
-than the integer arithmetic itself.
+Two routines run it, one per job.  eliminate solves: Gauss-Jordan over
+every row of [A | b], for the support walk and the principal pivot
+transform.  bareiss_determinant gives a determinant alone
+(matrices.determinant, one call per principal minor in the P and P0
+scans): the same update over the rows below each pivot only, as index
+loops that write each row in place.  For the small blocks the scans see,
+building a new list per row per step cost more than the integer
+arithmetic itself.
 """
 
 from __future__ import annotations
@@ -42,20 +45,15 @@ def eliminate(work: List[List[int]], k: int) -> int:
     """Fraction-free elimination in place; returns det of the leading k x k
     block, 0 when it is singular.  Rows may be swapped among the first k.
 
-    With no columns past k (work is k x k) this is the determinant mode,
-    _determinant below: plain Bareiss over the rows below each pivot, the
-    only caller being matrices.determinant.  Otherwise the run is
-    Gauss-Jordan over every row: pivots come from the first k rows only,
-    a column without one is skipped, and a reduced column is zero outside
-    its pivot row.  For a nonsingular block, work[i][k:] then holds
-    det * x_i for i < k, x solving the system whose right-hand sides are
-    the trailing columns, and a row r past k holds det * (b_r - a_r x).
+    The run is Gauss-Jordan over every row: pivots come from the first k
+    rows only, a column without one is skipped, and a reduced column is
+    zero outside its pivot row.  For a nonsingular block, work[i][k:] then
+    holds det * x_i for i < k, x solving the system whose right-hand sides
+    are the trailing columns, and a row r past k holds det * (b_r - a_r x).
     For a singular block, the first k rows left without a pivot are zero
     on the block, so the system is consistent iff their trailing entries
     are zero.
     """
-    if not k or len(work[0]) == k:
-        return _determinant(work, k)
     sign = 1
     prev = 1
     r = 0  # the row the next pivot goes to
@@ -84,8 +82,8 @@ def eliminate(work: List[List[int]], k: int) -> int:
     return sign * prev
 
 
-def _determinant(work: List[List[int]], k: int) -> int:
-    """det of the k x k int rows work, by Bareiss elimination in place.
+def bareiss_determinant(work: List[List[int]]) -> int:
+    """det of the square int rows work, by Bareiss elimination in place.
 
     Only the rows below each pivot are reduced, and only right of the
     pivot column: that column is never read again, so the entries below a
@@ -93,8 +91,9 @@ def _determinant(work: List[List[int]], k: int) -> int:
     below with a nonzero entry there and flips the sign; none ends the run
     with 0.  A row whose multiplier is 0 is left as it is when the pivot
     equals the one before it, and otherwise only scaled by p / prev.  The
-    last entry reduced is det itself (work[0][0] when k is 1).
+    last entry reduced is det itself (work[0][0] for a 1 x 1 block).
     """
+    k = len(work)
     if not k:
         return 1
     sign = 1

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import MatrixFormatError
-from .kernel import clear_denominators, eliminate
+from .kernel import bareiss_determinant, clear_denominators
 
 
 MAX_LITERAL_DIGITS = 4300
@@ -52,8 +53,13 @@ def _checked_literal(text: str) -> str:
     return text
 
 
-def _checked_int(text: str) -> int:
-    return int(text if len(text) <= MAX_LITERAL_DIGITS else _checked_literal(text))
+def _checked_int(text: str):
+    """A JSON int literal's value, read as the plain-row route reads it:
+    by int, and as a literal (named in any error) where int refuses it."""
+    try:
+        return int(text if len(text) <= MAX_LITERAL_DIGITS else _checked_literal(text))
+    except ValueError:  # past a lowered sys.set_int_max_str_digits
+        return _to_fraction(text)
 
 
 def _has_long_digit_run(text: str) -> bool:
@@ -227,14 +233,16 @@ def parse_matrix(text: str) -> RationalMatrix:
         raise MatrixFormatError("empty input")
     if stripped[0] in "{[":
         # Every JSON int literal is one run of ASCII digits.  When no run is
-        # longer than the bound, int reads each as _checked_int would, and
-        # json calls it in C; a longer run anywhere takes the checked route.
-        parse_int = _checked_int if _has_long_digit_run(stripped) else int
+        # longer than the bound, and the interpreter's int digit limit is
+        # off or not below it, int reads each as _checked_int would, and
+        # json calls it in C; otherwise every int takes the checked route.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        fast = (not limit or limit >= MAX_LITERAL_DIGITS) and not _has_long_digit_run(stripped)
         try:
             obj = json.loads(
                 stripped,
-                parse_float=lambda text: Fraction(_checked_literal(text)),
-                parse_int=parse_int,
+                parse_float=_to_fraction,
+                parse_int=int if fast else _checked_int,
             )
         except json.JSONDecodeError as exc:
             raise MatrixFormatError("invalid JSON: %s" % (exc,))
@@ -260,7 +268,7 @@ def determinant(matrix: RationalMatrix) -> Fraction:
     """Exact determinant by fraction-free integer elimination (see kernel)
     of the matrix's integer rows: det(scale * A) / scale^n."""
     scale, ints = matrix.integer_rows()
-    det = eliminate(list(map(list, ints)), matrix.n)
+    det = bareiss_determinant(list(map(list, ints)))
     return Fraction(det) if scale == 1 else Fraction(det, scale ** matrix.n)
 
 

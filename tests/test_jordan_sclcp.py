@@ -7,14 +7,13 @@ import pytest
 
 from helpers import identity
 from lcpq.jordan.algebra import (
+    Algebra,
     eigenvalues_of,
     element_from_eigenvalues,
     identity_element,
-    in_cone,
     jordan_product,
     random_element,
     random_frame,
-    rn_algebra,
     standard_frame,
     sym_algebra,
 )
@@ -70,7 +69,7 @@ def test_embed_on_rotated_frame():
     assert out.status == "embedded"
     assert out.r == (Fraction(1), Fraction(2), Fraction(3))
     assert out.check.passed
-    assert in_cone(out.check.x, tol=1e-9)
+    assert eigenvalues_of(out.check.x).min() >= -1e-9
 
 
 def test_embed_unsolvable_counts_as_pass():
@@ -86,7 +85,7 @@ def test_embed_rank_mismatch():
 
 
 def test_rank_one_classification():
-    frame = standard_frame(rn_algebra(2))
+    frame = standard_frame(Algebra("rn", 2))
 
     def verdict(ea, eb):
         return classify_rank_one_q(
@@ -118,7 +117,7 @@ def test_exact_rank_one_verdict_matches_the_float_one_outside_the_band_and_the_o
     decided = 0
     for trial in range(120):
         n = 1 + trial % 3
-        algebra = (rn_algebra if trial % 2 else sym_algebra)(n)
+        algebra = Algebra("rn" if trial % 2 else "sym", n)
         frame = random_frame(algebra, rng)
         alpha = [values[i] for i in rng.integers(0, len(values), size=n)]
         beta = [values[i] for i in rng.integers(0, len(values), size=n)]
@@ -149,7 +148,7 @@ def test_positivity_sampler_finds_witness():
     report = sample_positivity_violation(transform, samples=50, rng_seed=0)
     assert report.found and report.samples_used == 1
     assert report.value < 0
-    assert in_cone(report.witness)
+    assert eigenvalues_of(report.witness).min() >= -1e-9
     obj = report.to_json_obj()
     assert obj["violation"] is True and obj["samples"] == 1
 

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_lcp_solution, cofactor_det, matvec
-from lcpq.kernel import clear_denominators, eliminate
+from lcpq.kernel import bareiss_determinant, clear_denominators, eliminate
 from lcpq.lcp import LcpInstance, integer_system, minor_sign, solve_lcp, supports, walk
 from lcpq.matrices import RationalMatrix, determinant, solve_linear
 
@@ -109,8 +109,10 @@ SPARSE = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
 @example([[2, 0, 1], [0, 2, 0], [1, 0, 2]])
 @example([[1, 2], [2, 4]])  # singular
 def test_determinant_mode_matches_cofactor_expansion_on_sparse_blocks(rows):
-    # Determinant mode reduces only right of each pivot column and skips a
-    # row whose multiplier is 0 under an unchanged pivot.
+    # bareiss_determinant reduces only right of each pivot column and skips
+    # a row whose multiplier is 0 under an unchanged pivot; Gauss-Jordan
+    # eliminate on the same block gives the same det.
+    assert bareiss_determinant([list(row) for row in rows]) == cofactor_det(rows)
     assert eliminate([list(row) for row in rows], len(rows)) == cofactor_det(rows)
 
 
@@ -153,6 +155,7 @@ def dense_blocks(draw):
 @example(([[5] * 8] * 8, 10 ** 12 + 39))
 def test_determinant_matches_cofactor_expansion_on_dense_blocks(block):
     rows, denominator = block
+    assert bareiss_determinant([list(row) for row in rows]) == cofactor_det(rows)
     assert eliminate([list(row) for row in rows], len(rows)) == cofactor_det(rows)
     fractions = [[Fraction(v, denominator) for v in row] for row in rows]
     det = determinant(RationalMatrix(fractions))

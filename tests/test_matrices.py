@@ -268,6 +268,25 @@ def test_plain_token_past_a_lowered_int_digit_limit_reads_as_before():
         sys.set_int_max_str_digits(limit)
 
 
+def test_json_literal_past_a_lowered_int_digit_limit_reads_as_a_plain_token():
+    # The JSON route names the same 700-digit int (or decimal) as the plain
+    # route does, not with int's ValueError, and still reads a shorter one.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for literal in ("7" * 700, "0." + "7" * 700):
+            with pytest.raises(MatrixFormatError) as exc:
+                parse_matrix('{"rows": [[1, 2], [3, %s]]}' % literal)
+            assert str(exc.value) == "bad rational literal %r... (%d characters): not a rational number" % (
+                literal[:40],
+                len(literal),
+            )
+        m = parse_matrix('{"rows": [[1, 2], [3, -%s]]}' % ("7" * 600))
+        assert m.integer_rows() == (1, ((1, 2), (3, -int("7" * 600))))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_json_round_trip():
     m = parse_matrix('{"rows": [[1, "1/3"], [0, -2]]}')
     again = parse_matrix(json.dumps(m.to_json_obj()))
