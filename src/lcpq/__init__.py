@@ -16,12 +16,10 @@ from .classes import (
     is_E,
     is_E0,
     is_P,
-    is_P0,
     is_R0,
     is_Rd,
     is_Rstar,
     is_S,
-    is_Z,
     q_oracle,
 )
 from .classifier import (
@@ -48,13 +46,7 @@ from .lcp import LcpInstance, LcpSolution, degree, enumeration_cap, is_solvable,
 from .matrices import RationalMatrix, determinant, inverse, parse_matrix, parse_vector
 from .pivot import ppt, schur_complement
 from .simplex import FeasibilitySystem, solve_feasibility
-from .structure import (
-    StructureClass,
-    bdsw_determinant,
-    detect_structure,
-    is_bdsw_shape,
-    rotate_conjugate,
-)
+from .structure import StructureClass, bdsw_determinant, detect_structure, is_bdsw_shape
 
 __version__ = "0.1.0"
 

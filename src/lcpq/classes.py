@@ -193,39 +193,15 @@ def is_S(matrix: RationalMatrix) -> Verdict:
 
 
 def is_P(matrix: RationalMatrix) -> Verdict:
-    """P: every principal minor is positive."""
-    return _minor_scan(
-        matrix, "P", 1, "nonpositive principal minor", "all principal minors positive"
-    )
-
-
-def is_P0(matrix: RationalMatrix) -> Verdict:
-    """P0: every principal minor is nonnegative."""
-    return _minor_scan(
-        matrix, "P0", 0, "negative principal minor", "all principal minors nonnegative"
-    )
-
-
-def _minor_scan(matrix: RationalMatrix, rule: str, least: int, fails: str, holds: str):
-    """The first principal minor, in bitmask order, whose sign is below
-    least gives a NO with its 1-based indices; none gives a YES.  Each
-    minor takes one determinant (lcp.minor_sign), the empty one none."""
+    """P: every principal minor is positive.  The first minor, in bitmask
+    order, that is not gives a NO with its 1-based indices.  Each minor
+    takes one determinant (lcp.minor_sign), the empty one none."""
     for idx in supports(matrix.n):
-        if minor_sign(matrix, idx) < least:
-            return Verdict(NO, rule, fails, {"indices": [i + 1 for i in idx]})
-    return Verdict(YES, rule, holds, {})
-
-
-def is_Z(matrix: RationalMatrix) -> Verdict:
-    """Z: off-diagonal entries are all nonpositive."""
-    _, ints = matrix.integer_rows()
-    for i, row in enumerate(ints):
-        for j, v in enumerate(row):
-            if i != j and v > 0:
-                return Verdict(
-                    NO, "Z", "positive off-diagonal entry", {"at": [i + 1, j + 1]}
-                )
-    return Verdict(YES, "Z", "off-diagonal entries nonpositive", {})
+        if minor_sign(matrix, idx) <= 0:
+            return Verdict(
+                NO, "P", "nonpositive principal minor", {"indices": [i + 1 for i in idx]}
+            )
+    return Verdict(YES, "P", "all principal minors positive", {})
 
 
 def is_Rstar(matrix: RationalMatrix) -> Verdict:

@@ -58,7 +58,7 @@ def _read_matrix_file(path: str) -> Tuple[RationalMatrix, str]:
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
-    return parse_matrix(raw.decode("utf-8")), digest
+    return parse_matrix(raw.decode("utf-8-sig")), digest
 
 
 def _format_scalar(value) -> Optional[str]:

@@ -21,9 +21,9 @@ build a ``Fraction`` only at the boundary, when a result leaves as a value.
 Two routines run it, one per job.  eliminate solves: Gauss-Jordan over
 every row of [A | b], for the support walk and the principal pivot
 transform.  bareiss_determinant gives a determinant alone
-(matrices.determinant, one call per principal minor in the P and P0
-scans): the same update over the rows below each pivot only, as index
-loops that write each row in place.  For the small blocks the scans see,
+(matrices.determinant, one call per principal minor in the P scan): the
+same update over the rows below each pivot only, as index loops that
+write each row in place.  For the small blocks the scan sees,
 building a new list per row per step cost more than the integer
 arithmetic itself.
 """

@@ -22,11 +22,12 @@ solutions returned.
 
 Each walk record carries sgn det A_II, the sign of its pivot, so a
 caller that walks needs no determinant.  minor_sign is the other route to
-a principal-minor sign: one determinant, for callers that do not walk.
+a principal-minor sign: one determinant, for classes.is_P, which does not
+walk.
 
 lex_walk is one walk of LCP(A, 0) that gives both the R0 test and the
 degree.  A nonzero solution of LCP(A, 0) needs a singular support, and the
-walk yields exactly those, for classes.is_R0's LPs.  The same walk also
+walk yields exactly those, for classes.r0_degree's LPs.  The same walk also
 solves LCP(A, q(eps)) with q(eps) = (eps, eps^2, ..., eps^n), eps -> 0+
 (lexicographic degeneracy resolution: Cottle, Pang & Stone, *The Linear
 Complementarity Problem*, 1992, ch. 4).  There no support is degenerate
@@ -364,8 +365,8 @@ def degree(matrix: RationalMatrix) -> int:
     """LCP degree: the sum of sgn det A_II over the solutions of LCP(A, q)
     at a nondegenerate q, here the lexicographic q(eps) of lex_walk.
 
-    Requires the R0 property (checked by the caller via classes.is_R0; this
-    function only needs it for the value to be well defined).  Exact: no q
-    is sampled.
+    Requires the R0 property for the value to be well defined, and does not
+    check it: lcpq degree and q_oracle take R0 and the degree from one walk,
+    classes.r0_degree.  Exact: no q is sampled.
     """
     return lex_walk(integer_system(matrix, [0] * matrix.n)[1])[1]

@@ -71,28 +71,6 @@ def bdsw_determinant(matrix: RationalMatrix) -> Fraction:
     return Fraction(prod(ints[i][i] for i in range(n)) + (-1) ** (n + 1) * cycle, scale**n)
 
 
-def conjugate(matrix: RationalMatrix, order) -> RationalMatrix:
-    """P A P^T for the permutation listed by order: entry (i, j) of the
-    result is A[order[i], order[j]] (0-based)."""
-    order = list(order)
-    if sorted(order) != list(range(matrix.n)):
-        raise ValueError("not a permutation of 0..%d: %r" % (matrix.n - 1, order))
-    scale, ints = matrix.integer_rows()
-    return RationalMatrix._of_image(scale, tuple(tuple(ints[i][j] for j in order) for i in order))
-
-
-def rotate_conjugate(matrix: RationalMatrix, k: int) -> RationalMatrix:
-    """Conjugate by the rotation that moves index k to index n.
-
-    Preserves the bdsw shape; the result B has b_nn = a_kk and
-    b_n1 = a_k(k+1) (1-based names).
-    """
-    n = matrix.n
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n, got k=%d n=%d" % (k, n))
-    return conjugate(matrix, [(i + k) % n for i in range(n)])
-
-
 def is_triangular_plus_row(matrix: RationalMatrix) -> bool:
     """Whether A has the block form (B c; d^T a_nn) with B upper triangular
     of order n-1, d >= 0 and a_nn > 0.  The head c of the last column is

@@ -123,6 +123,13 @@ def neg(matrix):
     return RationalMatrix([[-v for v in row] for row in matrix.rows])
 
 
+def conjugate(matrix, order):
+    """P A P^T for the permutation listed by order, built from the entries:
+    entry (i, j) is A[order[i], order[j]] (0-based)."""
+    rows = matrix.rows
+    return RationalMatrix([[rows[i][j] for j in order] for i in order])
+
+
 def plain_text(matrix):
     """The matrix in parse_matrix's plain format: one row per line, each
     entry an integer or p/q."""

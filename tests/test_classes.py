@@ -31,12 +31,10 @@ from lcpq.classes import (
     is_E,
     is_E0,
     is_P,
-    is_P0,
     is_R0,
     is_Rd,
     is_Rstar,
     is_S,
-    is_Z,
     q_oracle,
 )
 from lcpq.classifier import classify_by_rules
@@ -232,20 +230,13 @@ def test_p_and_p0_match_minor_enumeration():
     for m in _mixed_corpus():
         minors = [d for _, d in principal_minors(m.rows)]
         assert is_P(m).is_yes == all(d > 0 for d in minors)
-        assert is_P0(m).is_yes == all(d >= 0 for d in minors)
 
 
 def test_p0_but_not_p_fixture():
     m = RationalMatrix([[0, 1], [0, 1]])
-    assert is_P0(m).is_yes
+    assert all(d >= 0 for _, d in principal_minors(m.rows))
     v = is_P(m)
     assert v.is_no and v.data["indices"] == [1]
-
-
-def test_z_sign_checks():
-    assert is_Z(RationalMatrix([[2, -1], [-1, 2]])).is_yes
-    v = is_Z(RationalMatrix([[1, 3], [0, 1]]))
-    assert v.is_no and v.data["at"] == [1, 2]
 
 
 def test_rstar_examples():
@@ -284,7 +275,6 @@ CAPPED_ENTRIES = {
     "q_oracle": q_oracle,
     "is_R0": is_R0,
     "is_P": is_P,
-    "is_P0": is_P0,
     "is_E0": is_E0,
     "is_E": is_E,
     "is_Rd": lambda m: is_Rd(m, [1] * m.n),
@@ -405,17 +395,16 @@ def test_is_P_and_is_P0_match_the_cofactor_minor_signs_at_n_7_and_8():
     for rows in _p_scan_corpus():
         matrix = RationalMatrix(rows)
         signs = _minor_signs_by_cofactor(matrix)
-        for scan, least in ((is_P, 1), (is_P0, 0)):
-            first = next((mask for mask in range(1, 1 << matrix.n) if signs[mask] < least), None)
-            verdict = scan(matrix)
-            if first is None:
-                assert verdict.is_yes
-            else:
-                assert verdict.is_no
-                assert verdict.data["indices"] == [i + 1 for i in range(matrix.n) if first >> i & 1]
-            outcomes.add((scan.__name__, verdict.answer, first is not None and first >= 1 << (matrix.n - 2)))
-    # P and P0 matrices, and scans that fail on a minor past the first 2^(n-2).
-    assert {("is_P", YES, False), ("is_P", NO, True), ("is_P0", YES, False), ("is_P0", NO, True)} <= outcomes
+        first = next((mask for mask in range(1, 1 << matrix.n) if signs[mask] <= 0), None)
+        verdict = is_P(matrix)
+        if first is None:
+            assert verdict.is_yes
+        else:
+            assert verdict.is_no
+            assert verdict.data["indices"] == [i + 1 for i in range(matrix.n) if first >> i & 1]
+        outcomes.add((verdict.answer, first is not None and first >= 1 << (matrix.n - 2)))
+    # P-matrices, and scans that fail on a minor past the first 2^(n-2).
+    assert {(YES, False), (NO, True)} <= outcomes
 
 
 def test_q_oracle_matches_the_r0_first_reference_and_reads_r0_minors_from_the_walk(monkeypatch):
@@ -494,12 +483,11 @@ def test_determinant_counts_of_is_R0_degree_and_is_P(monkeypatch):
     matrix = RationalMatrix([[2, 1, 1], [0, 3, 1], [1, 0, 2]])
     assert is_R0(matrix).is_yes and degree(matrix) == 1
     assert dets == []  # the walk of LCP(A, 0) reads each sign from a pivot
-    # The P and P0 scans take one determinant per nonempty minor, each
-    # call afresh: nothing is kept on the matrix between calls.
+    # The P scan takes one determinant per nonempty minor, each call
+    # afresh: nothing is kept on the matrix between calls.
     minors = 2 ** matrix.n - 1
     assert is_P(matrix).is_yes and len(dets) == minors
-    assert is_P0(matrix).is_yes and len(dets) == 2 * minors
-    assert is_P(matrix).is_yes and len(dets) == 3 * minors
+    assert is_P(matrix).is_yes and len(dets) == 2 * minors
     del dets[:]
     assert is_P(matrix.principal_submatrix([0, 1])).is_yes and len(dets) == 3
 
@@ -613,7 +601,7 @@ def test_class_chain_on_corpus():
         verdict = q_oracle(m, budget=16)
         if verdict.is_yes:
             assert is_S(m).is_yes
-        if is_P0(m).is_yes:
+        if all(d >= 0 for _, d in principal_minors(m.rows)):  # P0
             assert verdict.answer in (YES, NO)
             assert verdict.is_yes == is_R0(m).is_yes
 

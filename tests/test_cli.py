@@ -100,6 +100,39 @@ def test_classify_default_output_stable(type3_file, capsys):
     assert "elapsed:" in timed
 
 
+@pytest.mark.parametrize(
+    "text", ["2 -1\n-1 2\n", '{"rows": [[2, -1], [-1, 2]]}'], ids=["plain", "json"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [["classify"], ["verify"], ["degree"], ["jordan", "embed-check", "--q", "-1,-1", "--matrix"]],
+    ids=["classify", "verify", "degree", "embed-check"],
+)
+def test_a_utf8_byte_order_mark_changes_no_answer(tmp_path, capsys, text, command):
+    # Editors on some systems start a UTF-8 file with U+FEFF; the file
+    # reads as the same matrix, at the same name, as the file without it.
+    outcomes = []
+    for folder, mark in (("plain", ""), ("bom", "\ufeff")):
+        (tmp_path / folder).mkdir()
+        path = _write(tmp_path / folder, "m.txt", mark + text)
+        code = main(command + [path])
+        out, err = capsys.readouterr()
+        outcomes.append((code, out.replace(path, "m.txt"), err.replace(path, "m.txt")))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and outcomes[0][2] == ""
+
+
+def test_the_sha256_covers_the_byte_order_mark(tmp_path, capsys):
+    path = _write(tmp_path, "bom.txt", "\ufeff2 -1\n-1 2\n")
+    assert main(["classify", "--json", path]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["verdict"]["theorem"] == "T9.1" and record["verdict"]["answer"] == "yes"
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    assert raw.startswith(b"\xef\xbb\xbf")
+    assert record["sha256"] == hashlib.sha256(raw).hexdigest()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["classify"])

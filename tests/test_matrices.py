@@ -24,7 +24,6 @@ from lcpq.matrices import (
     solve_linear,
 )
 from lcpq.pivot import ppt
-from lcpq.structure import conjugate
 
 
 def test_entries_become_fractions():
@@ -175,13 +174,11 @@ def test_integer_input_builds_no_fraction(monkeypatch):
     built = RationalMatrix(rows)
     generated = generate("bdsw-2", 4, 2, 0)
     sub = built.submatrix([2, 0], [1, 2])
-    conjugated = conjugate(built, [2, 0, 1])
     transformed = ppt(built, [1, 2])
     assert seen == []
     assert parsed == built and built.integer_rows() == (1, tuple(map(tuple, rows)))
-    assert [m.integer_rows()[0] for m in generated + [sub, conjugated]] == [1] * 4
+    assert [m.integer_rows()[0] for m in generated + [sub]] == [1] * 3
     assert sub.integer_rows() == (1, ((0, 5), (-1, 0)))
-    assert conjugated.integer_rows() == (1, ((5, 4, 0), (0, 2, -1), (1, 0, 3)))
     assert transformed.integer_rows()[0] == 6  # det A_JJ = 6 for J = {1, 2}
 
 
@@ -414,8 +411,8 @@ def test_integer_rows_share_one_scale():
     assert hash(m.submatrix([0], [1])) == hash(RationalMatrix([["1/3"]]))
     integer = RationalMatrix([[1, -2], [0, 3]])
     assert integer.integer_rows() == (1, ((1, -2), (0, 3)))
-    # ppt, inverse and conjugate write their images themselves: each is at
-    # the lcm scale, gcd-reduced, as if built from its entries.
+    # ppt and inverse write their images themselves: each is at the lcm
+    # scale, gcd-reduced, as if built from its entries.
     rng = random.Random(17)
     checked = 0
     for _ in range(60):
@@ -424,7 +421,7 @@ def test_integer_rows_share_one_scale():
             [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
         )
         j_set = rng.sample(range(1, n + 1), rng.randint(1, n))
-        results = [conjugate(a, rng.sample(range(n), n))]
+        results = []
         for transform in (lambda: ppt(a, j_set), lambda: inverse(a)):
             try:
                 results.append(transform())
@@ -435,7 +432,7 @@ def test_integer_rows_share_one_scale():
             assert result.integer_rows() == rebuilt.integer_rows()
             assert result == rebuilt and hash(result) == hash(rebuilt)
             checked += 1
-    assert checked > 120
+    assert checked >= 114
 
 
 def test_parse_vector_forms():

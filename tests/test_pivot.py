@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import count_calls, identity, reference_ppt
+from helpers import conjugate, count_calls, identity, reference_ppt
 from lcpq import kernel
 from lcpq.classes import NO, YES, is_R0, q_oracle
 from lcpq.errors import SingularPivotError
 from lcpq.lcp import degree
 from lcpq.matrices import RationalMatrix, determinant, inverse
 from lcpq.pivot import ppt, schur_complement
-from lcpq.structure import conjugate
 
 TYPE4 = RationalMatrix([[-1, 1, 0], [0, -1, 1], [-2, 0, 1]])
 BIG = RationalMatrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, -1], [1, 0, 0, 0]])

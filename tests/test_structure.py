@@ -1,10 +1,9 @@
-"""Shape detection, permutation conjugation and the bdsw determinant."""
+"""Shape detection and the bdsw determinant."""
 
 import random
 
 import pytest
 
-from helpers import matmul, transpose
 from lcpq.errors import NotBdswShapeError
 from lcpq.matrices import RationalMatrix, determinant
 from lcpq.structure import (
@@ -17,25 +16,17 @@ from lcpq.structure import (
     TRIANGULAR_PLUS_ROW,
     UPPER_TRIANGULAR,
     bdsw_determinant,
-    conjugate,
     detect_structure,
     is_bdsw_shape,
     is_triangular_plus_row,
-    rotate_conjugate,
 )
 
 
-def _random_bdsw(rng, n, allow_zero=True):
-    lo = -4
+def _random_bdsw(rng, n):
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = rng.randint(lo, 4)
-        off = rng.randint(lo, 4)
-        if not allow_zero:
-            while rows[i][i] == 0:
-                rows[i][i] = rng.randint(lo, 4)
-            while off == 0:
-                off = rng.randint(lo, 4)
+        rows[i][i] = rng.randint(-4, 4)
+        off = rng.randint(-4, 4)
         if i < n - 1:
             rows[i][i + 1] = off
         else:
@@ -61,53 +52,6 @@ def test_bdsw_determinant_closed_form_matches_elimination():
 def test_bdsw_determinant_rejects_other_shapes():
     with pytest.raises(NotBdswShapeError):
         bdsw_determinant(RationalMatrix([[1, 0, 2], [0, 1, 0], [0, 0, 1]]))
-
-
-def test_permutation_conjugate_matches_matrix_product():
-    rng = random.Random(5)
-    for _ in range(20):
-        n = rng.randint(2, 5)
-        order = list(range(n))
-        rng.shuffle(order)
-        a = RationalMatrix(
-            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        )
-        # Row i of P is e_(order[i]), so (P A P^T)[i, j] = A[order[i], order[j]].
-        pm = RationalMatrix([[1 if j == order[i] else 0 for j in range(n)] for i in range(n)])
-        b = conjugate(a, order)
-        assert b == matmul(matmul(pm, a), transpose(pm))
-        for i in range(n):
-            for j in range(n):
-                assert b[i, j] == a[order[i], order[j]]
-    with pytest.raises(ValueError):
-        conjugate(RationalMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), [0, 0, 2])
-
-
-def test_rotation_moves_row_k_to_last_position():
-    rng = random.Random(9)
-    for _ in range(30):
-        n = rng.randint(2, 6)
-        m = _random_bdsw(rng, n, allow_zero=False)
-        k = rng.randint(1, n - 1)
-        rotated = rotate_conjugate(m, k)
-        assert is_bdsw_shape(rotated)
-        assert rotated[n - 1, n - 1] == m[k - 1, k - 1]
-        assert rotated[n - 1, 0] == m[k - 1, k]
-        assert determinant(rotated) == determinant(m)
-
-
-def test_rotation_composition_wraps_mod_n():
-    n = 5
-    m = RationalMatrix([[5 * i + j for j in range(n)] for i in range(n)])
-    composed = rotate_conjugate(rotate_conjugate(m, 2), 3)
-    assert composed == m  # rotations by 2 and 3 add to 5 = 0 mod n
-    once = rotate_conjugate(rotate_conjugate(m, 3), 4)
-    assert once == rotate_conjugate(m, (3 + 4) % n)
-    for i in range(n):
-        for j in range(n):
-            assert once[i, j] == m[(i + 7) % n, (j + 7) % n]
-    with pytest.raises(ValueError):
-        rotate_conjugate(RationalMatrix([[1, 0, 0, 0]] * 4), 4)
 
 
 def test_detect_type1_with_normalised_last_row():
