@@ -292,12 +292,12 @@ def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Ver
     turns the R0/degree channel into a full decision procedure there.
 
     is_P runs first, right after the S check, and computes minors one
-    determinant each (lcp.minor_sign, a Bareiss elimination of the block
-    in place), in bitmask order, until the first one <= 0; a P-matrix
-    takes all 2^n - 1 of them.  A P-matrix is R0 and has exactly one
-    solution for every q (Cottle, Pang & Stone, *The Linear
-    Complementarity Problem*, 1992, ch. 3), so its degree is 1 and its
-    minors alone decide it, with no walk.  Any other
+    determinant each (lcp.minor_sign: a closed form up to order 4, a
+    Bareiss elimination above it; see kernel), in bitmask order, until
+    the first one <= 0; a P-matrix takes all 2^n - 1 of them.  A P-matrix
+    is R0 and has exactly one solution for every q (Cottle, Pang & Stone,
+    *The Linear Complementarity Problem*, 1992, ch. 3), so its degree is 1
+    and its minors alone decide it, with no walk.  Any other
     matrix goes on to r0_degree, which walks LCP(A, 0) once
     (lcp.lex_walk): the walk gives the singular supports for R0's LPs
     and the exact degree at the lexicographic q(eps), and each of its

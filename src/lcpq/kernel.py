@@ -20,12 +20,18 @@ build a ``Fraction`` only at the boundary, when a result leaves as a value.
 
 Two routines run it, one per job.  eliminate solves: Gauss-Jordan over
 every row of [A | b], for the support walk and the principal pivot
-transform.  bareiss_determinant gives a determinant alone
-(matrices.determinant, one call per principal minor in the P scan): the
-same update over the rows below each pivot only, as index loops that
-write each row in place.  For the small blocks the scan sees,
-building a new list per row per step cost more than the integer
-arithmetic itself.
+transform.  bareiss_determinant gives a determinant alone: the same update
+over the rows below each pivot only, as index loops that write each row in
+place, since building a new list per row per step cost more than the
+integer arithmetic itself.
+
+int_determinant is the determinant entry (matrices.determinant, one call
+per principal minor in the P scan).  It only reads its rows, so a block's
+integer image goes in as it is.  Up to order 4 it returns a closed form;
+at n = 7 and 8 most minors have such an order (98 of 127, 162 of 255),
+and there the loop and the copy it writes cost 4-7x the closed form.  From
+order 5 on it runs bareiss_determinant on a copy: a cofactor expansion of
+order 5 (five 4 x 4 closed forms) measured slower than the loop.
 """
 
 from __future__ import annotations
@@ -83,7 +89,8 @@ def eliminate(work: List[List[int]], k: int) -> int:
 
 
 def bareiss_determinant(work: List[List[int]]) -> int:
-    """det of the square int rows work, by Bareiss elimination in place.
+    """det of the square int rows work, by Bareiss elimination in place
+    (int_determinant runs it on a copy for blocks of order 5 and more).
 
     Only the rows below each pivot are reduced, and only right of the
     pivot column: that column is never read again, so the entries below a
@@ -122,3 +129,34 @@ def bareiss_determinant(work: List[List[int]]) -> int:
                     other[j] = p * other[j] // prev
         prev = p
     return sign * work[k - 1][k - 1]
+
+
+def int_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """det of the square int rows, which are only read: in closed form up
+    to order 4, and above that by bareiss_determinant on a copy.
+
+    Order 3 is the cofactor expansion along the first row.  Order 4 is
+    Laplace's expansion along the first two rows: each of their six 2 x 2
+    minors times its complementary 2 x 2 minor in the last two rows, signed
+    by the parity of the two columns it takes.
+    """
+    k = len(rows)
+    if k == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+        return (
+            (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+        )
+    if k == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+        return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+    if k == 2:
+        (a0, a1), (b0, b1) = rows
+        return a0 * b1 - a1 * b0
+    if k == 1:
+        return rows[0][0]
+    return bareiss_determinant([list(row) for row in rows])

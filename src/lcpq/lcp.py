@@ -124,10 +124,10 @@ def minor_sign(matrix: RationalMatrix, idx: Sequence[int]) -> int:
     if not idx:
         return 1
     # One matrices.determinant call per minor, the one determinant routine,
-    # which perfbench's trace counts: Bareiss elimination of the block's
-    # int rows in place (kernel).  The block keeps the matrix's scale, so
-    # no denominators are cleared again per minor, and the sign is read
-    # from the numerator, an int.
+    # which perfbench's trace counts: a closed form on the block's int rows
+    # up to order 4, Bareiss elimination of a copy above that (kernel).  The
+    # block keeps the matrix's scale, so no denominators are cleared again
+    # per minor, and the sign is read from the numerator, an int.
     return _sign(determinant(matrix.principal_submatrix(idx)).numerator)
 
 

@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import MatrixFormatError
-from .kernel import bareiss_determinant, clear_denominators
+from .kernel import clear_denominators, int_determinant
 
 
 MAX_LITERAL_DIGITS = 4300
@@ -265,10 +265,11 @@ def parse_matrix(text: str) -> RationalMatrix:
 
 
 def determinant(matrix: RationalMatrix) -> Fraction:
-    """Exact determinant by fraction-free integer elimination (see kernel)
-    of the matrix's integer rows: det(scale * A) / scale^n."""
+    """Exact determinant of the matrix's integer rows, det(scale * A) /
+    scale^n: kernel.int_determinant reads the rows as they are, in closed
+    form up to order 4 and by Bareiss elimination of a copy above that."""
     scale, ints = matrix.integer_rows()
-    det = bareiss_determinant(list(map(list, ints)))
+    det = int_determinant(ints)
     return Fraction(det) if scale == 1 else Fraction(det, scale ** matrix.n)
 
 

@@ -40,7 +40,7 @@ from lcpq.classes import (
 from lcpq.classifier import classify_by_rules
 from lcpq.errors import CertificateError, EnumerationCapError
 from lcpq.generate import GENERATOR_TYPES, generate
-from lcpq.lcp import LcpInstance, degree, integer_system, is_solvable, solve_lcp, walk
+from lcpq.lcp import LcpInstance, degree, integer_system, is_solvable, solve_lcp, supports, walk
 from lcpq.matrices import RationalMatrix, determinant, vec_to_fractions
 from lcpq.simplex import solve_feasibility
 
@@ -490,6 +490,33 @@ def test_determinant_counts_of_is_R0_degree_and_is_P(monkeypatch):
     assert is_P(matrix).is_yes and len(dets) == 2 * minors
     del dets[:]
     assert is_P(matrix.principal_submatrix([0, 1])).is_yes and len(dets) == 3
+
+
+def test_is_P_passes_each_principal_block_to_determinant_in_bitmask_order(monkeypatch):
+    """The blocks is_P hands to matrices.determinant, which perfbench's
+    tracer counts: A_II for every nonempty support I in bitmask order, up
+    to and including the first minor that is not positive."""
+    rng = random.Random(31)
+    n = 6
+    dominant = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        dominant[i][i] = sum(abs(v) for v in dominant[i]) - abs(dominant[i][i]) + rng.randint(1, 5)
+    # The minor on the last two indices is d1 d2 - max(d1, d2)^2 <= 0, and
+    # every support before it keeps at most one of the two changed rows,
+    # whose changed entry it leaves out: still dominant, still positive.
+    late = [list(row) for row in dominant]
+    late[n - 2][n - 1] = late[n - 1][n - 2] = max(late[n - 2][n - 2], late[n - 1][n - 1])
+    blocks = count_calls(monkeypatch, determinant)
+    for rows, last in ((dominant, (1 << n) - 1), (late, 3 << (n - 2))):
+        matrix = RationalMatrix(rows)
+        del blocks[:]
+        verdict = is_P(matrix)
+        if rows is dominant:
+            assert verdict.is_yes
+        else:
+            assert verdict.is_no and verdict.data["indices"] == [n - 1, n]
+        expected = [matrix.principal_submatrix(idx) for idx in list(supports(n))[1 : last + 1]]
+        assert blocks == [(block,) for block in expected]
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,14 @@
 """Fraction-free integer kernel against independent exact references.
 
-The kernel's determinant is compared with cofactor expansion, on dense
-blocks up to 8 x 8 with entries up to 10^30 and on sparse ones, its scaled
-solutions det * x with the package's rational Gauss-Jordan solve_linear,
-and the support walk's integer sign tests with the same quantities
-computed in Fraction arithmetic.  Inputs cover non-integer entries, zero
-pivots, zero rows and columns, singular and rank-deficient blocks, and
-right-hand sides of the size the sampled degree reference in helpers draws
-(about 10^7).
+The kernel's determinants (the Bareiss loop, and int_determinant, which
+must leave its rows as they are) are compared with cofactor expansion, on
+dense blocks up to 8 x 8 with entries up to 10^30 and on sparse ones, its
+scaled solutions det * x with the package's rational Gauss-Jordan
+solve_linear, and the support walk's integer sign tests with the same
+quantities computed in Fraction arithmetic.  Inputs cover non-integer
+entries, zero pivots, zero rows and columns, singular and rank-deficient
+blocks, and right-hand sides of the size the sampled degree reference in
+helpers draws (about 10^7).
 """
 
 import math
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_lcp_solution, cofactor_det, matvec
-from lcpq.kernel import bareiss_determinant, clear_denominators, eliminate
+from lcpq.kernel import bareiss_determinant, clear_denominators, eliminate, int_determinant
 from lcpq.lcp import LcpInstance, integer_system, minor_sign, solve_lcp, supports, walk
 from lcpq.matrices import RationalMatrix, determinant, solve_linear
 
@@ -111,9 +112,11 @@ SPARSE = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
 def test_determinant_mode_matches_cofactor_expansion_on_sparse_blocks(rows):
     # bareiss_determinant reduces only right of each pivot column and skips
     # a row whose multiplier is 0 under an unchanged pivot; Gauss-Jordan
-    # eliminate on the same block gives the same det.
+    # eliminate on the same block gives the same det.  int_determinant
+    # takes the block as integer_rows() holds it, int tuples it cannot write.
     assert bareiss_determinant([list(row) for row in rows]) == cofactor_det(rows)
     assert eliminate([list(row) for row in rows], len(rows)) == cofactor_det(rows)
+    assert int_determinant(tuple(map(tuple, rows))) == cofactor_det(rows)
 
 
 BIG = st.integers(-(10 ** 30), 10 ** 30)
@@ -157,6 +160,8 @@ def test_determinant_matches_cofactor_expansion_on_dense_blocks(block):
     rows, denominator = block
     assert bareiss_determinant([list(row) for row in rows]) == cofactor_det(rows)
     assert eliminate([list(row) for row in rows], len(rows)) == cofactor_det(rows)
+    copy = [list(row) for row in rows]
+    assert int_determinant(rows) == cofactor_det(rows) and rows == copy
     fractions = [[Fraction(v, denominator) for v in row] for row in rows]
     det = determinant(RationalMatrix(fractions))
     assert type(det) is Fraction and det == cofactor_det(fractions)
