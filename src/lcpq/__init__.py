@@ -31,7 +31,6 @@ from .classifier import (
     classify_bdsw_type4,
     classify_by_rules,
     classify_triangular,
-    classify_triangular_plus_row,
 )
 from .errors import (
     EnumerationCapError,

@@ -1,12 +1,18 @@
 """Q-property classification by structure-specific determinant/sign rules.
 
 Each classifier covers one structural family and cites the rule it applied
-(identifiers T3.1 through T9.1) in its certificate.  classify() is the
-front door: classify_by_rules() short-circuits nonpositive rows and
-dispatches to the most specific structural rule, and classify() falls back
-to the exact oracle when no rule applies.  Verdicts never contradict the
-oracle; that is enforced by tests, not by consulting the oracle on the
-structured paths.
+(identifiers T3.1 through T9.1) in its certificate.  classify_by_rules()
+looks up the rule body for the rule that detect_structure named, and
+classify() falls back to the exact oracle when no rule applies.  Each
+public classify_* checks its input's shape and then runs the same body;
+T3.2 has no public entry, as only the dispatch applies it.
+
+Rule precedence: nonpositive row, order 1, order 2 (T9.1), triangular
+(T3.1), triangular-plus-row (T3.2), bdsw type (T5.1-T8.1).  Rules that apply
+together agree on the answer, so the order only picks the certificate.
+classify and verify never report T5.1: its case (a_n1 >= 0, a_nn > 0) goes
+to T9.1 at order 2, to T3.1 when A is triangular, and to T3.2 otherwise.
+Tests, not the oracle, check that verdicts never contradict the oracle.
 """
 
 from __future__ import annotations
@@ -16,36 +22,38 @@ from typing import Optional
 
 from .classes import NO, YES, Verdict, q_oracle
 from .errors import StructureError
-from .matrices import (
-    RationalMatrix,
-    is_lower_triangular,
-    is_upper_triangular,
-    nonpositive_rows,
-)
+from .matrices import RationalMatrix, is_lower_triangular, is_upper_triangular
 from .structure import (
     BDSW_TYPE_1,
     BDSW_TYPE_2,
     BDSW_TYPE_3,
     BDSW_TYPE_4,
+    NONPOSITIVE_ROW,
+    ORDER_1,
+    ORDER_2,
+    TRIANGULAR,
+    TRIANGULAR_PLUS_ROW,
     StructureClass,
     bdsw_determinant,
     detect_structure,
     is_bdsw_shape,
-    is_triangular_plus_row,
 )
 
 
-def _diag(matrix: RationalMatrix) -> list:
-    """The diagonal of the integer image: A's signs, no Fraction built."""
+def _positive_diagonal(matrix: RationalMatrix, rule: str, case: str, yes_data: dict) -> Verdict:
+    """The rule of T3.1, T3.2 and T5.1's first case: No at the first
+    nonpositive diagonal entry, else Yes.  The condition reads
+    "<case> positive diagonal" or "<case> nonpositive diagonal entry"."""
     _, ints = matrix.integer_rows()
-    return [ints[i][i] for i in range(matrix.n)]
-
-
-def _first_nonpositive_diag(matrix: RationalMatrix):
-    for i, v in enumerate(_diag(matrix)):
-        if v <= 0:
-            return i + 1, matrix[i, i]
-    return None
+    for i, row in enumerate(ints):
+        if row[i] <= 0:
+            return Verdict(
+                NO,
+                rule,
+                case + " nonpositive diagonal entry",
+                {"diag_index": i + 1, "diag_value": matrix[i, i]},
+            )
+    return Verdict(YES, rule, case + " positive diagonal", yes_data)
 
 
 def classify_triangular(matrix: RationalMatrix) -> Verdict:
@@ -56,38 +64,18 @@ def classify_triangular(matrix: RationalMatrix) -> Verdict:
     """
     if not (is_upper_triangular(matrix) or is_lower_triangular(matrix)):
         raise StructureError("matrix is not triangular")
-    bad = _first_nonpositive_diag(matrix)
-    if bad is None:
-        return Verdict(
-            YES,
-            "T3.1",
-            "triangular with positive diagonal",
-            {"implied_classes": ["P", "E", "R*"]},
-        )
-    return Verdict(
-        NO,
-        "T3.1",
-        "triangular with nonpositive diagonal entry",
-        {"diag_index": bad[0], "diag_value": bad[1]},
-    )
+    return _triangular(matrix)
 
 
-def classify_triangular_plus_row(matrix: RationalMatrix) -> Verdict:
+def _triangular(matrix: RationalMatrix) -> Verdict:
+    implied = {"implied_classes": ["P", "E", "R*"]}
+    return _positive_diagonal(matrix, "T3.1", "triangular with", implied)
+
+
+def _triangular_plus_row(matrix: RationalMatrix) -> Verdict:
     """Block form (B c; d^T a_nn), B upper triangular, d >= 0, a_nn > 0:
     Q iff the diagonal of A is positive."""
-    if not is_triangular_plus_row(matrix):
-        raise StructureError(
-            "matrix does not match the triangular-plus-nonnegative-row form"
-        )
-    bad = _first_nonpositive_diag(matrix)
-    if bad is None:
-        return Verdict(YES, "T3.2", "block triangular-plus-row with positive diagonal", {})
-    return Verdict(
-        NO,
-        "T3.2",
-        "block triangular-plus-row with nonpositive diagonal entry",
-        {"diag_index": bad[0], "diag_value": bad[1]},
-    )
+    return _positive_diagonal(matrix, "T3.2", "block triangular-plus-row with", {})
 
 
 def classify_2x2(matrix: RationalMatrix) -> Verdict:
@@ -98,6 +86,10 @@ def classify_2x2(matrix: RationalMatrix) -> Verdict:
     """
     if matrix.n != 2:
         raise StructureError("classify_2x2 needs a 2x2 matrix")
+    return _two_by_two(matrix)
+
+
+def _two_by_two(matrix: RationalMatrix) -> Verdict:
     scale, ((a, b), (c, d)) = matrix.integer_rows()
 
     if a > 0 and c >= 0 and d > 0:
@@ -129,31 +121,27 @@ def classify_2x2(matrix: RationalMatrix) -> Verdict:
 def classify_bdsw_type1(matrix: RationalMatrix, k: int) -> Verdict:
     """Type-1 bdsw (has a nonnegative row): split on the signs of a_n1, a_nn.
 
-    Cases: a_n1 >= 0 and a_nn > 0 (positive diagonal decides); a_n1 > 0 and
-    a_nn = 0 (positive leading diagonal plus negative superdiagonal);
-    a_n1 < 0 and a_nn > 0 (positive diagonal, or the nonnegative row k has a
-    zero diagonal entry, positive off-diagonal and every other row has a
-    positive diagonal and negative off-diagonal entry); a_n1 > 0 and
-    a_nn < 0 (never Q).
+    Cases: a_n1 >= 0 and a_nn > 0 (positive diagonal decides, T5.1); a_n1 > 0
+    and a_nn = 0 (positive leading diagonal plus negative superdiagonal,
+    T5.2); a_n1 < 0 and a_nn > 0 (positive diagonal, or the nonnegative row
+    k has a zero diagonal entry, positive off-diagonal and every other row
+    has a positive diagonal and negative off-diagonal entry, T5.3); a_n1 > 0
+    and a_nn < 0 (never Q, T5.4).  Only this function reports T5.1: the rule
+    precedence (module docstring) answers its case by T9.1, T3.1 or T3.2.
     """
     if not is_bdsw_shape(matrix):
         raise StructureError("matrix does not have the bdsw shape")
+    return _bdsw_type1(matrix, k)
+
+
+def _bdsw_type1(matrix: RationalMatrix, k: int) -> Verdict:
     n = matrix.n
     _, ints = matrix.integer_rows()
-    an1 = ints[n - 1][0]
-    ann = ints[n - 1][n - 1]
-    diag = _diag(matrix)
+    an1, ann = ints[n - 1][0], ints[n - 1][n - 1]
+    diag = [ints[i][i] for i in range(n)]
 
     if an1 >= 0 and ann > 0:
-        bad = _first_nonpositive_diag(matrix)
-        if bad is None:
-            return Verdict(YES, "T5.1", "a_n1 >= 0, a_nn > 0, positive diagonal", {})
-        return Verdict(
-            NO,
-            "T5.1",
-            "a_n1 >= 0, a_nn > 0, nonpositive diagonal entry",
-            {"diag_index": bad[0], "diag_value": bad[1]},
-        )
+        return _positive_diagonal(matrix, "T5.1", "a_n1 >= 0, a_nn > 0,", {})
 
     if an1 > 0 and ann == 0:
         lead_ok = all(diag[i] > 0 for i in range(n - 1))
@@ -207,8 +195,7 @@ def classify_bdsw_type2(matrix: RationalMatrix) -> Verdict:
 
 def _bdsw_type2(matrix: RationalMatrix) -> Verdict:
     det = bdsw_determinant(matrix)
-    answer = YES if det > 0 else NO
-    return Verdict(answer, "T6.1", "type-2 bdsw is Q iff det > 0", {"det": det})
+    return Verdict(YES if det > 0 else NO, "T6.1", "type-2 bdsw is Q iff det > 0", {"det": det})
 
 
 def classify_bdsw_type3(matrix: RationalMatrix) -> Verdict:
@@ -220,15 +207,7 @@ def classify_bdsw_type3(matrix: RationalMatrix) -> Verdict:
 
 
 def _bdsw_type3(matrix: RationalMatrix) -> Verdict:
-    det = bdsw_determinant(matrix)
-    signed = det if (matrix.n + 1) % 2 == 0 else -det
-    answer = YES if signed > 0 else NO
-    return Verdict(
-        answer,
-        "T7.1",
-        "type-3 bdsw is Q iff (-1)^(n+1) det > 0",
-        {"det": det, "signed_det": signed},
-    )
+    return _signed_det(matrix, matrix.n, "T7.1", "type-3 bdsw is Q iff (-1)^(n+1) det > 0", {})
 
 
 def classify_bdsw_type4(matrix: RationalMatrix, k: int) -> Verdict:
@@ -245,57 +224,51 @@ def classify_bdsw_type4(matrix: RationalMatrix, k: int) -> Verdict:
 
 
 def _bdsw_type4(matrix: RationalMatrix, k: int) -> Verdict:
+    return _signed_det(matrix, k, "T8.1", "type-4 bdsw is Q iff (-1)^(k+1) det > 0", {"k": k})
+
+
+def _signed_det(matrix: RationalMatrix, m: int, rule: str, condition: str, data: dict) -> Verdict:
+    """The rule of T7.1 and T8.1: Q iff (-1)^(m+1) det A > 0."""
     det = bdsw_determinant(matrix)
-    signed = det if (k + 1) % 2 == 0 else -det
-    answer = YES if signed > 0 else NO
-    return Verdict(
-        answer,
-        "T8.1",
-        "type-4 bdsw is Q iff (-1)^(k+1) det > 0",
-        {"det": det, "signed_det": signed, "k": k},
-    )
+    signed = det if m % 2 else -det
+    data = {"det": det, "signed_det": signed, **data}
+    return Verdict(YES if signed > 0 else NO, rule, condition, data)
+
+
+def _nonpositive_row(matrix: RationalMatrix, structure: StructureClass) -> Verdict:
+    condition = "a row without positive entries makes some LCP(A,q) unsolvable"
+    return Verdict(NO, "nonpositive-row", condition, {"row": structure.row})
+
+
+def _order_1(matrix: RationalMatrix, structure: StructureClass) -> Verdict:
+    value = matrix[0, 0]
+    answer = YES if value > 0 else NO
+    return Verdict(answer, "T3.1", "order-1 base case: Q iff the entry is positive", {"a": value})
+
+
+# The rule body for each rule key that detect_structure sets.
+_RULES = {
+    NONPOSITIVE_ROW: _nonpositive_row,
+    ORDER_1: _order_1,
+    ORDER_2: lambda matrix, structure: _two_by_two(matrix),
+    TRIANGULAR: lambda matrix, structure: _triangular(matrix),
+    TRIANGULAR_PLUS_ROW: lambda matrix, structure: _triangular_plus_row(matrix),
+    BDSW_TYPE_1: lambda matrix, structure: _bdsw_type1(matrix, structure.k),
+    BDSW_TYPE_2: lambda matrix, structure: _bdsw_type2(matrix),
+    BDSW_TYPE_3: lambda matrix, structure: _bdsw_type3(matrix),
+    BDSW_TYPE_4: lambda matrix, structure: _bdsw_type4(matrix, structure.k),
+}
 
 
 def classify_by_rules(
     matrix: RationalMatrix, structure: Optional[StructureClass] = None
 ) -> Optional[Verdict]:
     """The structural verdict for A, or None when no rule applies.
-
-    Dispatch order: nonpositive row, order 1, order 2, triangular,
-    triangular-plus-row, bdsw type rules.  When several rules apply they
-    agree on the answer, so the order only affects which certificate is
-    reported.  structure, when given, must be detect_structure(matrix); the
-    bdsw rules then take the type from it without detecting it again.
-    """
-    bad = nonpositive_rows(matrix)
-    if bad:
-        return Verdict(
-            NO,
-            "nonpositive-row",
-            "a row without positive entries makes some LCP(A,q) unsolvable",
-            {"row": bad[0] + 1},
-        )
-    if matrix.n == 1:
-        value = matrix[0, 0]
-        answer = YES if value > 0 else NO
-        return Verdict(answer, "T3.1", "order-1 base case: Q iff the entry is positive", {"a": value})
-    if matrix.n == 2:
-        return classify_2x2(matrix)
-    if is_upper_triangular(matrix) or is_lower_triangular(matrix):
-        return classify_triangular(matrix)
-    if is_triangular_plus_row(matrix):
-        return classify_triangular_plus_row(matrix)
-    if structure is None:
-        structure = detect_structure(matrix)
-    if structure.tag == BDSW_TYPE_1:
-        return classify_bdsw_type1(matrix, structure.k)
-    if structure.tag == BDSW_TYPE_2:
-        return _bdsw_type2(matrix)
-    if structure.tag == BDSW_TYPE_3:
-        return _bdsw_type3(matrix)
-    if structure.tag == BDSW_TYPE_4:
-        return _bdsw_type4(matrix, structure.k)
-    return None
+    structure, when given, must be detect_structure(matrix); its rule key
+    picks the rule body, and no shape test runs again."""
+    structure = structure or detect_structure(matrix)
+    body = _RULES.get(structure.rule)
+    return body(matrix, structure) if body else None
 
 
 def classify(

@@ -22,7 +22,9 @@ jordan_product per pair of elements and built by one outer product per
 column (the package multiplies stacks of pairs and maps all columns in one
 svec), with the same float operations, so the two agree bit for bit.  LP
 systems are written over Fractions (RationalSystem) and handed to the
-package as integer rows at one common scale.
+package as integer rows at one common scale.  The structure tags and the
+structural verdict come from a chain of shape tests in precedence order
+(the package runs each shape test once and looks the rule up in a table).
 """
 
 import math
@@ -34,6 +36,14 @@ from itertools import chain, combinations, count, islice
 import numpy as np
 
 from lcpq.classes import NO, UNDECIDED, YES, Verdict, _sign_corners, is_P
+from lcpq.classifier import (
+    classify_2x2,
+    classify_bdsw_type1,
+    classify_bdsw_type2,
+    classify_bdsw_type3,
+    classify_bdsw_type4,
+    classify_triangular,
+)
 from lcpq.errors import SingularPivotError
 from lcpq.jordan import algebra as jordan_algebra
 from lcpq.jordan.algebra import (
@@ -45,9 +55,27 @@ from lcpq.jordan.algebra import (
 )
 from lcpq.kernel import clear_denominators
 from lcpq.lcp import LcpSolution, check_cap, is_solvable
-from lcpq.matrices import RationalMatrix, nonpositive_rows, solve_linear
+from lcpq.matrices import (
+    RationalMatrix,
+    is_lower_triangular,
+    is_upper_triangular,
+    nonnegative_rows,
+    nonpositive_rows,
+    solve_linear,
+)
 from lcpq.simplex import FeasibilitySystem, solve_feasibility
-from lcpq.structure import is_bdsw_shape
+from lcpq.structure import (
+    BDSW_TYPE_1,
+    BDSW_TYPE_2,
+    BDSW_TYPE_3,
+    BDSW_TYPE_4,
+    GENERAL,
+    LOWER_TRIANGULAR,
+    TRIANGULAR_PLUS_ROW,
+    UPPER_TRIANGULAR,
+    is_bdsw_shape,
+    is_triangular_plus_row,
+)
 
 
 def count_calls(monkeypatch, function):
@@ -650,6 +678,84 @@ def reference_q_oracle(matrix, budget=64, rng_seed=0):
         if not is_solvable(matrix, q):
             return Verdict(NO, "unsolvable-q", "LCP(A,q) has no solution", {"q": q})
     return Verdict(UNDECIDED, "undecided", "no decision within budget", {})
+
+
+def reference_detect_structure(matrix):
+    """(tag, k, notes) of lcpq.structure.detect_structure, by its earlier
+    sequence of shape tests: nonpositive row, bdsw type, then the
+    triangular tags."""
+    n = matrix.n
+    notes = ["two-by-two"] if n == 2 else []
+    bad_rows = nonpositive_rows(matrix)
+    if bad_rows:
+        notes.extend("nonpositive-row:%d" % (i + 1) for i in bad_rows)
+        return GENERAL, None, tuple(notes)
+    if is_bdsw_shape(matrix):
+        if matrix[n - 1, 0] == 0:
+            notes.append("bidiagonal")
+        if is_upper_triangular(matrix):
+            notes.append("upper-triangular")
+        nonneg = nonnegative_rows(matrix)
+        if nonneg:
+            ahead = [i for i in nonneg if i < n - 1]
+            if not ahead:
+                notes.append("nonnegative-row-n-normalized-to-1")
+            return BDSW_TYPE_1, ahead[0] + 1 if ahead else 1, tuple(notes)
+        diag_signs = [matrix[i, i] > 0 for i in range(n)]
+        if all(diag_signs):
+            return BDSW_TYPE_2, None, tuple(notes)
+        if not any(diag_signs):
+            return BDSW_TYPE_3, None, tuple(notes)
+        return BDSW_TYPE_4, diag_signs.count(False), tuple(notes)
+    if is_upper_triangular(matrix):
+        return UPPER_TRIANGULAR, None, tuple(notes)
+    if is_lower_triangular(matrix):
+        return LOWER_TRIANGULAR, None, tuple(notes)
+    if is_triangular_plus_row(matrix):
+        return TRIANGULAR_PLUS_ROW, None, tuple(notes)
+    return GENERAL, None, tuple(notes)
+
+
+def reference_classify_by_rules(matrix):
+    """lcpq.classifier.classify_by_rules as a chain of shape tests in the
+    rule precedence, through the public rule functions; T3.2, which has
+    none, is written out."""
+    bad = nonpositive_rows(matrix)
+    if bad:
+        return Verdict(
+            NO,
+            "nonpositive-row",
+            "a row without positive entries makes some LCP(A,q) unsolvable",
+            {"row": bad[0] + 1},
+        )
+    if matrix.n == 1:
+        value = matrix[0, 0]
+        answer = YES if value > 0 else NO
+        return Verdict(answer, "T3.1", "order-1 base case: Q iff the entry is positive", {"a": value})
+    if matrix.n == 2:
+        return classify_2x2(matrix)
+    if is_upper_triangular(matrix) or is_lower_triangular(matrix):
+        return classify_triangular(matrix)
+    if is_triangular_plus_row(matrix):
+        for i in range(matrix.n):
+            if matrix[i, i] <= 0:
+                return Verdict(
+                    NO,
+                    "T3.2",
+                    "block triangular-plus-row with nonpositive diagonal entry",
+                    {"diag_index": i + 1, "diag_value": matrix[i, i]},
+                )
+        return Verdict(YES, "T3.2", "block triangular-plus-row with positive diagonal", {})
+    tag, k, _ = reference_detect_structure(matrix)
+    if tag == BDSW_TYPE_1:
+        return classify_bdsw_type1(matrix, k)
+    if tag == BDSW_TYPE_2:
+        return classify_bdsw_type2(matrix)
+    if tag == BDSW_TYPE_3:
+        return classify_bdsw_type3(matrix)
+    if tag == BDSW_TYPE_4:
+        return classify_bdsw_type4(matrix, k)
+    return None
 
 
 def reference_validate(frame, tol):

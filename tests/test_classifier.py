@@ -1,10 +1,17 @@
 """Structure-specific Q classification rules and the dispatch front door."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from helpers import conjugate, identity, neg
+from helpers import (
+    conjugate,
+    identity,
+    neg,
+    reference_classify_by_rules,
+    reference_detect_structure,
+)
 from lcpq.classes import NO, YES, q_oracle
 from lcpq.classifier import (
     classify,
@@ -13,11 +20,11 @@ from lcpq.classifier import (
     classify_bdsw_type2,
     classify_bdsw_type3,
     classify_bdsw_type4,
+    classify_by_rules,
     classify_triangular,
-    classify_triangular_plus_row,
 )
 from lcpq.errors import StructureError
-from lcpq.generate import generate
+from lcpq.generate import GENERATOR_TYPES, generate
 from lcpq.lcp import LcpInstance, solve_lcp
 from lcpq.matrices import RationalMatrix
 from lcpq.structure import (
@@ -25,6 +32,7 @@ from lcpq.structure import (
     BDSW_TYPE_2,
     BDSW_TYPE_3,
     BDSW_TYPE_4,
+    TRIANGULAR_PLUS_ROW,
     detect_structure,
 )
 
@@ -75,10 +83,10 @@ def test_tri_plus_row_no_on_zero_diag():
 
 
 def test_tri_plus_row_precondition():
-    with pytest.raises(StructureError):
-        classify_triangular_plus_row(
-            RationalMatrix([[1, -1, 1], [0, 1, -1], [1, 0, 0]])
-        )
+    # T3.2 has no public entry; detect_structure names it only for the form.
+    form = RationalMatrix([[1, 2, 5], [0, 3, -1], [1, 0, 2]])
+    assert detect_structure(form).rule == TRIANGULAR_PLUS_ROW
+    assert detect_structure(RationalMatrix([[1, -1, 1], [0, 1, -1], [1, 0, 0]])).rule is None
 
 
 def test_unstructured_falls_back_to_oracle():
@@ -228,6 +236,55 @@ def test_dispatch_order_one():
 def test_dispatch_triangular():
     v = classify(RationalMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]]))
     assert v.is_yes and v.rule == "T3.1"
+
+    # Tagged bdsw-type-1, answered by T3.1: the rule order is not the tag order.
+    m = RationalMatrix([[1, -1, 0], [0, 2, 3], [0, 0, 1]])
+    s = detect_structure(m)
+    assert s.tag == BDSW_TYPE_1 and s.notes == ("bidiagonal", "upper-triangular")
+    assert classify(m).rule == "T3.1"
+    m = RationalMatrix([[1, 0, 0], [0, 1, 0], [1, 0, 1]])  # lower triangular
+    assert detect_structure(m).tag == BDSW_TYPE_1 and classify(m).rule == "T3.1"
+
+    # T5.1's case (a_n1 >= 0, a_nn > 0) is triangular-plus-row: classify
+    # answers by T3.2, and only the direct call reports T5.1.
+    for rows, answer in [
+        ([[1, 1, 0], [0, 1, 1], [2, 0, 1]], YES),
+        ([[1, -1, 0], [0, 0, 1], [1, 0, 3]], NO),
+    ]:
+        m = RationalMatrix(rows)
+        s = detect_structure(m)
+        assert s.tag == BDSW_TYPE_1
+        v = classify(m)
+        assert v.rule == "T3.2" and v.answer == answer
+        v = classify_bdsw_type1(m, s.k)
+        assert v.rule == "T5.1" and v.answer == answer
+
+
+def _census(n, values=(-1, 0, 1)):
+    for entries in itertools.product(values, repeat=n * n):
+        yield RationalMatrix([list(entries[i * n : (i + 1) * n]) for i in range(n)])
+
+
+def test_dispatch_matches_the_reference_chain_of_shape_tests():
+    # The n <= 3 {-1,0,1} censuses and every generate family at n = 1-6.
+    matrices = [m for n in (1, 2, 3) for m in _census(n)]
+    for kind in GENERATOR_TYPES:
+        for n in range(1 if kind == "tri" else 2, 7 if kind != "2x2" else 3):
+            matrices.extend(generate(kind, n, 40, seed=0))
+    rules = set()
+    for m in matrices:
+        s = detect_structure(m)
+        verdict = classify_by_rules(m, s)
+        expected = reference_classify_by_rules(m)
+        assert (s.tag, s.k, s.notes) == reference_detect_structure(m), m.rows
+        if verdict is None or expected is None:
+            assert verdict is expected is None, m.rows
+        else:
+            assert verdict.to_json_obj() == expected.to_json_obj(), m.rows
+            rules.add(verdict.rule)
+    assert rules == {  # every rule but T5.1
+        "nonpositive-row", "T3.1", "T3.2", "T9.1", "T5.2", "T5.3", "T5.4", "T6.1", "T7.1", "T8.1"
+    }
 
 
 # --- invariants ---------------------------------------------------------

@@ -20,7 +20,8 @@ from lcpq.cli import MAX_SAMPLES, build_parser, main
 from lcpq.jordan.algebra import MAX_RANK
 from lcpq.jordan.checks import IDENTITY_NAMES
 from lcpq.lcp import walk
-from lcpq.structure import detect_structure
+from lcpq.matrices import is_lower_triangular, is_upper_triangular, nonpositive_rows
+from lcpq.structure import detect_structure, is_triangular_plus_row
 
 
 def _write(tmp_path, name, text):
@@ -173,6 +174,8 @@ def test_verify_runs_the_oracle_once_on_unstructured_input(tmp_path, capsys, mon
 
 
 def test_bdsw_input_detects_its_structure_once(tmp_path, capsys, monkeypatch):
+    # detect_structure runs once per file, and it runs each shape test once:
+    # the rule lookup runs none, and q_oracle runs its own nonpositive-row test.
     calls = []
 
     def counted(matrix):
@@ -181,17 +184,36 @@ def test_bdsw_input_detects_its_structure_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("lcpq.cli.detect_structure", counted)
     monkeypatch.setattr("lcpq.classifier.detect_structure", counted)
+    nonpositive = count_calls(monkeypatch, nonpositive_rows)
+    shape_tests = [
+        count_calls(monkeypatch, test)
+        for test in (is_upper_triangular, is_lower_triangular, is_triangular_plus_row)
+    ]
     for name, text, theorem in [
         ("t2.txt", "2 -1 0\n0 2 -1\n-1 0 2\n", "T6.1"),
         ("t3.txt", "-1 2 0\n0 -1 1\n1 0 -1\n", "T7.1"),
         ("t4.txt", "-1 1 0\n0 -1 1\n-2 0 1\n", "T8.1"),
+        ("tri.txt", "1 2 3\n0 4 5\n0 0 6\n", "T3.1"),
+        ("tri-plus-row.txt", "1 2 5\n0 3 -1\n1 0 2\n", "T3.2"),
+        ("bdsw-1.txt", "1 1 0\n0 1 1\n-2 0 1\n", "T5.3"),
+        ("2x2.txt", "2 -1\n-1 1\n", "T9.1"),
+        ("general.txt", "1 -1 1\n0 1 -1\n1 0 0\n", "unsolvable-q"),
+        ("nonpositive-row.txt", "1 2 3\n-1 0 -2\n1 1 1\n", "nonpositive-row"),
     ]:
         path = _write(tmp_path, name, text)
         for command in ("classify", "verify"):
             calls.clear()
+            nonpositive.clear()
+            for counts in shape_tests:
+                counts.clear()
             main([command, "--format", "jsonl", path])
-            assert theorem in capsys.readouterr().out
+            record = json.loads(capsys.readouterr().out)
+            verdict = record["classifier" if command == "verify" else "verdict"]
+            assert verdict["theorem"] == theorem
             assert len(calls) == 1, (name, command)
+            oracle_ran = command == "verify" or name == "general.txt"
+            assert len(nonpositive) == 1 + oracle_ran, (name, command)
+            assert all(len(counts) <= 1 for counts in shape_tests), (name, command)
 
 
 def test_batch_reports_every_file_and_the_worst_exit(tmp_path, capsys):
