@@ -36,7 +36,6 @@ from .errors import (
     EnumerationCapError,
     LcpqError,
     MatrixFormatError,
-    NotBdswShapeError,
     SingularPivotError,
     StructureError,
 )
@@ -45,7 +44,7 @@ from .lcp import LcpInstance, LcpSolution, degree, enumeration_cap, is_solvable,
 from .matrices import RationalMatrix, determinant, inverse, parse_matrix, parse_vector
 from .pivot import ppt, schur_complement
 from .simplex import FeasibilitySystem, solve_feasibility
-from .structure import StructureClass, bdsw_determinant, detect_structure, is_bdsw_shape
+from .structure import StructureClass, detect_structure, is_bdsw_shape
 
 __version__ = "0.1.0"
 

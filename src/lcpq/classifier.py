@@ -5,7 +5,9 @@ Each classifier covers one structural family and cites the rule it applied
 looks up the rule body for the rule that detect_structure named, and
 classify() falls back to the exact oracle when no rule applies.  Each
 public classify_* checks its input's shape and then runs the same body;
-T3.2 has no public entry, as only the dispatch applies it.
+T3.2 has no public entry, as only the dispatch applies it.  A public bdsw
+entry accepts only the type that detect_structure tags, as the paper's
+T5-T8 each hold for one type; the rule bodies test no shape again.
 
 Rule precedence: nonpositive row, order 1, order 2 (T9.1), triangular
 (T3.1), triangular-plus-row (T3.2), bdsw type (T5.1-T8.1).  Rules that apply
@@ -18,6 +20,7 @@ Tests, not the oracle, check that verdicts never contradict the oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
 from .classes import NO, YES, Verdict, q_oracle
@@ -34,9 +37,7 @@ from .structure import (
     TRIANGULAR,
     TRIANGULAR_PLUS_ROW,
     StructureClass,
-    bdsw_determinant,
     detect_structure,
-    is_bdsw_shape,
 )
 
 
@@ -128,13 +129,15 @@ def classify_bdsw_type1(matrix: RationalMatrix, k: int) -> Verdict:
     has a positive diagonal and negative off-diagonal entry, T5.3); a_n1 > 0
     and a_nn < 0 (never Q, T5.4).  Only this function reports T5.1: the rule
     precedence (module docstring) answers its case by T9.1, T3.1 or T3.2.
+    Raises StructureError unless detect_structure tags A bdsw-type-1, so a
+    nonpositive row or a type-2/3/4 matrix goes to classify().
     """
-    if not is_bdsw_shape(matrix):
-        raise StructureError("matrix does not have the bdsw shape")
+    _detected(matrix, BDSW_TYPE_1)
     return _bdsw_type1(matrix, k)
 
 
 def _bdsw_type1(matrix: RationalMatrix, k: int) -> Verdict:
+    # No row is nonpositive, so a_nn <= 0 implies a_n1 > 0.
     n = matrix.n
     _, ints = matrix.integer_rows()
     an1, ann = ints[n - 1][0], ints[n - 1][n - 1]
@@ -143,7 +146,7 @@ def _bdsw_type1(matrix: RationalMatrix, k: int) -> Verdict:
     if an1 >= 0 and ann > 0:
         return _positive_diagonal(matrix, "T5.1", "a_n1 >= 0, a_nn > 0,", {})
 
-    if an1 > 0 and ann == 0:
+    if ann == 0:
         lead_ok = all(diag[i] > 0 for i in range(n - 1))
         super_ok = all(ints[i][i + 1] < 0 for i in range(n - 1))
         if lead_ok and super_ok:
@@ -157,7 +160,7 @@ def _bdsw_type1(matrix: RationalMatrix, k: int) -> Verdict:
             {"leading_diagonal_positive": lead_ok, "superdiagonal_negative": super_ok},
         )
 
-    if an1 < 0 and ann > 0:
+    if ann > 0:
         if not (1 <= k < n):
             raise StructureError("type-1 case with a_n1 < 0 needs a nonnegative row k < n")
         if any(v < 0 for v in ints[k - 1]):
@@ -178,31 +181,24 @@ def _bdsw_type1(matrix: RationalMatrix, k: int) -> Verdict:
             )
         return Verdict(NO, "T5.3", "a_n1 < 0, a_nn > 0, neither condition holds", {"k": k})
 
-    if an1 > 0 and ann < 0:
-        return Verdict(NO, "T5.4", "a_n1 > 0 and a_nn < 0 exclude the Q-property", {})
-
-    raise StructureError(
-        "last row is nonpositive; classify() short-circuits this case before type dispatch"
-    )
+    return Verdict(NO, "T5.4", "a_n1 > 0 and a_nn < 0 exclude the Q-property", {})
 
 
 def classify_bdsw_type2(matrix: RationalMatrix) -> Verdict:
     """Type-2 bdsw (positive diagonal, negative off-diagonals): Q iff det > 0."""
-    if detect_structure(matrix).tag != BDSW_TYPE_2:
-        raise StructureError("matrix is not a type-2 bdsw matrix")
+    _detected(matrix, BDSW_TYPE_2)
     return _bdsw_type2(matrix)
 
 
 def _bdsw_type2(matrix: RationalMatrix) -> Verdict:
-    det = bdsw_determinant(matrix)
+    det = _cycle_determinant(matrix)
     return Verdict(YES if det > 0 else NO, "T6.1", "type-2 bdsw is Q iff det > 0", {"det": det})
 
 
 def classify_bdsw_type3(matrix: RationalMatrix) -> Verdict:
     """Type-3 bdsw (negative diagonal, positive off-diagonals):
     Q iff (-1)^(n+1) det A > 0."""
-    if detect_structure(matrix).tag != BDSW_TYPE_3:
-        raise StructureError("matrix is not a type-3 bdsw matrix")
+    _detected(matrix, BDSW_TYPE_3)
     return _bdsw_type3(matrix)
 
 
@@ -213,9 +209,7 @@ def _bdsw_type3(matrix: RationalMatrix) -> Verdict:
 def classify_bdsw_type4(matrix: RationalMatrix, k: int) -> Verdict:
     """Type-4 bdsw (mixed diagonal signs, no nonnegative or nonpositive row):
     Q iff (-1)^(k+1) det A > 0 where k counts negative diagonal entries."""
-    structure = detect_structure(matrix)
-    if structure.tag != BDSW_TYPE_4:
-        raise StructureError("matrix is not a type-4 bdsw matrix")
+    structure = _detected(matrix, BDSW_TYPE_4)
     if k != structure.k:
         raise StructureError(
             "negative-diagonal count mismatch: got %r, matrix has %r" % (k, structure.k)
@@ -227,9 +221,26 @@ def _bdsw_type4(matrix: RationalMatrix, k: int) -> Verdict:
     return _signed_det(matrix, k, "T8.1", "type-4 bdsw is Q iff (-1)^(k+1) det > 0", {"k": k})
 
 
+def _detected(matrix: RationalMatrix, tag: str) -> StructureClass:
+    """detect_structure(matrix), which must tag A with the given bdsw type."""
+    structure = detect_structure(matrix)
+    if structure.tag != tag:
+        raise StructureError("matrix is tagged %s, not %s" % (structure.tag, tag))
+    return structure
+
+
+def _cycle_determinant(matrix: RationalMatrix) -> Fraction:
+    """det A on the bdsw shape, in closed form: the diagonal product
+    + (-1)^(n+1) a_12 a_23 ... a_(n-1)n a_n1."""
+    n = matrix.n
+    scale, ints = matrix.integer_rows()
+    cycle = prod(ints[i][(i + 1) % n] for i in range(n))
+    return Fraction(prod(ints[i][i] for i in range(n)) + (-1) ** (n + 1) * cycle, scale**n)
+
+
 def _signed_det(matrix: RationalMatrix, m: int, rule: str, condition: str, data: dict) -> Verdict:
     """The rule of T7.1 and T8.1: Q iff (-1)^(m+1) det A > 0."""
-    det = bdsw_determinant(matrix)
+    det = _cycle_determinant(matrix)
     signed = det if m % 2 else -det
     data = {"det": det, "signed_det": signed, **data}
     return Verdict(YES if signed > 0 else NO, rule, condition, data)

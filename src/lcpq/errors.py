@@ -9,10 +9,6 @@ class MatrixFormatError(LcpqError):
     """Input could not be parsed into a square rational matrix."""
 
 
-class NotBdswShapeError(LcpqError):
-    """Operation requires the bidiagonal-southwest zero pattern."""
-
-
 class SingularPivotError(LcpqError):
     """Principal pivot block is singular."""
 

@@ -29,20 +29,17 @@ GENERATOR_TYPES = (
 MAX_ORDER = 1000
 
 
-def random_triangular(
-    rng: random.Random, n: int, entry_range: int = 5, side: Optional[str] = None
-) -> list:
-    """Random triangular matrix; side is "upper", "lower" or None (coin flip)."""
+def random_triangular(rng: random.Random, n: int, entry_range: int = 5) -> list:
+    """Random triangular matrix, upper or lower by a coin flip."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if side is None:
-        side = "upper" if rng.random() < 0.5 else "lower"
+    lower = rng.random() >= 0.5
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = rng.randint(-entry_range, entry_range)
         for j in range(i + 1, n):
             rows[i][j] = rng.randint(-entry_range, entry_range)
-    if side == "lower":
+    if lower:
         rows = [list(column) for column in zip(*rows)]
     return rows
 

@@ -188,26 +188,19 @@ class RationalMatrix:
     def integer_rows(self) -> tuple:
         """(scale, rows), rows[i][j] = a_ij * scale: a common multiple of the
         denominators, their lcm for a matrix built from its entries (1 for
-        ints).  A submatrix keeps its parent's scale and picks its rows."""
+        ints).  A principal submatrix keeps its parent's scale."""
         return self._image
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
-        """Submatrix on the given 0-based index lists (must be nonempty)."""
-        if not row_idx or not col_idx:
-            raise ValueError("submatrix index sets must be nonempty")
-        if len(row_idx) != len(col_idx):
-            raise MatrixFormatError(
-                "matrix is not square: %d rows but a row of length %d" % (len(row_idx), len(col_idx))
-            )
+    def principal_submatrix(self, idx: Sequence[int]) -> "RationalMatrix":
+        """A_II on the given nonempty 0-based index list."""
+        if not idx:
+            raise ValueError("submatrix index set must be nonempty")
         scale, ints = self._image
         # itemgetter of one index returns the entry itself, so one column
         # is picked as a slice, which keeps the row a tuple.
-        j = col_idx[0]
-        pick = itemgetter(*col_idx) if len(col_idx) > 1 else itemgetter(slice(j, j + 1))
-        return RationalMatrix._of_image(scale, tuple([pick(ints[i]) for i in row_idx]))
-
-    def principal_submatrix(self, idx: Sequence[int]) -> "RationalMatrix":
-        return self.submatrix(idx, idx)
+        j = idx[0]
+        pick = itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(j, j + 1))
+        return RationalMatrix._of_image(scale, tuple([pick(ints[i]) for i in idx]))
 
     def to_json_obj(self) -> dict:
         return {

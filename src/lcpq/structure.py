@@ -9,11 +9,8 @@ recognises triangular and triangular-plus-nonnegative-row block forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import prod
 from typing import Optional
 
-from .errors import NotBdswShapeError
 from .matrices import (
     RationalMatrix,
     is_lower_triangular,
@@ -64,20 +61,6 @@ def is_bdsw_shape(matrix: RationalMatrix) -> bool:
     return not any(last[1:-1]) and not any(
         any(row[:i]) or any(row[i + 2 :]) for i, row in enumerate(head)
     )
-
-
-def bdsw_determinant(matrix: RationalMatrix) -> Fraction:
-    """Closed-form determinant for the bdsw shape.
-
-    det A = prod of diagonal entries
-            + (-1)^(n+1) * a_12 a_23 ... a_(n-1)n * a_n1.
-    """
-    if not is_bdsw_shape(matrix):
-        raise NotBdswShapeError("matrix does not have the bdsw zero pattern")
-    n = matrix.n
-    scale, ints = matrix.integer_rows()
-    cycle = prod(ints[i][(i + 1) % n] for i in range(n))
-    return Fraction(prod(ints[i][i] for i in range(n)) + (-1) ** (n + 1) * cycle, scale**n)
 
 
 def is_triangular_plus_row(matrix: RationalMatrix) -> bool:

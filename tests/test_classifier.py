@@ -34,6 +34,7 @@ from lcpq.structure import (
     BDSW_TYPE_4,
     TRIANGULAR_PLUS_ROW,
     detect_structure,
+    is_bdsw_shape,
 )
 
 TYPE4 = RationalMatrix([[-1, 1, 0], [0, -1, 1], [-2, 0, 1]])
@@ -285,6 +286,36 @@ def test_dispatch_matches_the_reference_chain_of_shape_tests():
     assert rules == {  # every rule but T5.1
         "nonpositive-row", "T3.1", "T3.2", "T9.1", "T5.2", "T5.3", "T5.4", "T6.1", "T7.1", "T8.1"
     }
+
+
+def test_public_bdsw_entries_never_contradict_the_oracle_on_the_census():
+    # Every bdsw-shaped matrix of order 2 and 3 over {-1,0,1,2}.  Each public
+    # bdsw entry refuses a matrix outside its detected type or agrees with
+    # q_oracle wherever the oracle decides; type 1 is tried with k = 1 and
+    # with the detected k.
+    matrices = [m for n in (2, 3) for m in _census(n, (-1, 0, 1, 2)) if is_bdsw_shape(m)]
+    assert len(matrices) == 4352
+    wrong, outside = set(), set()
+    for m in matrices:
+        s = detect_structure(m)
+        oracle = q_oracle(m).answer
+        for tag, entry in (
+            (BDSW_TYPE_1, lambda: classify_bdsw_type1(m, 1)),
+            (BDSW_TYPE_1, lambda: classify_bdsw_type1(m, s.k or 1)),
+            (BDSW_TYPE_2, lambda: classify_bdsw_type2(m)),
+            (BDSW_TYPE_3, lambda: classify_bdsw_type3(m)),
+            (BDSW_TYPE_4, lambda: classify_bdsw_type4(m, s.k)),
+        ):
+            try:
+                answer = entry().answer
+            except StructureError:
+                continue
+            if oracle in (YES, NO) and answer != oracle:
+                wrong.add(m.integer_rows()[1])
+            if tag != s.tag:
+                outside.add(m.integer_rows()[1])
+    assert sorted(wrong) == []
+    assert sorted(outside) == []
 
 
 # --- invariants ---------------------------------------------------------

@@ -21,7 +21,7 @@ from lcpq.jordan.algebra import MAX_RANK
 from lcpq.jordan.checks import IDENTITY_NAMES
 from lcpq.lcp import walk
 from lcpq.matrices import is_lower_triangular, is_upper_triangular, nonpositive_rows
-from lcpq.structure import detect_structure, is_triangular_plus_row
+from lcpq.structure import detect_structure, is_bdsw_shape, is_triangular_plus_row
 
 
 def _write(tmp_path, name, text):
@@ -175,7 +175,8 @@ def test_verify_runs_the_oracle_once_on_unstructured_input(tmp_path, capsys, mon
 
 def test_bdsw_input_detects_its_structure_once(tmp_path, capsys, monkeypatch):
     # detect_structure runs once per file, and it runs each shape test once:
-    # the rule lookup runs none, and q_oracle runs its own nonpositive-row test.
+    # the rule lookup and the rule bodies run none, and q_oracle runs its own
+    # nonpositive-row test and at most one bdsw-shape test.
     calls = []
 
     def counted(matrix):
@@ -185,6 +186,7 @@ def test_bdsw_input_detects_its_structure_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("lcpq.cli.detect_structure", counted)
     monkeypatch.setattr("lcpq.classifier.detect_structure", counted)
     nonpositive = count_calls(monkeypatch, nonpositive_rows)
+    bdsw = count_calls(monkeypatch, is_bdsw_shape)
     shape_tests = [
         count_calls(monkeypatch, test)
         for test in (is_upper_triangular, is_lower_triangular, is_triangular_plus_row)
@@ -204,6 +206,7 @@ def test_bdsw_input_detects_its_structure_once(tmp_path, capsys, monkeypatch):
         for command in ("classify", "verify"):
             calls.clear()
             nonpositive.clear()
+            bdsw.clear()
             for counts in shape_tests:
                 counts.clear()
             main([command, "--format", "jsonl", path])
@@ -213,6 +216,8 @@ def test_bdsw_input_detects_its_structure_once(tmp_path, capsys, monkeypatch):
             assert len(calls) == 1, (name, command)
             oracle_ran = command == "verify" or name == "general.txt"
             assert len(nonpositive) == 1 + oracle_ran, (name, command)
+            detected = name != "nonpositive-row.txt"  # that row ends detection
+            assert detected <= len(bdsw) <= detected + oracle_ran, (name, command)
             assert all(len(counts) <= 1 for counts in shape_tests), (name, command)
 
 

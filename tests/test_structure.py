@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from lcpq.errors import NotBdswShapeError
+from lcpq.classifier import (
+    classify_bdsw_type1,
+    classify_bdsw_type2,
+    classify_bdsw_type3,
+    classify_bdsw_type4,
+)
+from lcpq.errors import StructureError
 from lcpq.matrices import RationalMatrix, determinant
 from lcpq.structure import (
     BDSW_TYPE_1,
@@ -15,7 +21,6 @@ from lcpq.structure import (
     LOWER_TRIANGULAR,
     TRIANGULAR_PLUS_ROW,
     UPPER_TRIANGULAR,
-    bdsw_determinant,
     detect_structure,
     is_bdsw_shape,
     is_triangular_plus_row,
@@ -42,16 +47,41 @@ def test_bdsw_shape_recognition():
 
 
 def test_bdsw_determinant_closed_form_matches_elimination():
+    # One positive and one negative entry per row on the bdsw shape make a
+    # type-2, 3 or 4 matrix; T6.1, T7.1 and T8.1 report its closed-form det.
     rng = random.Random(3)
+    seen = set()
     for _ in range(80):
         n = rng.randint(2, 8)
-        m = _random_bdsw(rng, n)
-        assert bdsw_determinant(m) == determinant(m)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            sign = rng.choice((-1, 1))
+            rows[i][i] = sign * rng.randint(1, 4)
+            rows[i][(i + 1) % n] = -sign * rng.randint(1, 4)
+        m = RationalMatrix(rows)
+        s = detect_structure(m)
+        if s.tag == BDSW_TYPE_2:
+            v, sign = classify_bdsw_type2(m), 1
+        elif s.tag == BDSW_TYPE_3:
+            v, sign = classify_bdsw_type3(m), (-1) ** (n + 1)
+        else:
+            v, sign = classify_bdsw_type4(m, s.k), (-1) ** (s.k + 1)
+        assert v.data["det"] == determinant(m)
+        assert v.data.get("signed_det", v.data["det"]) == sign * determinant(m)
+        seen.add(s.tag)
+    assert seen == {BDSW_TYPE_2, BDSW_TYPE_3, BDSW_TYPE_4}
 
 
 def test_bdsw_determinant_rejects_other_shapes():
-    with pytest.raises(NotBdswShapeError):
-        bdsw_determinant(RationalMatrix([[1, 0, 2], [0, 1, 0], [0, 0, 1]]))
+    m = RationalMatrix([[1, 0, 2], [0, 1, 0], [0, 0, 1]])
+    for entry in (
+        lambda: classify_bdsw_type1(m, 1),
+        lambda: classify_bdsw_type2(m),
+        lambda: classify_bdsw_type3(m),
+        lambda: classify_bdsw_type4(m, 0),
+    ):
+        with pytest.raises(StructureError):
+            entry()
 
 
 def test_detect_type1_with_normalised_last_row():
