@@ -37,6 +37,7 @@ from .structure import is_bdsw_shape
 YES = "yes"
 NO = "no"
 UNDECIDED = "undecided"
+DEFAULT_BUDGET = 64  # witness candidates q_oracle tries; classify and --budget default to it
 
 
 @dataclass(frozen=True)
@@ -282,7 +283,7 @@ def _new_rays(vectors, patience: int):
                 return
 
 
-def q_oracle(matrix: RationalMatrix, budget: int = 64, rng_seed: int = 0) -> Verdict:
+def q_oracle(matrix: RationalMatrix, budget: int = DEFAULT_BUDGET, rng_seed: int = 0) -> Verdict:
     """Three-valued Q-property oracle, independent of the sign-pattern rules.
 
     No channels: a nonpositive row, failure of the S property, or an

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import prod
 from typing import Optional
 
-from .classes import NO, YES, Verdict, q_oracle
+from .classes import DEFAULT_BUDGET, NO, YES, Verdict, q_oracle
 from .errors import StructureError
 from .matrices import RationalMatrix, is_lower_triangular, is_upper_triangular
 from .structure import (
@@ -284,7 +284,7 @@ def classify_by_rules(
 
 def classify(
     matrix: RationalMatrix,
-    oracle_budget: int = 64,
+    oracle_budget: int = DEFAULT_BUDGET,
     oracle_seed: int = 0,
     structure: Optional[StructureClass] = None,
 ) -> Verdict:

@@ -5,8 +5,9 @@ Subcommands: classify, verify, generate, degree, and the jordan group
 inputs and seeds; wall-clock timings only appear behind --timings so the
 default output is byte-identical across runs.
 
-Exit codes: 0 yes/pass, 1 no/fail/contradiction, 2 undecided,
-64 usage or parse error, 65 enumeration cap exceeded.
+Exit codes: 0 yes/pass, 1 no/fail/contradiction, 2 undecided, 64 usage
+or parse error (main checks option ranges first; an unreadable file, JSON
+nested too deep included, stops no batch), 65 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from .classes import NO, UNDECIDED, YES, Verdict, q_oracle, r0_degree
+from .classes import DEFAULT_BUDGET, NO, UNDECIDED, YES, Verdict, q_oracle, r0_degree
 from .classifier import classify, classify_by_rules
 from .errors import EnumerationCapError, MatrixFormatError
 from .generate import GENERATOR_TYPES, MAX_ORDER, draw_instances
@@ -95,8 +96,6 @@ def cmd_classify(args) -> int:
     cap is reported on stderr and the remaining files still run.  verify
     runs the oracle once per file; where no structural rule applies the
     oracle's verdict is also the classifier's."""
-    if args.budget < 0:
-        return _fail("need --budget >= 0, got %d" % args.budget, EXIT_USAGE)
     verify = args.command == "verify"
     worst = EXIT_YES
     for path in args.paths:
@@ -212,12 +211,6 @@ def _parse_algebra_arg(text: str) -> Algebra:
 # The most samples a jordan command draws: run time grows linearly with
 # them, and one identities sample at sym:64 takes about 0.8 s.
 MAX_SAMPLES = 10000
-_SAMPLES_MESSAGE = "need --samples <= %d, got %d"
-
-
-# The jordan commands seed numpy's default_rng, which refuses a negative
-# seed; random.Random, behind the other commands, takes any int.
-_SEED_MESSAGE = "need --seed >= 0, got %d"
 
 
 def _build_frame(algebra: Algebra, which: str, seed: int):
@@ -233,14 +226,6 @@ def _build_frame(algebra: Algebra, which: str, seed: int):
 def cmd_jordan_identities(args) -> int:
     from .jordan.checks import IDENTITY_NAMES, identity_residuals
 
-    if args.samples < 1:
-        return _fail("need --samples >= 1, got %d" % args.samples, EXIT_USAGE)
-    if args.samples > MAX_SAMPLES:
-        return _fail(_SAMPLES_MESSAGE % (MAX_SAMPLES, args.samples), EXIT_USAGE)
-    if args.seed < 0:
-        return _fail(_SEED_MESSAGE % args.seed, EXIT_USAGE)
-    if not 0 <= args.tol < math.inf:  # nan fails too
-        return _fail("need --tol >= 0, got %g" % args.tol, EXIT_USAGE)
     try:
         algebra = _parse_algebra_arg(args.algebra)
     except ValueError as exc:
@@ -301,14 +286,6 @@ def cmd_jordan_rank_one(args) -> int:
     from .jordan.sclcp import classify_rank_one_exact, sample_positivity_violation
     from .jordan.transforms import rank_one
 
-    if args.samples < 1:
-        return _fail("need --samples >= 1, got %d" % args.samples, EXIT_USAGE)
-    if args.samples > MAX_SAMPLES:
-        return _fail(_SAMPLES_MESSAGE % (MAX_SAMPLES, args.samples), EXIT_USAGE)
-    if args.seed < 0:
-        return _fail(_SEED_MESSAGE % args.seed, EXIT_USAGE)
-    if not 0 <= args.tol < math.inf:  # nan fails too
-        return _fail("need --tol >= 0, got %g" % args.tol, EXIT_USAGE)
     try:
         eigs_a, alpha = _parse_eigs(args.a)
         eigs_b, beta = _parse_eigs(args.b)
@@ -369,10 +346,6 @@ def cmd_jordan_embed_check(args) -> int:
     from .jordan.algebra import sym_algebra
     from .jordan.sclcp import embed_solve
 
-    if args.seed < 0:
-        return _fail(_SEED_MESSAGE % args.seed, EXIT_USAGE)
-    if not 0 <= args.tol < math.inf:  # nan fails too
-        return _fail("need --tol >= 0, got %g" % args.tol, EXIT_USAGE)
     try:
         matrix, digest = _read_matrix_file(args.matrix)
         qvec = parse_vector(args.q)
@@ -455,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("paths", nargs="+", help="matrix files (JSON or plain rows)")
         p.add_argument("--format", choices=("table", "jsonl"), default="table")
         p.add_argument("--json", action="store_const", const="jsonl", dest="format")
-        p.add_argument("--budget", type=int, default=64, help="oracle witness budget")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="oracle witness budget")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--timings", action="store_true", help="print wall-clock timings")
         p.set_defaults(func=cmd_classify)
@@ -533,11 +506,35 @@ def _merge_dash_values(argv):
     return merged
 
 
+def _option_error(args) -> Optional[str]:
+    """The message for the first option out of its range, or None.  Only
+    the jordan seed must be >= 0: those commands seed numpy's default_rng,
+    which refuses a negative seed; random.Random, behind classify, verify
+    and generate, takes any int.  A nan --tol fails its range test too."""
+    if getattr(args, "budget", 0) < 0:
+        return "need --budget >= 0, got %d" % args.budget
+    if args.command != "jordan":
+        return None
+    samples = getattr(args, "samples", 1)
+    if samples < 1:
+        return "need --samples >= 1, got %d" % samples
+    if samples > MAX_SAMPLES:
+        return "need --samples <= %d, got %d" % (MAX_SAMPLES, samples)
+    if args.seed < 0:
+        return "need --seed >= 0, got %d" % args.seed
+    if not 0 <= args.tol < math.inf:
+        return "need --tol >= 0, got %g" % args.tol
+    return None
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(_merge_dash_values(list(argv)))
+    error = _option_error(args)
+    if error is not None:
+        return _fail(error, EXIT_USAGE)
     # Parsing bounds every literal (matrices.MAX_LITERAL_DIGITS), but exact
     # results built from accepted entries, such as a determinant, may pass
     # the interpreter's int -> str limit; print them in full.

@@ -27,6 +27,7 @@ from .algebra import (
     DEFAULT_TOL,
     JordanElement,
     JordanFrame,
+    _same_algebra,
     eigenvalues_of,
     jordan_product,
     random_element,
@@ -154,8 +155,7 @@ def classify_rank_one_exact(
 
 
 def _eigenvalue_extremes(a: JordanElement, b: JordanElement) -> dict:
-    if a.algebra != b.algebra:
-        raise ValueError("elements live in different algebras")
+    _same_algebra(a, b)
     a_eigs = eigenvalues_of(a)
     b_eigs = eigenvalues_of(b)
     return {

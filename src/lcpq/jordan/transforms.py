@@ -17,6 +17,7 @@ from .algebra import (
     Algebra,
     JordanElement,
     JordanFrame,
+    _same_algebra,
     element_from_eigenvalues,
     jordan_product,
     trace_inner_product,
@@ -127,7 +128,6 @@ def peirce_decompose(
 
 def rank_one(a: JordanElement, b: JordanElement) -> LinearTransform:
     """x -> <b, x> a."""
-    if a.algebra != b.algebra:
-        raise ValueError("elements live in different algebras")
+    _same_algebra(a, b)
     return LinearTransform(a.algebra, np.outer(a.coords, b.coords))
 

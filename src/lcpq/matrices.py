@@ -219,7 +219,8 @@ def parse_matrix(text: str) -> RationalMatrix:
     integer, an exactly-representable decimal, or a "p/q" string.  Decimals
     are converted from their literal digits, never through binary floats.
     A literal of more than MAX_LITERAL_DIGITS digits, or with an exponent
-    beyond +-MAX_LITERAL_DIGITS, is a MatrixFormatError.
+    beyond +-MAX_LITERAL_DIGITS, is a MatrixFormatError, and so is JSON
+    nested past the interpreter's recursion limit.
     """
     stripped = text.strip()
     if not stripped:
@@ -237,7 +238,7 @@ def parse_matrix(text: str) -> RationalMatrix:
                 parse_float=_to_fraction,
                 parse_int=int if fast else _checked_int,
             )
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MatrixFormatError("invalid JSON: %s" % (exc,))
         if not isinstance(obj, dict) or "rows" not in obj:
             raise MatrixFormatError('JSON matrix must be an object with a "rows" key')

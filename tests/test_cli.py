@@ -233,6 +233,49 @@ def test_batch_reports_every_file_and_the_worst_exit(tmp_path, capsys):
         assert bad in captured.err and missing in captured.err
 
 
+def _nested_json(depth):
+    return '{"rows": %s%s}' % ("[" * depth, "]" * depth)
+
+
+_MALFORMED_FILES = {
+    # json.loads raises RecursionError from about depth 1,000 on.
+    "deep-1000.json": _nested_json(1000).encode(),
+    "deep-200000.json": _nested_json(200000).encode(),
+    "utf16.txt": "1 0\n0 1\n".encode("utf-16"),
+    "empty.txt": b"",
+    "non-square.txt": b"1 2\n3\n",
+    "nan.json": b'{"rows": [[NaN, 1], [1, 1]]}',
+    "nested-entry.json": b'{"rows": [[[1], 1], [1, 1]]}',
+    "digits.txt": b"1" * 4301 + b" 1\n1 1\n",
+    "directory": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_FILES))
+def test_every_malformed_file_is_a_usage_error_and_the_batch_goes_on(tmp_path, capsys, name):
+    path = tmp_path / name
+    if _MALFORMED_FILES[name] is None:
+        path.mkdir()
+    else:
+        path.write_bytes(_MALFORMED_FILES[name])
+    path = str(path)
+    good = _write(tmp_path, "ok.json", '{"rows": [[2, -1], [-1, 1]]}')
+    for argv in (
+        ["classify", path, good],
+        ["verify", path, good],
+        ["degree", path],
+        ["jordan", "embed-check", "--matrix", path, "--q", "1,1"],
+    ):
+        assert main(argv) == 64, argv
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err, argv
+        if argv[0] in ("classify", "verify"):
+            assert captured.err.startswith(path + ": ")
+            assert captured.out.startswith(good + ": ") and len(captured.out.splitlines()) == 1
+        else:
+            assert captured.out == ""
+
+
 def test_oversized_literals_are_rejected_and_the_batch_goes_on(tmp_path, capsys):
     exponent = _write(tmp_path, "exponent.txt", "1e5000 -1\n-1 1\n")
     digits = _write(tmp_path, "digits.json", '{"rows": [[%s, -1], [-1, 1]]}' % ("7" * 5001))
@@ -688,14 +731,69 @@ def test_jordan_commands_reject_a_negative_seed(tmp_path, capsys, argv):
     assert main(argv + ["--seed", "0"]) in (0, 1)
 
 
+_OVER = str(MAX_SAMPLES + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--budget", "-1", "--seed", "-5"], "need --budget >= 0, got -1"),
+        (["verify", "--seed", "-5", "--budget", "-2"], "need --budget >= 0, got -2"),
+        (
+            ["jordan", "identities", "--algebra", "rn:3", "--tol", "-1", "--seed", "-1"]
+            + ["--samples", "0"],
+            "need --samples >= 1, got 0",
+        ),
+        (
+            ["jordan", "identities", "--algebra", "rn:3", "--tol", "nan", "--samples", _OVER],
+            "need --samples <= %d, got %s" % (MAX_SAMPLES, _OVER),
+        ),
+        (
+            ["jordan", "identities", "--algebra", "rn:3", "--tol", "inf", "--seed", "-3"],
+            "need --seed >= 0, got -3",
+        ),
+        (
+            ["jordan", "rank-one", "--a", "1,2", "--b", "3,1", "--tol", "-1", "--samples", "-4"],
+            "need --samples >= 1, got -4",
+        ),
+        (
+            ["jordan", "rank-one", "--a", "1,2", "--b", "3,1", "--seed", "-1", "--samples", _OVER],
+            "need --samples <= %d, got %s" % (MAX_SAMPLES, _OVER),
+        ),
+        (
+            ["jordan", "rank-one", "--a", "1,2", "--b", "3,1", "--tol", "nan", "--seed", "-2"],
+            "need --seed >= 0, got -2",
+        ),
+        (
+            ["jordan", "embed-check", "--q", "1,1", "--tol", "-1", "--seed", "-1"],
+            "need --seed >= 0, got -1",
+        ),
+    ],
+)
+def test_the_first_out_of_range_option_is_reported_in_a_fixed_order(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    # The order is --budget, --samples below 1, --samples above the
+    # ceiling, --seed, --tol, whatever order the options are given in, and
+    # every one is checked before a matrix file is read or a sample drawn.
+    _refuse_sampling(monkeypatch)
+    missing = str(tmp_path / "nope.txt")
+    argv = argv + (["--matrix", missing] if "embed-check" in argv else [])
+    argv = argv + ([missing] if argv[0] in ("classify", "verify") else [])
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
 def test_core_commands_accept_a_negative_seed(tmp_path, capsys):
     # random.Random takes any int, so classify, verify and generate keep
     # accepting negative seeds.
     path = _write(tmp_path, "p.txt", "2 1\n1 2\n")
-    assert main(["classify", "--seed", "-1", path]) == 0
-    assert main(["verify", "--seed", "-1", path]) == 0
     out = str(tmp_path / "gen")
-    assert main(["generate", "--type", "tri", "--seed", "-1", "--out", out]) == 0
+    for seed in ("-1", "-5"):
+        assert main(["classify", "--seed", seed, path]) == 0
+        assert main(["verify", "--seed", seed, path]) == 0
+        assert main(["generate", "--type", "tri", "--seed", seed, "--out", out]) == 0
     capsys.readouterr()
 
 

@@ -75,8 +75,13 @@ def test_parse_json_rejects_a_declared_order_that_is_not_an_integer(declared):
     assert parse_matrix('{"n": 1, "rows": [[1]]}').n == 1
 
 
+def _nested(depth):
+    return '{"rows": %s%s}' % ("[" * depth, "]" * depth)
+
+
 def test_parse_rejects_garbage():
-    for text in ("", "{", "1 2\n3 x", '{"rows": 5}'):
+    # json.loads raises RecursionError from about depth 1,000 on.
+    for text in ("", "{", "1 2\n3 x", '{"rows": 5}', _nested(1000), _nested(200000)):
         with pytest.raises(MatrixFormatError):
             parse_matrix(text)
 
