@@ -286,67 +286,41 @@ def _new_rays(vectors, patience: int):
 def q_oracle(matrix: RationalMatrix, budget: int = DEFAULT_BUDGET, rng_seed: int = 0) -> Verdict:
     """Three-valued Q-property oracle, independent of the sign-pattern rules.
 
-    No channels: a nonpositive row, failure of the S property, or an
-    explicitly verified unsolvable q.  Yes channel: R0 together with
-    nonzero LCP degree.  For matrices with the bdsw zero pattern (every
-    2x2 matrix has it), Q holds iff R0 holds and the degree is +-1, which
-    turns the R0/degree channel into a full decision procedure there.
+    The enumeration cap is checked first; then the channels, in order, and
+    the first that decides answers:
 
-    is_P runs first, right after the S check, and computes minors one
-    determinant each (lcp.minor_sign: a closed form up to order 4, a
-    Bareiss elimination above it; see kernel), in bitmask order, until
-    the first one <= 0; a P-matrix takes all 2^n - 1 of them.  A P-matrix
-    is R0 and has exactly one solution for every q (Cottle, Pang & Stone,
-    *The Linear Complementarity Problem*, 1992, ch. 3), so its degree is 1
-    and its minors alone decide it, with no walk.  Any other
-    matrix goes on to r0_degree, which walks LCP(A, 0) once
-    (lcp.lex_walk): the walk gives the singular supports for R0's LPs
-    and the exact degree at the lexicographic q(eps), and each of its
-    records carries the support's minor sign, read from a pivot with no
-    determinant call.  So each minor is computed at most once by
-    determinant, and only by is_P.  The witness search tries at most
-    budget candidate q, one per ray (solvability is invariant under
-    q -> tq, t > 0), and asks only whether each is solvable
-    (lcp.is_solvable), which stops at the first solution.  The
-    enumeration cap is checked first, before any channel runs.
+    - nonpositive-row (no): for q = -e_i, a row i with no positive entry
+      leaves (Ax + q)_i < 0 at every x >= 0.
+    - not-S (no): Q implies S, since a solution at q = -1 has Ax >= 1.
+    - degree-nonzero (yes): R0 with nonzero LCP degree implies Q.  A
+      P-matrix is R0 with exactly one solution for every q (Cottle, Pang &
+      Stone, *The Linear Complementarity Problem*, 1992, ch. 3), so degree
+      1, and its minors decide it; any other matrix is walked once by
+      r0_degree for both R0 and the degree.
+    - bdsw-degree-zero, bdsw-not-R0 (no): on the bdsw zero pattern (every
+      2x2 matrix has it) Q holds iff R0 holds and the degree is +-1, so a
+      bdsw matrix the degree did not decide is not Q; R0's witness x comes
+      with bdsw-not-R0.
+    - unsolvable-q (no): at most budget candidate q, one per ray
+      (solvability is invariant under q -> tq, t > 0), each asked only
+      whether LCP(A, q) is solvable (lcp.is_solvable).
+    - undecided: no channel decided within the budget.
     """
     n = matrix.n
     check_cap(n)
-
     bad = nonpositive_rows(matrix)
     if bad:
         return Verdict(NO, "nonpositive-row", "row without positive entry", {"row": bad[0] + 1})
-
     if is_S(matrix).is_no:
         return Verdict(NO, "not-S", "no positive x with Ax > 0", {})
-
-    if is_P(matrix).is_yes:  # R0 with degree 1
-        return Verdict(YES, "degree-nonzero", "R0 with nonzero LCP degree", {"degree": 1})
-
-    bdsw = is_bdsw_shape(matrix)
-    r0, deg = r0_degree(matrix)
-    if r0.is_yes:
-        if deg != 0:
-            return Verdict(
-                YES, "degree-nonzero", "R0 with nonzero LCP degree", {"degree": deg}
-            )
-        if bdsw:
-            return Verdict(
-                NO,
-                "bdsw-degree-zero",
-                "bdsw shape with R0 and degree 0",
-                {"degree": 0},
-            )
-    elif bdsw:
-        return Verdict(
-            NO,
-            "bdsw-not-R0",
-            "bdsw shape without the R0 property",
-            dict(r0.data),
-        )
-
+    r0, deg = (None, 1) if is_P(matrix).is_yes else r0_degree(matrix)
+    if (r0 is None or r0.is_yes) and deg != 0:
+        return Verdict(YES, "degree-nonzero", "R0 with nonzero LCP degree", {"degree": deg})
+    if is_bdsw_shape(matrix):
+        if r0.is_no:
+            return Verdict(NO, "bdsw-not-R0", "bdsw shape without the R0 property", dict(r0.data))
+        return Verdict(NO, "bdsw-degree-zero", "bdsw shape with R0 and degree 0", {"degree": 0})
     for q in _witness_candidates(n, budget, rng_seed):
         if not is_solvable(matrix, q):
             return Verdict(NO, "unsolvable-q", "LCP(A,q) has no solution", {"q": q})
-
     return Verdict(UNDECIDED, "undecided", "no decision within budget", {})

@@ -55,6 +55,18 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+# What a matrix file can raise on the way to a verdict: read, parse, cap.
+_INPUT_ERRORS = (OSError, UnicodeDecodeError, MatrixFormatError, EnumerationCapError)
+
+
+def _input_failure(path: str, exc: Exception) -> int:
+    """Report a matrix file that cannot be read or parsed, or whose order is
+    past the enumeration cap, as "path: reason": exit 65 for the cap, 64
+    otherwise."""
+    code = EXIT_CAP if isinstance(exc, EnumerationCapError) else EXIT_USAGE
+    return _fail("%s: %s" % (path, exc), code)
+
+
 def _read_matrix_file(path: str) -> Tuple[RationalMatrix, str]:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -101,12 +113,8 @@ def cmd_classify(args) -> int:
     for path in args.paths:
         try:
             matrix, digest = _read_matrix_file(path)
-        except (OSError, UnicodeDecodeError, MatrixFormatError) as exc:
-            worst = max(worst, _fail("%s: %s" % (path, exc), EXIT_USAGE))
-            continue
-        structure = detect_structure(matrix)
-        started = time.perf_counter()
-        try:
+            structure = detect_structure(matrix)
+            started = time.perf_counter()
             if verify:
                 oracle = q_oracle(matrix, budget=args.budget, rng_seed=args.seed)
                 verdict = classify_by_rules(matrix, structure) or oracle
@@ -114,8 +122,8 @@ def cmd_classify(args) -> int:
                 verdict = classify(
                     matrix, oracle_budget=args.budget, oracle_seed=args.seed, structure=structure
                 )
-        except EnumerationCapError as exc:
-            worst = max(worst, _fail("%s: %s" % (path, exc), EXIT_CAP))
+        except _INPUT_ERRORS as exc:
+            worst = max(worst, _input_failure(path, exc))
             continue
         elapsed = time.perf_counter() - started
         record = {
@@ -177,13 +185,9 @@ def cmd_generate(args) -> int:
 
 def cmd_degree(args) -> int:
     try:
-        matrix, _ = _read_matrix_file(args.path)
-    except (OSError, UnicodeDecodeError, MatrixFormatError) as exc:
-        return _fail("%s: %s" % (args.path, exc), EXIT_USAGE)
-    try:
-        r0, deg = r0_degree(matrix)
-    except EnumerationCapError as exc:
-        return _fail(str(exc), EXIT_CAP)
+        r0, deg = r0_degree(_read_matrix_file(args.path)[0])
+    except _INPUT_ERRORS as exc:
+        return _input_failure(args.path, exc)
     if not r0.is_yes:
         print("NotR0")
         return EXIT_NO
@@ -348,8 +352,11 @@ def cmd_jordan_embed_check(args) -> int:
 
     try:
         matrix, digest = _read_matrix_file(args.matrix)
+    except _INPUT_ERRORS as exc:
+        return _input_failure(args.matrix, exc)
+    try:
         qvec = parse_vector(args.q)
-    except (OSError, UnicodeDecodeError, MatrixFormatError) as exc:
+    except MatrixFormatError as exc:
         return _fail(str(exc), EXIT_USAGE)
     if len(qvec) != matrix.n:
         return _fail(
@@ -361,7 +368,7 @@ def cmd_jordan_embed_check(args) -> int:
     try:
         check_cap(matrix.n)
     except EnumerationCapError as exc:
-        return _fail(str(exc), EXIT_CAP)
+        return _input_failure(args.matrix, exc)
     try:
         if args.algebra:
             algebra = _parse_algebra_arg(args.algebra)

@@ -95,6 +95,17 @@ def _plain_token(token: str):
     return token
 
 
+def _shown(value) -> str:
+    """value's repr for an error message, cut after 40 characters (of the
+    str itself for a str, of the repr otherwise) with the full length, so
+    one bad entry cannot fill stderr."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 40:
+        return repr(value)
+    head = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return "%s... (%d characters)" % (head, len(text))
+
+
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -109,12 +120,9 @@ def _to_fraction(value) -> Fraction:
             reason = "not a rational number"
         except ZeroDivisionError:
             reason = "zero denominator"
-        # Name the literal once (Fraction's own message repeats it), cut short.
-        shown = repr(value)
-        if len(value) > 40:
-            shown = "%r... (%d characters)" % (value[:40], len(value))
-        raise MatrixFormatError("bad rational literal %s: %s" % (shown, reason))
-    raise MatrixFormatError("unsupported matrix entry type: %r" % (value,))
+        # Name the literal once (Fraction's own message repeats it).
+        raise MatrixFormatError("bad rational literal %s: %s" % (_shown(value), reason))
+    raise MatrixFormatError("unsupported matrix entry type: %s" % _shown(value))
 
 
 class RationalMatrix:
@@ -248,10 +256,10 @@ def parse_matrix(text: str) -> RationalMatrix:
         matrix = RationalMatrix(rows)
         declared = obj.get("n")
         if declared is not None and (isinstance(declared, bool) or not isinstance(declared, int)):
-            raise MatrixFormatError("declared order n=%r is not an integer" % (declared,))
+            raise MatrixFormatError("declared order n=%s is not an integer" % _shown(declared))
         if declared is not None and declared != matrix.n:
             raise MatrixFormatError(
-                'declared order n=%r does not match %d rows' % (declared, matrix.n)
+                "declared order n=%s does not match %d rows" % (_shown(declared), matrix.n)
             )
         return matrix
     rows = [_plain_row(line) for line in stripped.splitlines() if line.strip()]

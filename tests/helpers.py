@@ -31,7 +31,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import chain, combinations, count, islice
+from itertools import chain, combinations, count, islice, product
 
 import numpy as np
 
@@ -90,6 +90,22 @@ def count_calls(monkeypatch, function):
         if module.__name__.startswith("lcpq") and getattr(module, function.__name__, None) is function:
             monkeypatch.setattr(module, function.__name__, counted)
     return calls
+
+
+def census(n, entries=(-1, 0, 1), family="all"):
+    """Every n x n matrix of a family with its cells drawn from entries,
+    each once, in itertools.product order over the cells in row-major
+    order.  Family "all" draws every cell; "bdsw" draws only the cells of
+    the bdsw zero pattern (diagonal, superdiagonal and corner (n, 1)) and
+    leaves the others 0."""
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    if family == "bdsw":
+        cells = [(i, j) for i, j in cells if j - i in (0, 1) or (i, j) == (n - 1, 0)]
+    for values in product(entries, repeat=len(cells)):
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(cells, values):
+            rows[i][j] = v
+        yield RationalMatrix(rows)
 
 
 def cofactor_det(rows):

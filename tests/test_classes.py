@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     RationalSystem,
     check_lcp_solution,
+    census,
     cofactor_det,
     count_calls,
     identity,
@@ -340,6 +341,12 @@ def _oracle_corpus():
     out = [m.rows for m in _mixed_corpus()]
     out.append([[1, 2, 1], [1, 1, 0], [0, 0, 1]])  # R0, not P: the walked degree
     out.append([[1, -1, 1], [0, 1, -1], [1, 0, 0]])  # the witness search decides
+    out.append([[1, 2], [-1, 0]])  # a nonpositive row
+    out.append([[-1, 1], [0, 1]])  # bdsw shape, R0 with degree 0
+    # Not R0, not bdsw, and no unsolvable q among 1,000 candidates: undecided.
+    out.append(
+        [[-1, 2, 0, 0, 0], [0, -1, 0, 2, 2], [-1, 1, -1, 2, 1], [1, 2, 2, 0, 0], [-1, 0, 2, 0, -1]]
+    )
     for n in (2, 3, 3, 4, 4, 5):
         out.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         dominant = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
@@ -456,7 +463,15 @@ def test_q_oracle_matches_the_r0_first_reference_and_reads_r0_minors_from_the_wa
         assert len(lex_walks) == len(r0_dets)
         for records in lex_walks:
             assert {mask: sign for mask, _, _, sign, _ in records} == truth
-    assert {"not-S", "degree-nonzero", "unsolvable-q", "bdsw-not-R0"} <= rules, rules
+    assert rules == {
+        "nonpositive-row",
+        "not-S",
+        "degree-nonzero",
+        "bdsw-degree-zero",
+        "bdsw-not-R0",
+        "unsolvable-q",
+        "undecided",
+    }, rules
     assert r0_runs >= 5, r0_runs
 
 
@@ -548,10 +563,9 @@ def test_is_R0_matches_the_per_minor_reference_on_the_small_census():
     """Every 3x3 matrix with entries in {-1, 0, 1}: the walk finds the
     reference scan's answer and, on a NO, its witness x."""
     nos = 0
-    for entries in itertools.product((-1, 0, 1), repeat=9):
-        rows = [entries[0:3], entries[3:6], entries[6:9]]
-        got = is_R0(RationalMatrix(rows))
-        assert got == reference_is_R0(RationalMatrix(rows)), rows
+    for matrix in census(3):
+        got = is_R0(matrix)
+        assert got == reference_is_R0(matrix), matrix.rows
         nos += got.is_no
     assert nos == 10163
 
@@ -723,8 +737,7 @@ def test_rules_and_oracle_decide_the_whole_small_census_alike():
     one, and never against a structural rule."""
     undecided = []
     contradictions = []
-    for entries in itertools.product((-1, 0, 1), repeat=9):
-        m = RationalMatrix([entries[0:3], entries[3:6], entries[6:9]])
+    for m in census(3):
         oracle = q_oracle(m)
         rules = classify_by_rules(m)
         if oracle.answer == UNDECIDED:

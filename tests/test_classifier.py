@@ -1,11 +1,11 @@
 """Structure-specific Q classification rules and the dispatch front door."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
 
 from helpers import (
+    census,
     conjugate,
     identity,
     neg,
@@ -261,14 +261,9 @@ def test_dispatch_triangular():
         assert v.rule == "T5.1" and v.answer == answer
 
 
-def _census(n, values=(-1, 0, 1)):
-    for entries in itertools.product(values, repeat=n * n):
-        yield RationalMatrix([list(entries[i * n : (i + 1) * n]) for i in range(n)])
-
-
 def test_dispatch_matches_the_reference_chain_of_shape_tests():
     # The n <= 3 {-1,0,1} censuses and every generate family at n = 1-6.
-    matrices = [m for n in (1, 2, 3) for m in _census(n)]
+    matrices = [m for n in (1, 2, 3) for m in census(n)]
     for kind in GENERATOR_TYPES:
         for n in range(1 if kind == "tri" else 2, 7 if kind != "2x2" else 3):
             matrices.extend(generate(kind, n, 40, seed=0))
@@ -293,8 +288,8 @@ def test_public_bdsw_entries_never_contradict_the_oracle_on_the_census():
     # bdsw entry refuses a matrix outside its detected type or agrees with
     # q_oracle wherever the oracle decides; type 1 is tried with k = 1 and
     # with the detected k.
-    matrices = [m for n in (2, 3) for m in _census(n, (-1, 0, 1, 2)) if is_bdsw_shape(m)]
-    assert len(matrices) == 4352
+    matrices = [m for n in (2, 3) for m in census(n, (-1, 0, 1, 2), "bdsw")]
+    assert len(matrices) == 4352 and all(map(is_bdsw_shape, matrices))
     wrong, outside = set(), set()
     for m in matrices:
         s = detect_structure(m)
@@ -316,6 +311,25 @@ def test_public_bdsw_entries_never_contradict_the_oracle_on_the_census():
                 outside.add(m.integer_rows()[1])
     assert sorted(wrong) == []
     assert sorted(outside) == []
+
+
+def test_rules_decide_the_n4_bdsw_census_as_the_oracle_does():
+    # Every bdsw-shaped 4x4 matrix over {-1,0,1,2}: a structural rule
+    # decides each one, the oracle decides each one, and they agree.
+    undecided, unruled, contradictions = [], [], []
+    matrices = 0
+    for m in census(4, (-1, 0, 1, 2), "bdsw"):
+        matrices += 1
+        rules = classify_by_rules(m)
+        oracle = q_oracle(m)
+        if oracle.answer not in (YES, NO):
+            undecided.append(m.rows)
+        if rules is None:
+            unruled.append(m.rows)
+        elif rules.answer != oracle.answer:
+            contradictions.append(m.rows)
+    assert matrices == 65536
+    assert undecided == [] and unruled == [] and contradictions == []
 
 
 # --- invariants ---------------------------------------------------------

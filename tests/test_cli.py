@@ -247,6 +247,9 @@ _MALFORMED_FILES = {
     "nan.json": b'{"rows": [[NaN, 1], [1, 1]]}',
     "nested-entry.json": b'{"rows": [[[1], 1], [1, 1]]}',
     "digits.txt": b"1" * 4301 + b" 1\n1 1\n",
+    # A bad value is quoted cut at 40 characters, however wide it is.
+    "wide-entry.json": b'{"rows": [[[' + b"0, " * 133000 + b"0], 1], [1, 1]]}",
+    "wide-n.json": b'{"n": "' + b"x" * 300000 + b'", "rows": [[1]]}',
     "directory": None,
 }
 
@@ -269,8 +272,9 @@ def test_every_malformed_file_is_a_usage_error_and_the_batch_goes_on(tmp_path, c
         assert main(argv) == 64, argv
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err, argv
+        assert captured.err.startswith(path + ": "), argv
+        assert len(captured.err.replace(path, "")) < 120, argv
         if argv[0] in ("classify", "verify"):
-            assert captured.err.startswith(path + ": ")
             assert captured.out.startswith(good + ": ") and len(captured.out.splitlines()) == 1
         else:
             assert captured.out == ""
@@ -432,6 +436,10 @@ def test_enumeration_cap_exit(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "dense.txt", "1 -1 1\n0 1 -1\n1 0 0\n")
     assert main(["classify", path]) == 65
     assert "cap" in capsys.readouterr().err
+    assert main(["degree", path]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "%s: order 3 exceeds the support-enumeration cap 2\n" % path
 
 
 def test_jordan_identities_table(capsys):
@@ -871,7 +879,7 @@ def test_embed_check_refuses_an_order_past_the_cap_before_building_a_frame(
         assert main(argv + extra) == 65
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "order 3 exceeds the support-enumeration cap 2\n"
+        assert captured.err == "%s: order 3 exceeds the support-enumeration cap 2\n" % path
     assert frames == []
 
 

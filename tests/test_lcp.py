@@ -1,6 +1,5 @@
 """Support-enumeration LCP solving and the lexicographic degree."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    census,
     check_lcp_solution,
     count_calls,
     identity,
@@ -212,8 +212,7 @@ def test_degree_is_one_on_random_p_matrices(m):
 def test_degree_matches_the_sampled_reference_on_the_r0_census():
     # Every R0 matrix with entries in {-1, 0, 1} at n = 3.
     checked = 0
-    for entries in itertools.product((-1, 0, 1), repeat=9):
-        matrix = RationalMatrix([entries[0:3], entries[3:6], entries[6:9]])
+    for matrix in census(3):
         if is_R0(matrix).is_yes:
             assert degree(matrix) == reference_degree(matrix), matrix
             checked += 1
