@@ -19,11 +19,11 @@ columns end up as det * x, the solution scaled by the determinant.  Callers
 build a ``Fraction`` only at the boundary, when a result leaves as a value.
 
 Two routines run it, one per job.  eliminate solves: Gauss-Jordan over
-every row of [A | b], for the support walk and the principal pivot
-transform.  bareiss_determinant gives a determinant alone: the same update
-over the rows below each pivot only, as index loops that write each row in
-place, since building a new list per row per step cost more than the
-integer arithmetic itself.
+every row of [A | b], for the principal pivot transform (lcp.walk runs
+the same update one pivot at a time).  bareiss_determinant gives a
+determinant alone: the same update over the rows below each pivot only,
+as index loops that write each row in place, since building a new list
+per row per step cost more than the integer arithmetic itself.
 
 int_determinant is the determinant entry (matrices.determinant, one call
 per principal minor in the P scan).  It only reads its rows, so a block's

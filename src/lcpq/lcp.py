@@ -6,19 +6,17 @@ capped (default 16, override with the LCP_ENUM_CAP environment variable);
 walk and supports check the cap when an enumeration starts.
 
 walk visits the supports as a tree: the parent of P + {p}, with p above
-every index of P, is P, and the child's integer tableau is one
-fraction-free pivot on the parent's (see kernel), so each support costs
-O(n^2) integer operations instead of a fresh O(k^3) elimination.  A zero
-pivot leaves the child singular, and the parent's tableau already tells
-whether its system A_II x_I = -q_I is consistent.  Below a singular
-support, one fresh elimination reduces each child's block to its rank,
-which also tells whether its system is consistent.  Only the consistent
-singular supports go to the exact LP (see simplex), which pivots in
-integers too.  Each LCP question builds its integer rows once: [A | q]
-times one positive scale (integer_system), from the matrix's integer
-image.  walk and lex_walk take those rows, and the family LPs read the
-same ones.  Fraction values are built only at the boundaries, for the
-solutions returned.
+every index of P, is P, and each node's integer tableau carries its
+parent's fraction-free reduction on (see kernel), one pivot under a
+nonsingular parent, so a support costs O(n^2) integer operations per
+pivot instead of a fresh O(k^3) elimination.  A singular support keeps
+its tableau reduced to the block's rank, which tells whether A_II x_I =
+-q_I is consistent.  Only the consistent singular supports go to the
+exact LP (see simplex), which pivots in integers too.  Each LCP question
+builds its integer rows once: [A | q] times one positive scale
+(integer_system), from the matrix's integer image.  walk and lex_walk
+take those rows, and the family LPs read the same ones.  Fraction
+values are built only at the boundaries, for the solutions returned.
 
 Each walk record carries sgn det A_II, the sign of its pivot, so a
 caller that walks needs no determinant.  minor_sign is the other route to
@@ -46,7 +44,6 @@ from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import EnumerationCapError
-from .kernel import eliminate
 from .matrices import RationalMatrix, determinant, vec_to_fractions
 from .simplex import FeasibilitySystem, solve_feasibility
 
@@ -149,67 +146,92 @@ def walk(rows: List[List[int]], lex: bool = False):
     yielded as without lex, by their consistency at q.
 
     The tree's root is the empty support, and the parent of P + {p},
-    with p above every index of P, is P.  A node keeps the scaled
-    columns after p, and the q column, over all n rows, reduced as
-    kernel.eliminate reduces them with det that of the scaled block:
-    the q column holds det * (-x_i) on the support's rows and det * w_j,
-    times the system's positive scale, on the others.  With lex, the reduced
+    with p above every index of P, is P.  A node is one fraction-free
+    Gauss-Jordan reduction (see kernel) of the scaled [A_{:,I} | A_{:,>p}
+    | q] over all n rows, prev its last pivot, less its pivoted columns
+    (prev at their own row, zero elsewhere); with lex, the reduced
     identity column e_k of each support index k follows the q column, in
-    increasing k: those are the coefficients of eps^(k+1).  A child of a
-    nonsingular node pivots its parent's columns at (p, p): every row
-    but p takes a_ic <- (piv * a_ic - a_ip * a_pc) // det, where piv,
-    the parent's entry at (p, p), is the det of the child's block
-    (Bareiss/Montante, exact by Sylvester's identity).  The parent's e_p
-    is det at row p and zero elsewhere, so the child's e_p is the
-    negated pivot column with det at row p, at no extra pivot.  A zero
-    pivot makes the child singular with the parent's rank, and its
-    system is consistent iff the parent's q-column entry at row p is
-    zero.  A child of a singular parent runs one fresh elimination
-    instead (_eliminate).  Only the tableaux on the current path and the
+    increasing k: the coefficients of eps^(k+1).  A child carries its
+    parent's reduction on: it adds column p and row p, whose e_p is prev
+    at row p, and pivots each support column without a pivot on a support
+    row without one (its own row where that entry is nonzero, else the
+    first, swapped into the column's place negated so that the block's
+    determinant keeps its sign) by a_ij <- (piv * a_ij - a_ic * a_cj) //
+    prev off row c, exact by Sylvester's identity (Bareiss/Montante).
+    The columns left without a pivot are zero on the rows without one, so
+    one pass reaches the block's rank.  A nonsingular node has prev = det
+    of its scaled block, and its q column holds det * (-x_i) on the
+    support's rows and det * w_j, times the system's positive scale, on
+    the others.  A singular node keeps its columns without a pivot first,
+    and its system is consistent iff the q entries of its rows without a
+    pivot are zero.  Only the tableaux on the current path and the
     siblings waiting on the stack are kept.
     """
     n = len(rows)
     check_cap(n)
-    # (mask, idx, last pivot, det of the block, tableau); a singular
-    # node's tableau is whether its system is consistent instead.
-    stack = [(0, [], -1, 1, [list(column) for column in zip(*rows)])]
+    # (mask, idx, last index, prev, support columns without a pivot, tableau)
+    stack = [(0, [], -1, 1, [], [list(column) for column in zip(*rows)])]
     while stack:
-        mask, idx, last, det, tableau = stack.pop()
+        mask, idx, last, prev, free, tableau = stack.pop()
         comp = [j for j in range(n) if not mask >> j & 1]
-        qpos = n - last - 1  # the q column's place in the tableau
-        if det:
-            if lex:
-                solved = _lex_solves(det, tableau[qpos:], idx, comp)
-            elif det > 0:
-                qcol = tableau[qpos]
-                solved = det, [-qcol[i] for i in idx], [qcol[j] for j in comp]
-            else:
-                qcol = tableau[qpos]
-                solved = -det, [qcol[i] for i in idx], [-qcol[j] for j in comp]
-            yield mask, idx, comp, _sign(det), solved
-        elif tableau:  # singular, with a consistent system
-            yield mask, idx, comp, 0, None
+        f = len(free)
+        qpos = f + n - last - 1  # the q column's place in the tableau
+        qcol = tableau[qpos]
+        if free:
+            if not any(qcol[r] for r in free):
+                yield mask, idx, comp, 0, None
+        elif lex:
+            yield mask, idx, comp, _sign(prev), _lex_solves(prev, tableau[qpos:], idx, comp)
+        elif prev > 0:
+            yield mask, idx, comp, 1, (prev, [-qcol[i] for i in idx], [qcol[j] for j in comp])
+        else:
+            yield mask, idx, comp, -1, (-prev, [qcol[i] for i in idx], [-qcol[j] for j in comp])
         for p in range(last + 1, n):
-            piv = tableau[p - last - 1][p] if det else 0
-            if piv:
-                pivot_col = tableau[p - last - 1]
-                child_tableau = []
-                for column in tableau[p - last :]:
-                    b = column[p]
-                    column = [(piv * a - f * b) // det for a, f in zip(column, pivot_col)]
-                    column[p] = b  # the pivot row is left as it is
-                    child_tableau.append(column)
+            at = f + p - last - 1  # column p's place
+            if not free and tableau[at][p]:
+                # One pivot, at (p, p), as the loop below makes it, and e_p is -column p.
+                column = tableau[at]
+                columns = _reduced(tableau[at + 1 :], column, p, prev)
                 if lex:
-                    column = [-f for f in pivot_col]
-                    column[p] = det
-                    child_tableau.append(column)
-            elif det:
-                # The block has rank |P| and row p is zero on it, so the
-                # system is consistent iff that row's q entry is zero.
-                child_tableau = tableau[qpos][p] == 0
-            else:
-                piv, child_tableau = _eliminate(rows, idx + [p], p, lex)
-            stack.append((mask | 1 << p, idx + [p], p, piv, child_tableau))
+                    e_p = [-g for g in column]
+                    e_p[p] = prev
+                    columns.append(e_p)
+                stack.append((mask | 1 << p, idx + [p], p, column[p], [], columns))
+                continue
+            columns = tableau[:f] + tableau[at:]
+            if lex:  # e_p: prev at row p, which has no pivot yet
+                columns.append([prev if k == p else 0 for k in range(n)])
+            pending = free + [p]
+            left = []
+            piv = prev
+            for i, c in enumerate(pending):
+                column = columns[len(left)]
+                if not column[c]:
+                    # The support rows without a pivot are pending[i:] and left.
+                    r = next((r for r in pending[i + 1 :] + left if column[r]), None)
+                    if r is None:
+                        left.append(c)
+                        continue
+                    columns = [list(other) for other in columns]
+                    for other in columns:  # row r takes row c's place, negated
+                        other[c], other[r] = other[r], -other[c]
+                    column = columns[len(left)]
+                del columns[len(left)]
+                columns = _reduced(columns, column, c, piv)
+                piv = column[c]
+            stack.append((mask | 1 << p, idx + [p], p, piv, left, columns))
+
+
+def _reduced(columns: List[List[int]], pivot: List[int], c: int, prev: int) -> List[List[int]]:
+    """columns after the pivot on row c of the column pivot (see walk)."""
+    piv = pivot[c]
+    reduced = []
+    for column in columns:
+        b = column[c]
+        column = [(piv * a - g * b) // prev for a, g in zip(column, pivot)]
+        column[c] = b  # the pivot row is left as it is
+        reduced.append(column)
+    return reduced
 
 
 def _lex_solves(det: int, columns: List[List[int]], idx: List[int], comp: List[int]) -> bool:
@@ -239,29 +261,6 @@ def _lex_solves(det: int, columns: List[List[int]], idx: List[int], comp: List[i
                     return False
                 break
     return True
-
-
-def _eliminate(rows: List[List[int]], idx: List[int], p: int, lex: bool):
-    """(det, tableau) for support idx, whose highest index is p, from one
-    elimination of the scaled [A_{:,I} | A_{:,>p} | q] over all n
-    rows, the support's rows first (see kernel.eliminate), with e_k for
-    each k in idx after q when lex.  tableau is walk's node tableau when
-    det != 0, else whether A_II x_I = -q_I is consistent."""
-    k = len(idx)
-    n = len(rows)
-    order = idx + [j for j in range(n) if j not in idx]
-    work = [[rows[i][j] for j in idx] + rows[i][p + 1 :] for i in order]
-    if lex:
-        for i, row in zip(order, work):
-            row.extend(int(i == j) for j in idx)
-    det = eliminate(work, k)
-    if det == 0:
-        qpos = k + n - p - 1
-        return 0, all(row[qpos] == 0 for row in work[:k] if not any(row[:k]))
-    placed = [None] * len(rows)
-    for i, row in zip(order, work):
-        placed[i] = row[k:]
-    return det, [list(column) for column in zip(*placed)]
 
 
 def integer_system(matrix: RationalMatrix, q: Sequence) -> Tuple[int, List[List[int]]]:

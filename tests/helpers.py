@@ -78,6 +78,13 @@ from lcpq.structure import (
 )
 
 
+def _replace(monkeypatch, function, replacement):
+    """Put replacement in function's place in every lcpq module that holds it."""
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("lcpq") and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, replacement)
+
+
 def count_calls(monkeypatch, function):
     """Count calls of function through every lcpq module that holds it."""
     calls = []
@@ -86,10 +93,26 @@ def count_calls(monkeypatch, function):
         calls.append(args)
         return function(*args, **kwargs)
 
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("lcpq") and getattr(module, function.__name__, None) is function:
-            monkeypatch.setattr(module, function.__name__, counted)
+    _replace(monkeypatch, function, counted)
     return calls
+
+
+def refuse_calls(monkeypatch, function):
+    """Make a call of function through any lcpq module that holds it fail."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("%s was called" % function.__name__)
+
+    _replace(monkeypatch, function, refused)
+
+
+def sparse_matrix(seed, n=10):
+    """The sparse corpus's matrix for seed: n x n entries drawn row by row
+    by random.Random(seed).choice([-1, 0, 0, 1, 2]).  Seeds 0-39 at n = 10
+    are the sparse n=10 corpus, whose many singular blocks send the support
+    walk below singular supports."""
+    rng = random.Random(seed)
+    return RationalMatrix([[rng.choice([-1, 0, 0, 1, 2]) for _ in range(n)] for _ in range(n)])
 
 
 def census(n, entries=(-1, 0, 1), family="all"):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -17,8 +17,10 @@ from helpers import (
     reference_generic_degree,
     reference_lex_walk,
     reference_solve_lcp,
+    refuse_calls,
+    sparse_matrix,
 )
-from lcpq import lcp
+from lcpq import kernel, lcp
 from lcpq.classes import is_R0, r0_degree
 from lcpq.errors import EnumerationCapError
 from lcpq.lcp import (
@@ -250,12 +252,16 @@ Q_ENTRIES = st.one_of(
 def walk_cases(draw):
     """(matrix, q) of order 1..6, often with singular supports in the tree:
     zero or repeated rows, a zero a_11 (the first child of the root is
-    singular) or a principal block [[0, 1], [1, 0]] (a nonsingular support
-    above a singular one)."""
+    singular), a principal block [[0, 1], [1, 0]] (a nonsingular support
+    above a singular one) or a zero-diagonal 3-cycle permutation block
+    (a child of a singular support that makes two pivots and a row
+    swap)."""
     n = draw(st.integers(1, 6))
     rows = [[Fraction(draw(ENTRIES)) for _ in range(n)] for _ in range(n)]
-    damage = draw(st.sampled_from(["none", "zero-row", "repeat-row", "zero-a11", "swap-block"]))
-    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    damage = draw(
+        st.sampled_from(["none", "zero-row", "repeat-row", "zero-a11", "swap-block", "cycle-block"])
+    )
+    a, b, c = (draw(st.integers(0, n - 1)) for _ in range(3))
     if damage == "zero-row":
         rows[a] = [Fraction(0)] * n
     elif damage == "repeat-row":
@@ -265,12 +271,35 @@ def walk_cases(draw):
     elif damage == "swap-block" and a != b:
         rows[a][a] = rows[b][b] = Fraction(0)
         rows[a][b] = rows[b][a] = Fraction(1)
+    elif damage == "cycle-block" and len({a, b, c}) == 3:
+        for i in (a, b, c):
+            for j in (a, b, c):
+                rows[i][j] = Fraction(0)
+        rows[a][b] = rows[b][c] = rows[c][a] = Fraction(1)
     q = [Fraction(draw(Q_ENTRIES)) for _ in range(n)]
     return RationalMatrix(rows), q
 
 
+def swap_examples(test):
+    """@examples whose walks swap rows below singular supports: the
+    2-cycle and 3-cycle permutation matrices and two sparse n=7 matrices,
+    each at q = 0 and at a seeded q."""
+    matrices = (
+        RationalMatrix([[0, 1], [1, 0]]),
+        RationalMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+        sparse_matrix(1, 7),
+        sparse_matrix(5, 7),
+    )
+    for matrix in matrices:
+        rng = random.Random(matrix.n)
+        for q in ([0] * matrix.n, [rng.randint(-3, 3) for _ in range(matrix.n)]):
+            test = example((matrix, [Fraction(v) for v in q]))(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(walk_cases())
+@swap_examples
 def test_support_walk_matches_bitmask_order_references(case):
     matrix, q = case
     reference = reference_solve_lcp(matrix, q)
@@ -388,15 +417,8 @@ def test_each_lcp_question_builds_one_integer_system(monkeypatch):
 def test_zero_pivot_children_of_nonsingular_supports_need_no_elimination(monkeypatch):
     # {1} is nonsingular and the pivot of its child {1, 2} is det A = 0; the
     # parent's tableau already tells whether x_1 + x_2 = -q_1 = -q_2 is
-    # consistent.
-    eliminations = []
-    eliminate = lcp._eliminate
-
-    def counted(rows, idx, p, lex):
-        eliminations.append(idx)
-        return eliminate(rows, idx, p, lex)
-
-    monkeypatch.setattr(lcp, "_eliminate", counted)
+    # consistent.  The walk carries its tableaux on and never eliminates.
+    refuse_calls(monkeypatch, kernel.eliminate)
     matrix = RationalMatrix([[1, 1], [1, 1]])
     for q, consistent in (([-1, -1], True), ([-1, -2], False), ([Fraction(1, 2), Fraction(1, 2)], True)):
         for lex in (False, True):
@@ -404,4 +426,3 @@ def test_zero_pivot_children_of_nonsingular_supports_need_no_elimination(monkeyp
             masks = [mask for mask, _, _, _, _ in records]
             assert (3 in masks) == consistent
         assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
-    assert eliminations == []
