@@ -110,10 +110,26 @@ def embed(n: int, idx: Sequence[int], values: Sequence[Fraction]) -> list:
 def supports(n: int):
     """The 0-based index list of every support, in bitmask order, the empty
     one first.  An order above the enumeration cap raises
-    EnumerationCapError."""
+    EnumerationCapError.
+
+    Each list joins a subset of the low half of the indices to one of the
+    high half, both read from tables of about 2^(n/2) lists; looping over
+    the high subsets outside and the low ones inside gives bitmask order,
+    and no mask is scanned bit by bit."""
     check_cap(n)
-    for mask in range(1 << n):
-        yield [i for i in range(n) if mask >> i & 1]
+    half = n // 2
+    low = _subsets(range(half))
+    for high in _subsets(range(half, n)):
+        for idx in low:
+            yield idx + high
+
+
+def _subsets(indices) -> List[List[int]]:
+    """Every subset of indices as a sorted list, in bitmask order."""
+    table: List[List[int]] = [[]]
+    for i in indices:
+        table += [idx + [i] for idx in table]
+    return table
 
 
 def minor_sign(matrix: RationalMatrix, idx: Sequence[int]) -> int:
@@ -122,7 +138,7 @@ def minor_sign(matrix: RationalMatrix, idx: Sequence[int]) -> int:
         return 1
     # One matrices.determinant call per minor, the one determinant routine,
     # which perfbench's trace counts: a closed form on the block's int rows
-    # up to order 4, Bareiss elimination of a copy above that (kernel).  The
+    # up to order 5, Bareiss elimination of a copy above that (kernel).  The
     # block keeps the matrix's scale, so no denominators are cleared again
     # per minor, and the sign is read from the numerator, an int.
     return _sign(determinant(matrix.principal_submatrix(idx)).numerator)

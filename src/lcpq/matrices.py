@@ -269,7 +269,7 @@ def parse_matrix(text: str) -> RationalMatrix:
 def determinant(matrix: RationalMatrix) -> Fraction:
     """Exact determinant of the matrix's integer rows, det(scale * A) /
     scale^n: kernel.int_determinant reads the rows as they are, in closed
-    form up to order 4 and by Bareiss elimination of a copy above that."""
+    form up to order 5 and by Bareiss elimination of a copy above that."""
     scale, ints = matrix.integer_rows()
     det = int_determinant(ints)
     return Fraction(det) if scale == 1 else Fraction(det, scale ** matrix.n)

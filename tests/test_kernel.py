@@ -15,10 +15,12 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_lcp_solution, cofactor_det, matvec
+from lcpq.errors import EnumerationCapError
 from lcpq.kernel import bareiss_determinant, clear_denominators, eliminate, int_determinant
 from lcpq.lcp import LcpInstance, integer_system, minor_sign, solve_lcp, supports, walk
 from lcpq.matrices import RationalMatrix, determinant, solve_linear
@@ -67,12 +69,6 @@ def _kernel_solve(rows, rhs, extra=()):
     return det, work, scales
 
 
-def _consistent(work, k):
-    """Whether the rank-reduced system has a solution: every row among the
-    first k that is zero on the block has a zero right-hand side."""
-    return all(row[-1] == 0 for row in work[:k] if not any(row[:k]))
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(degenerate_systems(), st.data())
 def test_kernel_matches_cofactor_det_and_solve_linear(system, data):
@@ -89,7 +85,6 @@ def test_kernel_matches_cofactor_det_and_solve_linear(system, data):
     status, x = solve_linear(RationalMatrix(rows), rhs)
     if det == 0:
         assert status != "unique"
-        assert _consistent(work, k) == (status != "inconsistent")
     else:
         assert status == "unique"
         assert [row[-1] for row in work[:k]] == [det * v for v in x]
@@ -109,6 +104,18 @@ SPARSE = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
 @example([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # zero multipliers under unchanged pivots
 @example([[2, 0, 1], [0, 2, 0], [1, 0, 2]])
 @example([[1, 2], [2, 4]])  # singular
+@example([[1, 2, 0, -1, 3], [0, 0, 0, 0, 0], [2, 0, 1, 0, 1], [0, 1, 0, 2, 0], [-3, 0, 1, 1, 2]])  # order 5, a zero row
+@example([[1, 2, 0, -1, 3], [2, 0, 1, 0, 1], [0, 1, 0, 2, 0], [2, 0, 1, 0, 1], [-3, 0, 1, 1, 2]])  # order 5, two equal rows
+@example([[1, 2, 0, -1, 3], [2, 0, 1, 0, 1], [3, 2, 1, -1, 4], [0, 1, 0, 2, 0], [-3, 0, 1, 1, 2]])  # order 5, row 3 = row 1 + row 2
+@example(
+    [
+        [10 ** 30 - 7, -(10 ** 29) + 3, 2 * 10 ** 29, 0, 10 ** 30 + 11],
+        [-(10 ** 30) + 1, 10 ** 30 - 2, 5, -(10 ** 29), 3 * 10 ** 29],
+        [7 * 10 ** 29, 0, 10 ** 30 - 3, 2, -(10 ** 30) + 9],
+        [1, 10 ** 30 - 5, -(10 ** 29) - 1, 10 ** 30, 0],
+        [-(10 ** 29), 6 * 10 ** 29, 0, 10 ** 30 + 1, 10 ** 30 - 13],
+    ]
+)  # order 5, 30-digit entries
 def test_determinant_mode_matches_cofactor_expansion_on_sparse_blocks(rows):
     # bareiss_determinant reduces only right of each pivot column and skips
     # a row whose multiplier is 0 under an unchanged pivot; Gauss-Jordan
@@ -204,12 +211,18 @@ def test_support_kernel_signs_match_fraction_arithmetic(system, data):
             assert (slack > 0) - (slack < 0) == (w[j] > 0) - (w[j] < 0)
 
 
-def test_supports_enumerate_every_mask_once_in_order():
-    seen = list(supports(4))
-    assert len(seen) == 16
-    for mask, idx in enumerate(seen):
-        assert idx == sorted(set(idx)) and set(idx) <= set(range(4))
-        assert sum(1 << i for i in idx) == mask
+def test_supports_enumerate_every_mask_once_in_order(monkeypatch):
+    # Odd and even n split the indices into unequal and equal halves.
+    for n in range(10):
+        seen = list(supports(n))
+        assert len(seen) == 1 << n
+        for mask, idx in enumerate(seen):
+            assert idx == sorted(set(idx)) and set(idx) <= set(range(n))
+            assert sum(1 << i for i in idx) == mask
+    monkeypatch.setenv("LCP_ENUM_CAP", "5")
+    assert len(list(supports(5))) == 32
+    with pytest.raises(EnumerationCapError):
+        next(supports(6))
 
 
 def test_degree_sized_right_hand_sides_stay_exact():
