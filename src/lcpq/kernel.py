@@ -18,12 +18,14 @@ Run as Gauss-Jordan over [A | b], the last pivot is det A and the right-hand
 columns end up as det * x, the solution scaled by the determinant.  Callers
 build a ``Fraction`` only at the boundary, when a result leaves as a value.
 
-Two routines run it, one per job.  eliminate solves: Gauss-Jordan over
-every row of [A | b], for the principal pivot transform (lcp.walk runs
-the same update one pivot at a time).  bareiss_determinant gives a
-determinant alone: the same update over the rows below each pivot only,
-as index loops that write each row in place, since building a new list
-per row per step cost more than the integer arithmetic itself.
+One Gauss-Jordan routine solves, and one loop gives a determinant alone.
+gauss_jordan pivots a list of int columns on the rows it is given, one
+pivoted step each: lcp.walk carries each support's tableau on from its
+parent's through it, and pivot.ppt is one call on the pivot rows J, a
+principal pivot transform being a walk node with other trailing columns.
+bareiss_determinant runs the same update over the rows below each pivot
+only, as index loops that write each row in place, since building a new
+list per row per step cost more than the integer arithmetic itself.
 
 int_determinant is the determinant entry (matrices.determinant, one call
 per principal minor in the P scan).  It only reads its rows, so a block's
@@ -50,39 +52,58 @@ def clear_denominators(values: Sequence) -> Tuple[int, List[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def eliminate(work: List[List[int]], k: int) -> int:
-    """Fraction-free elimination in place; returns det of the leading k x k
-    block, 0 when it is singular.  Rows may be swapped among the first k.
+def gauss_jordan(
+    columns: List[List[int]], rows: List[int], prev: int
+) -> Tuple[List[List[int]], List[int], int]:
+    """(columns, left, prev): fraction-free Gauss-Jordan on the int
+    columns, which are only read.  Column i is pivoted on row rows[i], and
+    prev is the pivot before the first (1 on unreduced columns).
 
-    The run is Gauss-Jordan over every row, with pivots from the first k
-    rows only, so a reduced column is zero outside its pivot row.  For a
-    nonsingular block, work[i][k:] then holds det * x_i for i < k, x
-    solving the system whose right-hand sides are the trailing columns,
-    and a row r past k holds det * (b_r - a_r x).  The first column
-    without a pivot ends the run with 0, leaving work partly reduced.
+    A pivot piv on row c drops its column and updates every other one by
+    a_ij <- (piv * a_ij - a_ic * a_cj) // prev off row c, leaving row c as
+    it is.  Where column i is zero on its row, the first later row, or
+    earlier row left without a pivot, that is nonzero there is swapped
+    into its place, and row c goes to that row's place negated, so the
+    block's determinant keeps its sign.  A column zero on all of them
+    gets no pivot; such columns stay first and are zero on the rows in
+    left, those without a pivot, so one pass reaches the block's rank and
+    the system is consistent iff the trailing columns are zero on left.
+
+    With left empty and prev 1, the last pivot is det of the block (the
+    leading columns on rows), and the trailing columns hold det * x_i at
+    row rows[i], x solving the system whose right-hand sides they are,
+    and det * (b_r - a_r x) at every other row r.  Passed a reduced
+    tableau and its last pivot, it carries that run on (lcp.walk).
     """
-    sign = 1
-    prev = 1
-    for c in range(k):
-        r = c
-        while work[r][c] == 0:
-            r += 1
-            if r == k:
-                return 0
-        if r != c:
-            work[c], work[r] = work[r], work[c]
-            sign = -sign
-        p = work[c][c]
-        tail = work[c][c:]
-        for i, row in enumerate(work):
-            if i != c:
-                f = row[c]
-                row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], tail)]
-        prev = p
-    if sign < 0:
-        for row in work:
-            row[k:] = [-v for v in row[k:]]
-    return sign * prev
+    left: List[int] = []
+    for i, c in enumerate(rows):
+        at = len(left)
+        column = columns[at]
+        if not column[c]:
+            r = next((r for r in rows[i + 1 :] + left if column[r]), None)
+            if r is None:
+                left.append(c)
+                continue
+            columns = [list(other) for other in columns]
+            for other in columns:  # row r into row c's place, row c negated into r's
+                other[c], other[r] = other[r], -other[c]
+            column = columns[at]
+        columns = pivoted(columns[:at] + columns[at + 1 :], column, c, prev)
+        prev = column[c]
+    return columns, left, prev
+
+
+def pivoted(columns: List[List[int]], column: List[int], c: int, prev: int) -> List[List[int]]:
+    """columns after one pivot of gauss_jordan, on row c of column: the
+    single step that lcp.walk also takes alone at a nonsingular parent."""
+    piv = column[c]
+    reduced = []
+    for other in columns:
+        b = other[c]
+        other = [(piv * a - g * b) // prev for a, g in zip(other, column)]
+        other[c] = b  # the pivot row is left as it is
+        reduced.append(other)
+    return reduced
 
 
 def bareiss_determinant(work: List[List[int]]) -> int:

@@ -7,13 +7,14 @@ walk and supports check the cap when an enumeration starts.
 
 walk visits the supports as a tree: the parent of P + {p}, with p above
 every index of P, is P, and each node's integer tableau carries its
-parent's fraction-free reduction on (see kernel), one pivot under a
-nonsingular parent, so a support costs O(n^2) integer operations per
-pivot instead of a fresh O(k^3) elimination.  A singular support keeps
-its tableau reduced to the block's rank, which tells whether A_II x_I =
--q_I is consistent.  Only the consistent singular supports go to the
-exact LP (see simplex), which pivots in integers too.  Each LCP question
-builds its integer rows once: [A | q] times one positive scale
+parent's fraction-free reduction on by kernel.gauss_jordan, the
+Gauss-Jordan routine pivot.ppt runs too: one pivot under a nonsingular
+parent, so a support costs O(n^2) integer operations per pivot instead
+of a fresh O(k^3) elimination.  A singular support keeps its tableau
+reduced to the block's rank, which tells whether A_II x_I = -q_I is
+consistent.  Only the consistent singular supports go to the exact LP
+(see simplex), which pivots in integers too.  Each LCP question builds
+its integer rows once: [A | q] times one positive scale
 (integer_system), from the matrix's integer image.  walk and lex_walk
 take those rows, and the family LPs read the same ones.  Fraction
 values are built only at the boundaries, for the solutions returned.
@@ -44,6 +45,7 @@ from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import EnumerationCapError
+from .kernel import gauss_jordan, pivoted
 from .matrices import RationalMatrix, determinant, vec_to_fractions
 from .simplex import FeasibilitySystem, solve_feasibility
 
@@ -169,19 +171,15 @@ def walk(rows: List[List[int]], lex: bool = False):
     identity column e_k of each support index k follows the q column, in
     increasing k: the coefficients of eps^(k+1).  A child carries its
     parent's reduction on: it adds column p and row p, whose e_p is prev
-    at row p, and pivots each support column without a pivot on a support
-    row without one (its own row where that entry is nonzero, else the
-    first, swapped into the column's place negated so that the block's
-    determinant keeps its sign) by a_ij <- (piv * a_ij - a_ic * a_cj) //
-    prev off row c, exact by Sylvester's identity (Bareiss/Montante).
-    The columns left without a pivot are zero on the rows without one, so
-    one pass reaches the block's rank.  A nonsingular node has prev = det
-    of its scaled block, and its q column holds det * (-x_i) on the
-    support's rows and det * w_j, times the system's positive scale, on
-    the others.  A singular node keeps its columns without a pivot first,
-    and its system is consistent iff the q entries of its rows without a
-    pivot are zero.  Only the tableaux on the current path and the
-    siblings waiting on the stack are kept.
+    at row p, and kernel.gauss_jordan pivots each support column without
+    a pivot on a support row without one, from prev on, so one pass
+    reaches the block's rank.  A nonsingular node has prev = det of its
+    scaled block, and its q column holds det * (-x_i) on the support's
+    rows and det * w_j, times the system's positive scale, on the others.
+    A singular node keeps its columns without a pivot first, and its
+    system is consistent iff the q entries of its rows without a pivot are
+    zero.  Only the tableaux on the current path and the siblings waiting
+    on the stack are kept.
     """
     n = len(rows)
     check_cap(n)
@@ -205,9 +203,9 @@ def walk(rows: List[List[int]], lex: bool = False):
         for p in range(last + 1, n):
             at = f + p - last - 1  # column p's place
             if not free and tableau[at][p]:
-                # One pivot, at (p, p), as the loop below makes it, and e_p is -column p.
+                # One pivot, at (p, p), as gauss_jordan makes it, and e_p is -column p.
                 column = tableau[at]
-                columns = _reduced(tableau[at + 1 :], column, p, prev)
+                columns = pivoted(tableau[at + 1 :], column, p, prev)
                 if lex:
                     e_p = [-g for g in column]
                     e_p[p] = prev
@@ -217,37 +215,8 @@ def walk(rows: List[List[int]], lex: bool = False):
             columns = tableau[:f] + tableau[at:]
             if lex:  # e_p: prev at row p, which has no pivot yet
                 columns.append([prev if k == p else 0 for k in range(n)])
-            pending = free + [p]
-            left = []
-            piv = prev
-            for i, c in enumerate(pending):
-                column = columns[len(left)]
-                if not column[c]:
-                    # The support rows without a pivot are pending[i:] and left.
-                    r = next((r for r in pending[i + 1 :] + left if column[r]), None)
-                    if r is None:
-                        left.append(c)
-                        continue
-                    columns = [list(other) for other in columns]
-                    for other in columns:  # row r takes row c's place, negated
-                        other[c], other[r] = other[r], -other[c]
-                    column = columns[len(left)]
-                del columns[len(left)]
-                columns = _reduced(columns, column, c, piv)
-                piv = column[c]
+            columns, left, piv = gauss_jordan(columns, free + [p], prev)
             stack.append((mask | 1 << p, idx + [p], p, piv, left, columns))
-
-
-def _reduced(columns: List[List[int]], pivot: List[int], c: int, prev: int) -> List[List[int]]:
-    """columns after the pivot on row c of the column pivot (see walk)."""
-    piv = pivot[c]
-    reduced = []
-    for column in columns:
-        b = column[c]
-        column = [(piv * a - g * b) // prev for a, g in zip(column, pivot)]
-        column[c] = b  # the pivot row is left as it is
-        reduced.append(column)
-    return reduced
 
 
 def _lex_solves(det: int, columns: List[List[int]], idx: List[int], comp: List[int]) -> bool:

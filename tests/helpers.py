@@ -97,15 +97,6 @@ def count_calls(monkeypatch, function):
     return calls
 
 
-def refuse_calls(monkeypatch, function):
-    """Make a call of function through any lcpq module that holds it fail."""
-
-    def refused(*args, **kwargs):
-        raise AssertionError("%s was called" % function.__name__)
-
-    _replace(monkeypatch, function, refused)
-
-
 def sparse_matrix(seed, n=10):
     """The sparse corpus's matrix for seed: n x n entries drawn row by row
     by random.Random(seed).choice([-1, 0, 0, 1, 2]).  Seeds 0-39 at n = 10

@@ -1,14 +1,15 @@
 """Fraction-free integer kernel against independent exact references.
 
-The kernel's determinants (the Bareiss loop, and int_determinant, which
-must leave its rows as they are) are compared with cofactor expansion, on
-dense blocks up to 8 x 8 with entries up to 10^30 and on sparse ones, its
-scaled solutions det * x with the package's rational Gauss-Jordan
-solve_linear, and the support walk's integer sign tests with the same
-quantities computed in Fraction arithmetic.  Inputs cover non-integer
-entries, zero pivots, zero rows and columns, singular and rank-deficient
-blocks, and right-hand sides of the size the sampled degree reference in
-helpers draws (about 10^7).
+The kernel's determinants (the Bareiss loop, gauss_jordan's last pivot,
+and int_determinant, which must leave its rows as they are) are compared
+with cofactor expansion, on dense blocks up to 8 x 8 with entries up to
+10^30 and on sparse ones, gauss_jordan's scaled solutions det * x and
+its consistency test on singular blocks with the package's rational
+Gauss-Jordan solve_linear, and the support walk's integer sign tests
+with the same quantities computed in Fraction arithmetic.  Inputs cover
+non-integer entries, zero pivots, zero rows and columns, singular and
+rank-deficient blocks, and right-hand sides of the size the sampled
+degree reference in helpers draws (about 10^7).
 """
 
 import math
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from helpers import check_lcp_solution, cofactor_det, matvec
 from lcpq.errors import EnumerationCapError
-from lcpq.kernel import bareiss_determinant, clear_denominators, eliminate, int_determinant
+from lcpq.kernel import bareiss_determinant, clear_denominators, gauss_jordan, int_determinant
 from lcpq.lcp import LcpInstance, integer_system, minor_sign, solve_lcp, supports, walk
 from lcpq.matrices import RationalMatrix, determinant, solve_linear
 
@@ -57,16 +58,17 @@ def degenerate_systems(draw, max_order=5):
 
 
 def _kernel_solve(rows, rhs, extra=()):
-    """(det of the scaled integer system, reduced rows, scales) from the
-    kernel; extra rows (coefficients and right-hand side) go below the
-    system's and are reduced without pivoting."""
+    """(det of the scaled integer system, its rows without a pivot, reduced
+    rows, scales) from gauss_jordan: det is the last pivot when every row
+    has one, and 0 otherwise.  extra rows (coefficients and right-hand
+    side) go below the system's and are reduced without pivoting."""
     scales, work = [], []
     for row, b in list(zip(rows, rhs)) + list(extra):
         scale, ints = clear_denominators(list(row) + [b])
         scales.append(scale)
         work.append(ints)
-    det = eliminate(work, len(rows))
-    return det, work, scales
+    columns, left, last = gauss_jordan([list(column) for column in zip(*work)], list(range(len(rows))), 1)
+    return 0 if left else last, left, [list(row) for row in zip(*columns)], scales
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -78,13 +80,16 @@ def test_kernel_matches_cofactor_det_and_solve_linear(system, data):
         ([Fraction(data.draw(ENTRIES)) for _ in range(k)], Fraction(data.draw(RHS)))
         for _ in range(data.draw(st.integers(0, 3)))
     ]
-    det, work, scales = _kernel_solve(rows, rhs, extra)
+    det, left, work, scales = _kernel_solve(rows, rhs, extra)
     reference = cofactor_det(rows)
     assert Fraction(det, math.prod(scales[:k])) == reference
     assert determinant(RationalMatrix(rows)) == reference
     status, x = solve_linear(RationalMatrix(rows), rhs)
     if det == 0:
         assert status != "unique"
+        # Reduced to the block's rank: the system is consistent iff its
+        # right-hand sides are zero on the rows left without a pivot.
+        assert (status == "inconsistent") == any(work[r][-1] for r in left)
     else:
         assert status == "unique"
         assert [row[-1] for row in work[:k]] == [det * v for v in x]
@@ -92,6 +97,19 @@ def test_kernel_matches_cofactor_det_and_solve_linear(system, data):
         for (a, b), scale, row in zip(extra, scales[k:], work[k:]):
             w = b - sum(u * v for u, v in zip(a, x))
             assert row[-1] == det * scale * w
+
+
+def test_gauss_jordan_pivots_on_a_row_left_earlier():
+    # Column 1 is zero, so row 1 is left without a pivot.  Column 2 is zero
+    # on row 2, so row 1 is swapped into row 2's place and row 2, negated,
+    # into row 1's, still without a pivot.  x_2 = b_1, 0 = b_2 is
+    # consistent iff b_2 = 0.
+    rows = [[0, 1], [0, 0]]
+    for rhs, status in (([1, 0], "underdetermined"), ([1, 1], "inconsistent"), ([0, -3], "inconsistent")):
+        det, left, work, _ = _kernel_solve(rows, rhs)
+        assert det == 0 and left == [0]
+        assert solve_linear(RationalMatrix(rows), rhs)[0] == status
+        assert (status == "inconsistent") == any(work[r][-1] for r in left)
 
 
 SPARSE = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
@@ -119,10 +137,10 @@ SPARSE = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
 def test_determinant_mode_matches_cofactor_expansion_on_sparse_blocks(rows):
     # bareiss_determinant reduces only right of each pivot column and skips
     # a row whose multiplier is 0 under an unchanged pivot; Gauss-Jordan
-    # eliminate on the same block gives the same det.  int_determinant
+    # (gauss_jordan) on the same block gives the same det.  int_determinant
     # takes the block as integer_rows() holds it, int tuples it cannot write.
     assert bareiss_determinant([list(row) for row in rows]) == cofactor_det(rows)
-    assert eliminate([list(row) for row in rows], len(rows)) == cofactor_det(rows)
+    assert _kernel_solve(rows, [0] * len(rows))[0] == cofactor_det(rows)
     assert int_determinant(tuple(map(tuple, rows))) == cofactor_det(rows)
 
 
@@ -166,7 +184,7 @@ def dense_blocks(draw):
 def test_determinant_matches_cofactor_expansion_on_dense_blocks(block):
     rows, denominator = block
     assert bareiss_determinant([list(row) for row in rows]) == cofactor_det(rows)
-    assert eliminate([list(row) for row in rows], len(rows)) == cofactor_det(rows)
+    assert _kernel_solve(rows, [0] * len(rows))[0] == cofactor_det(rows)
     copy = [list(row) for row in rows]
     assert int_determinant(rows) == cofactor_det(rows) and rows == copy
     fractions = [[Fraction(v, denominator) for v in row] for row in rows]
@@ -231,7 +249,7 @@ def test_degree_sized_right_hand_sides_stay_exact():
         n = rng.randint(2, 7)
         rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(n)] for _ in range(n)]
         rhs = [Fraction(rng.randint(-(10 ** 7), 10 ** 7)) for _ in range(n)]
-        det, work, _ = _kernel_solve(rows, rhs)
+        det, _, work, _ = _kernel_solve(rows, rhs)
         status, x = solve_linear(RationalMatrix(rows), rhs)
         if det == 0:
             assert status != "unique" and cofactor_det(rows) == 0

@@ -17,7 +17,6 @@ from helpers import (
     reference_generic_degree,
     reference_lex_walk,
     reference_solve_lcp,
-    refuse_calls,
     sparse_matrix,
 )
 from lcpq import kernel, lcp
@@ -417,12 +416,17 @@ def test_each_lcp_question_builds_one_integer_system(monkeypatch):
 def test_zero_pivot_children_of_nonsingular_supports_need_no_elimination(monkeypatch):
     # {1} is nonsingular and the pivot of its child {1, 2} is det A = 0; the
     # parent's tableau already tells whether x_1 + x_2 = -q_1 = -q_2 is
-    # consistent.  The walk carries its tableaux on and never eliminates.
-    refuse_calls(monkeypatch, kernel.eliminate)
+    # consistent.  The walk carries its tableaux on: every gauss_jordan
+    # call here is under a nonsingular parent and pivots the child's new
+    # row alone, where a reduction from the root would pass the whole
+    # support.
+    calls = count_calls(monkeypatch, kernel.gauss_jordan)
     matrix = RationalMatrix([[1, 1], [1, 1]])
     for q, consistent in (([-1, -1], True), ([-1, -2], False), ([Fraction(1, 2), Fraction(1, 2)], True)):
         for lex in (False, True):
+            del calls[:]
             records = walk(integer_system(matrix, q)[1], lex)
             masks = [mask for mask, _, _, _, _ in records]
             assert (3 in masks) == consistent
+            assert calls and all(len(rows) == 1 for _, rows, _ in calls)
         assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
