@@ -77,8 +77,8 @@ class Verdict:
 def is_R0(matrix: RationalMatrix) -> Verdict:
     """R0: x = 0 is the only solution of LCP(A, 0).  The same verdict as
     r0_degree's, from a plain walk (lcp.walk): the singular supports it
-    yields are the lexicographic walk's, so the degree columns are not
-    carried."""
+    yields are the lexicographic walk's, so the degree's column q_t is
+    not carried."""
     scale, rows = integer_system(matrix, [0] * matrix.n)
     singular = sorted((mask, idx, comp) for mask, idx, comp, sign, _ in walk(rows) if sign == 0)
     return _r0_verdict(rows, scale, singular)

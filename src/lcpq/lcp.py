@@ -33,7 +33,10 @@ Complementarity Problem*, 1992, ch. 4).  There no support is degenerate
 and no singular support is consistent, so for an R0 matrix the degree is
 the sum of sgn det A_II over the supports whose x_I(eps) and w(eps) are
 lexicographically positive (Howe & Stone, *Linear complementarity and the
-degree of mappings*, 1983).  No q is drawn at random.
+degree of mappings*, 1983).  The walk reads q(eps) at eps = 1/t, t
+past a Hadamard bound on the minors of [A | q | I], where every x_i(eps)
+and w_j(eps) has its lexicographic sign: one more integer column, q(1/t)
+times t^n (_lex_column).  No q is drawn at random.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import EnumerationCapError
@@ -159,93 +162,86 @@ def walk(rows: List[List[int]], lex: bool = False):
 
     With lex, solved for a nonsingular support is instead whether it
     solves LCP(A, q(eps)), q(eps) = q + (eps, eps^2, ..., eps^n) with
-    eps -> 0+: whether every x_i(eps) and every w_j(eps) is
-    lexicographically positive (_lex_solves).  The singular supports are
-    yielded as without lex, by their consistency at q.
+    eps -> 0+, that is LCP(A, q_t) at the integer q_t of _lex_column: the
+    tableau carries q_t behind q (in q's place at q = 0, where every
+    singular system is consistent) and reads its signs as the plain walk
+    reads q's.  The singular supports are yielded by their consistency at
+    q, as without lex.
 
     The tree's root is the empty support, and the parent of P + {p},
     with p above every index of P, is P.  A node is one fraction-free
     Gauss-Jordan reduction (see kernel) of the scaled [A_{:,I} | A_{:,>p}
     | q] over all n rows, prev its last pivot, less its pivoted columns
-    (prev at their own row, zero elsewhere); with lex, the reduced
-    identity column e_k of each support index k follows the q column, in
-    increasing k: the coefficients of eps^(k+1).  A child carries its
-    parent's reduction on: it adds column p and row p, whose e_p is prev
-    at row p, and kernel.gauss_jordan pivots each support column without
-    a pivot on a support row without one, from prev on, so one pass
-    reaches the block's rank.  A nonsingular node has prev = det of its
-    scaled block, and its q column holds det * (-x_i) on the support's
-    rows and det * w_j, times the system's positive scale, on the others.
-    A singular node keeps its columns without a pivot first, and its
-    system is consistent iff the q entries of its rows without a pivot are
-    zero.  Only the tableaux on the current path and the siblings waiting
-    on the stack are kept.
+    (prev at their own row, zero elsewhere).  A child carries its
+    parent's reduction on: it adds column p and row p, and
+    kernel.gauss_jordan pivots each support column without a pivot on a
+    support row without one, from prev on, so one pass reaches the
+    block's rank.  A nonsingular node has prev = det of its scaled block,
+    and its q column holds det * (-x_i) on the support's rows and det *
+    w_j, times the system's positive scale, on the others.  A singular
+    node keeps its columns without a pivot first, and its system is
+    consistent iff the q entries of its rows without a pivot are zero.
+    Only the tableaux on the current path and the siblings waiting on the
+    stack are kept.
     """
     n = len(rows)
     check_cap(n)
+    columns = [list(column) for column in zip(*rows)]
+    consistent = not any(columns[-1])  # q = 0
+    if lex:
+        if consistent:
+            columns.pop()
+        columns.append(_lex_column(rows))
     # (mask, idx, last index, prev, support columns without a pivot, tableau)
-    stack = [(0, [], -1, 1, [], [list(column) for column in zip(*rows)])]
+    stack = [(0, [], -1, 1, [], columns)]
     while stack:
         mask, idx, last, prev, free, tableau = stack.pop()
         comp = [j for j in range(n) if not mask >> j & 1]
         f = len(free)
-        qpos = f + n - last - 1  # the q column's place in the tableau
-        qcol = tableau[qpos]
         if free:
-            if not any(qcol[r] for r in free):
+            qcol = tableau[f + n - last - 1]  # the q column's place
+            if consistent or not any(qcol[r] for r in free):
                 yield mask, idx, comp, 0, None
-        elif lex:
-            yield mask, idx, comp, _sign(prev), _lex_solves(prev, tableau[qpos:], idx, comp)
-        elif prev > 0:
-            yield mask, idx, comp, 1, (prev, [-qcol[i] for i in idx], [qcol[j] for j in comp])
         else:
-            yield mask, idx, comp, -1, (-prev, [qcol[i] for i in idx], [-qcol[j] for j in comp])
+            qcol = tableau[-1]  # q, or q_t with lex
+            positive = prev > 0
+            if lex:  # no entry of q_t is 0 here
+                solved = all((qcol[i] < 0) == positive for i in idx) and all(
+                    (qcol[j] > 0) == positive for j in comp
+                )
+            elif positive:
+                solved = (prev, [-qcol[i] for i in idx], [qcol[j] for j in comp])
+            else:
+                solved = (-prev, [qcol[i] for i in idx], [-qcol[j] for j in comp])
+            yield mask, idx, comp, 1 if positive else -1, solved
         for p in range(last + 1, n):
             at = f + p - last - 1  # column p's place
             if not free and tableau[at][p]:
-                # One pivot, at (p, p), as gauss_jordan makes it, and e_p is -column p.
+                # One pivot, at (p, p), as gauss_jordan makes it.
                 column = tableau[at]
                 columns = pivoted(tableau[at + 1 :], column, p, prev)
-                if lex:
-                    e_p = [-g for g in column]
-                    e_p[p] = prev
-                    columns.append(e_p)
                 stack.append((mask | 1 << p, idx + [p], p, column[p], [], columns))
                 continue
-            columns = tableau[:f] + tableau[at:]
-            if lex:  # e_p: prev at row p, which has no pivot yet
-                columns.append([prev if k == p else 0 for k in range(n)])
-            columns, left, piv = gauss_jordan(columns, free + [p], prev)
+            columns, left, piv = gauss_jordan(tableau[:f] + tableau[at:], free + [p], prev)
             stack.append((mask | 1 << p, idx + [p], p, piv, left, columns))
 
 
-def _lex_solves(det: int, columns: List[List[int]], idx: List[int], comp: List[int]) -> bool:
-    """Whether a nonsingular node solves LCP(A, q(eps)) (see walk).
-    columns are its q column and then its e_k columns for k in idx, so
-    row i lists the coefficients of 1 and of eps^(k+1), in increasing
-    power, of det * (-x_i(eps)) for i in idx and of det * w_j(eps) for j
-    in comp; w_j(eps) also holds det at eps^(j+1), and no e_k with k > j
-    comes before it.  Each value's sign is that of its first nonzero
-    coefficient, read until the first row that fails."""
-    positive = det > 0
-    for i in idx:  # row i of A_II^-1 is nonzero, so some column is too
-        for column in columns:
-            v = column[i]
-            if v:
-                break
-        if (v > 0) == positive:
-            return False
-    powers = [-1] + idx  # the q column comes before every e_k
-    for j in comp:
-        for k, column in zip(powers, columns):
-            if k > j:
-                break
-            v = column[j]
-            if v:
-                if (v > 0) != positive:
-                    return False
-                break
-    return True
+def _lex_column(rows: List[List[int]]) -> List[int]:
+    """q_t = t^n * (q + (1/t, ..., 1/t^n)) = t^n * q + (t^(n-1), ..., t, 1)
+    for the integer rows [A | q] of integer_system, with t = H + 2 and H
+    the product of the ceiling 2-norms of their nonzero columns.
+
+    At a nonsingular support, each coefficient of det * x_i(eps) and
+    det * w_j(eps), as polynomials in eps, is a minor of [A | q | I]
+    (Cramer's rule), so at most H in size (Hadamard's bound).  Such a
+    polynomial has at eps = 1/t the sign of its first nonzero coefficient,
+    at t^-k: the later terms sum to less than H t^-k / (t - 1) < t^-k.
+    None is the zero polynomial (a row of A_II^-1 is nonzero, and w_j(eps)
+    holds det at eps^(j+1)), so no reduced entry of q_t is 0."""
+    n = len(rows)
+    squares = [sum(v * v for v in column) for column in zip(*rows)]
+    t = prod(isqrt(square - 1) + 1 for square in squares if square) + 2
+    return [row[-1] * t**n + t ** (n - 1 - i) for i, row in enumerate(rows)]
 
 
 def integer_system(matrix: RationalMatrix, q: Sequence) -> Tuple[int, List[List[int]]]:
@@ -332,7 +328,8 @@ def lex_walk(rows: List[List[int]]) -> Tuple[list, int]:
     singular lists (mask, idx, comp) for each singular support in bitmask
     order: these are the supports that can hold a nonzero solution of
     LCP(A, 0).  degree is the sum of sgn det A_II over the supports that
-    solve LCP(A, q(eps)), q(eps) = (eps, eps^2, ..., eps^n); it is the LCP
+    solve LCP(A, q(eps)), q(eps) = (eps, eps^2, ..., eps^n), read exactly
+    at the integer q_t = (t^(n-1), ..., t, 1) of _lex_column; it is the LCP
     degree of A when A is R0.
     """
     singular = []
@@ -347,7 +344,8 @@ def lex_walk(rows: List[List[int]]) -> Tuple[list, int]:
 
 def degree(matrix: RationalMatrix) -> int:
     """LCP degree: the sum of sgn det A_II over the solutions of LCP(A, q)
-    at a nondegenerate q, here the lexicographic q(eps) of lex_walk.
+    at a nondegenerate q, here the lexicographic q(eps) of lex_walk, whose
+    solving supports are those of LCP(A, q_t) at an explicit integer q_t.
 
     Requires the R0 property for the value to be well defined, and does not
     check it: lcpq degree and q_oracle take R0 and the degree from one walk,

@@ -430,3 +430,77 @@ def test_zero_pivot_children_of_nonsingular_supports_need_no_elimination(monkeyp
             assert (3 in masks) == consistent
             assert calls and all(len(rows) == 1 for _, rows, _ in calls)
         assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
+
+
+def _lex_bound_cases():
+    """The lexicographic walk's edge cases as (matrix, q) params: each
+    matrix at q = 0 and at a fractional q with a zero entry."""
+    rng = random.Random(30)
+    big = [[rng.randint(-10**30, 10**30) for _ in range(4)] for _ in range(4)]
+    for i in range(4):  # dominant, so P and R0, with 30-digit entries
+        big[i][i] = 4 * 10**30 + rng.randint(0, 10**30)
+    matrices = {
+        "n1-positive": RationalMatrix([[Fraction(2, 3)]]),
+        "n1-negative": RationalMatrix([[-5]]),
+        "n1-zero": RationalMatrix([[0]]),
+        "zero-row": RationalMatrix([[0, 0, 0], [1, 2, 0], [-1, 1, 3]]),
+        "zero-column": RationalMatrix([[1, 0, 2], [2, 0, 1], [-1, 0, 3]]),
+        # A = B^-1, so x(eps) = -B (eps, eps^2, eps^3) on the full support:
+        # x_1(eps) = -eps^2 + c eps^3 has a zero coefficient at eps, and a
+        # later one c times its leading one.
+        "late-large": inverse(RationalMatrix([[0, 1, -40], [0, -1, 0], [-1, 0, 0]])),
+        "late-large-30-digit": inverse(RationalMatrix([[0, 1, -(10**30)], [0, -1, 0], [-1, 0, 0]])),
+        "large-30-digit": RationalMatrix(big),
+        "large-30-digit-mixed": RationalMatrix([[v if (i + j) % 2 else i - j for j, v in enumerate(row)]
+                                                for i, row in enumerate(big)]),
+    }
+    for name, matrix in matrices.items():
+        n = matrix.n
+        q = [Fraction(rng.randint(-9, 9), rng.choice([2, 3, 7])) for _ in range(n)]
+        q[-1] = Fraction(0)
+        if name.startswith("large"):
+            q[0] = Fraction(rng.randint(-10**30, 10**30), 7)
+        yield pytest.param(matrix, [Fraction(0)] * n, id=name + "-q0")
+        yield pytest.param(matrix, q, id=name + "-q")
+
+
+@pytest.mark.parametrize("matrix, q", _lex_bound_cases())
+def test_lex_walk_reads_the_lexicographic_sign_at_an_explicit_eps(matrix, q):
+    # The walk reads q(eps) at eps = 1/t, t past a Hadamard bound on the
+    # coefficients; a t too small misreads late large coefficients.
+    records = walk(integer_system(matrix, q)[1], lex=True)
+    assert {mask: solved for mask, _, _, _, solved in records} == reference_lex_walk(matrix, q)
+    if is_R0(matrix).is_yes:
+        assert degree(matrix) == reference_degree(matrix)
+
+
+def test_lex_walk_carries_one_column_beside_q(monkeypatch):
+    # At q = 0 the lex walk's q_t column takes q's place, and at q != 0 it
+    # rides behind q: no column per support index.
+    widths = []
+
+    def recorded(function):
+        def run(columns, *args):
+            widths.append((function.__name__, len(columns)))
+            return function(columns, *args)
+
+        return run
+
+    monkeypatch.setattr(lcp, "pivoted", recorded(kernel.pivoted))
+    monkeypatch.setattr(lcp, "gauss_jordan", recorded(kernel.gauss_jordan))
+    rng = random.Random(7)
+    dense = RationalMatrix([[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)])
+    called = set()
+    for matrix in (dense, sparse_matrix(1, 7), sparse_matrix(5, 7), RationalMatrix([[0, 1], [1, 0]])):
+        n = matrix.n
+        drawn = [Fraction(rng.randint(1, 9), rng.choice([1, 2, 3])) * rng.choice([-1, 1]) for _ in range(n)]
+        for q, extra in (([0] * n, 0), (drawn, 1)):
+            rows = integer_system(matrix, q)[1]
+            del widths[:]
+            list(walk(rows))
+            plain = list(widths)
+            del widths[:]
+            list(walk(rows, lex=True))
+            assert widths == [(name, width + extra) for name, width in plain]
+            called.update(name for name, _ in plain)
+    assert called == {"pivoted", "gauss_jordan"}
