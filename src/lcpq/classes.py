@@ -76,11 +76,11 @@ class Verdict:
 
 def is_R0(matrix: RationalMatrix) -> Verdict:
     """R0: x = 0 is the only solution of LCP(A, 0).  The same verdict as
-    r0_degree's, from a plain walk (lcp.walk): the singular supports it
-    yields are the lexicographic walk's, so the degree's column q_t is
-    not carried."""
+    r0_degree's, from a walk of [A | 0] (lcp.walk): its records with
+    det 0 are the singular supports lex_walk lists, so the degree's column
+    q_t is not carried."""
     scale, rows = integer_system(matrix, [0] * matrix.n)
-    singular = sorted((mask, idx, comp) for mask, idx, comp, sign, _ in walk(rows) if sign == 0)
+    singular = sorted((mask, idx, comp) for mask, idx, comp, det, _ in walk(rows) if not det)
     return _r0_verdict(rows, scale, singular)
 
 
@@ -89,8 +89,9 @@ def r0_degree(matrix: RationalMatrix) -> Tuple[Verdict, int]:
     the degree means something only when the verdict is yes.
 
     A nonzero solution of LCP(A, 0) on support I has A_II x_I = 0, so
-    A_II is singular.  The walk yields the singular supports, and reads
-    each minor's sign from its pivot, with no determinant call.
+    A_II is singular.  The walk yields every support with its block's
+    last pivot, 0 for the singular ones, so each minor's sign comes with
+    no determinant call.
     """
     scale, rows = integer_system(matrix, [0] * matrix.n)
     singular, deg = lex_walk(rows)

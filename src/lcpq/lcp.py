@@ -19,24 +19,26 @@ its integer rows once: [A | q] times one positive scale
 take those rows, and the family LPs read the same ones.  Fraction
 values are built only at the boundaries, for the solutions returned.
 
-Each walk record carries sgn det A_II, the sign of its pivot, so a
-caller that walks needs no determinant.  minor_sign is the other route to
-a principal-minor sign: one determinant, for classes.is_P, which does not
-walk.
+walk yields one record per support: its block's last pivot, which has
+the sign of det A_II (0 when singular), and its reduced q column, which
+callers only read, so a caller that walks needs no determinant and
+builds Fraction values only for the supports it keeps.  minor_sign is
+the other route to a principal-minor sign: one determinant, for
+classes.is_P, which does not walk.
 
-lex_walk is one walk of LCP(A, 0) that gives both the R0 test and the
-degree.  A nonzero solution of LCP(A, 0) needs a singular support, and the
-walk yields exactly those, for classes.r0_degree's LPs.  The same walk also
+lex_walk is one walk that gives both the R0 test and the degree.  A
+nonzero solution of LCP(A, 0) needs a singular support, and the walk
+yields each one with det 0, for classes.r0_degree's LPs.  The same walk
 solves LCP(A, q(eps)) with q(eps) = (eps, eps^2, ..., eps^n), eps -> 0+
 (lexicographic degeneracy resolution: Cottle, Pang & Stone, *The Linear
 Complementarity Problem*, 1992, ch. 4).  There no support is degenerate
 and no singular support is consistent, so for an R0 matrix the degree is
 the sum of sgn det A_II over the supports whose x_I(eps) and w(eps) are
 lexicographically positive (Howe & Stone, *Linear complementarity and the
-degree of mappings*, 1983).  The walk reads q(eps) at eps = 1/t, t
-past a Hadamard bound on the minors of [A | q | I], where every x_i(eps)
-and w_j(eps) has its lexicographic sign: one more integer column, q(1/t)
-times t^n (_lex_column).  No q is drawn at random.
+degree of mappings*, 1983).  q(eps) is read at eps = 1/t, t past a
+Hadamard bound on the minors of [A | q | I], where every x_i(eps) and
+w_j(eps) has its lexicographic sign: lex_walk walks [A | q_t], q_t =
+q(1/t) times t^n (_lex_column) in q's place.  No q is drawn at random.
 """
 
 from __future__ import annotations
@@ -149,24 +151,19 @@ def minor_sign(matrix: RationalMatrix, idx: Sequence[int]) -> int:
     return _sign(determinant(matrix.principal_submatrix(idx)).numerator)
 
 
-def walk(rows: List[List[int]], lex: bool = False):
-    """(mask, idx, comp, sign, solved) for the supports of LCP(A, q), in
-    no fixed order, where rows is integer_system(A, q)'s; idx lists the
-    support's indices, comp the others, and sign is sgn det A_II.
+def walk(rows: List[List[int]]):
+    """(mask, idx, comp, det, column) for each of the 2^n supports of
+    LCP(A, q), in no fixed order, where rows is integer_system(A, q)'s;
+    idx lists the support's indices and comp the others.
 
-    solved is (d, y, w) when A_II is nonsingular: d > 0, x_I = y / d
-    solves A_II x_I = -q_I, and w holds, for each j in comp, an integer
-    with the sign of w_j = (Ax + q)_j.  It is None when A_II is singular
-    (sign 0) and A_II x_I = -q_I is consistent; an inconsistent singular
-    support is not yielded.
-
-    With lex, solved for a nonsingular support is instead whether it
-    solves LCP(A, q(eps)), q(eps) = q + (eps, eps^2, ..., eps^n) with
-    eps -> 0+, that is LCP(A, q_t) at the integer q_t of _lex_column: the
-    tableau carries q_t behind q (in q's place at q = 0, where every
-    singular system is consistent) and reads its signs as the plain walk
-    reads q's.  The singular supports are yielded by their consistency at
-    q, as without lex.
+    det is the last pivot of the support's scaled block: det A_II times a
+    positive factor when A_II is nonsingular (1 for the empty support),
+    and 0 when it is singular.  column is the support's reduced q column,
+    read-only (the tableaux below it may share it).  When det is nonzero
+    it holds det * (-x_i) at each i in idx, x_I solving A_II x_I = -q_I,
+    and det * s * w_j at each j in comp, s the system's positive scale
+    and w_j = (Ax + q)_j.  When det is 0 it is None if A_II x_I = -q_I is
+    inconsistent.
 
     The tree's root is the empty support, and the parent of P + {p},
     with p above every index of P, is P.  A node is one fraction-free
@@ -176,44 +173,24 @@ def walk(rows: List[List[int]], lex: bool = False):
     parent's reduction on: it adds column p and row p, and
     kernel.gauss_jordan pivots each support column without a pivot on a
     support row without one, from prev on, so one pass reaches the
-    block's rank.  A nonsingular node has prev = det of its scaled block,
-    and its q column holds det * (-x_i) on the support's rows and det *
-    w_j, times the system's positive scale, on the others.  A singular
-    node keeps its columns without a pivot first, and its system is
-    consistent iff the q entries of its rows without a pivot are zero.
-    Only the tableaux on the current path and the siblings waiting on the
-    stack are kept.
+    block's rank.  A nonsingular node has prev = det of its scaled block.
+    A singular node keeps its columns without a pivot first, and its
+    system is consistent iff the q entries of its rows without a pivot
+    are zero.  Only the tableaux on the current path and the siblings
+    waiting on the stack are kept.
     """
     n = len(rows)
     check_cap(n)
-    columns = [list(column) for column in zip(*rows)]
-    consistent = not any(columns[-1])  # q = 0
-    if lex:
-        if consistent:
-            columns.pop()
-        columns.append(_lex_column(rows))
     # (mask, idx, last index, prev, support columns without a pivot, tableau)
-    stack = [(0, [], -1, 1, [], columns)]
+    stack = [(0, [], -1, 1, [], [list(column) for column in zip(*rows)])]
     while stack:
         mask, idx, last, prev, free, tableau = stack.pop()
         comp = [j for j in range(n) if not mask >> j & 1]
+        qcol = tableau[-1]
+        if free and any(qcol[r] for r in free):
+            qcol = None
+        yield mask, idx, comp, 0 if free else prev, qcol
         f = len(free)
-        if free:
-            qcol = tableau[f + n - last - 1]  # the q column's place
-            if consistent or not any(qcol[r] for r in free):
-                yield mask, idx, comp, 0, None
-        else:
-            qcol = tableau[-1]  # q, or q_t with lex
-            positive = prev > 0
-            if lex:  # no entry of q_t is 0 here
-                solved = all((qcol[i] < 0) == positive for i in idx) and all(
-                    (qcol[j] > 0) == positive for j in comp
-                )
-            elif positive:
-                solved = (prev, [-qcol[i] for i in idx], [qcol[j] for j in comp])
-            else:
-                solved = (-prev, [qcol[i] for i in idx], [-qcol[j] for j in comp])
-            yield mask, idx, comp, 1 if positive else -1, solved
         for p in range(last + 1, n):
             at = f + p - last - 1  # column p's place
             if not free and tableau[at][p]:
@@ -224,6 +201,13 @@ def walk(rows: List[List[int]], lex: bool = False):
                 continue
             columns, left, piv = gauss_jordan(tableau[:f] + tableau[at:], free + [p], prev)
             stack.append((mask | 1 << p, idx + [p], p, piv, left, columns))
+
+
+def _solves(idx: List[int], comp: List[int], det: int, column: List[int]) -> bool:
+    """Whether a walk record with det != 0 has x_I >= 0 and w_comp >= 0."""
+    if det > 0:
+        return all(column[i] <= 0 for i in idx) and all(column[j] >= 0 for j in comp)
+    return all(column[i] >= 0 for i in idx) and all(column[j] <= 0 for j in comp)
 
 
 def _lex_column(rows: List[List[int]]) -> List[int]:
@@ -264,8 +248,8 @@ def family_point(
     (Ax+q)_comp >= 0, found by exact LP, or None; with a scale, also
     sum x_I = 1, written as [scale] * |I| = scale.  rows is integer_system's
     and scale its scale.  Any such x represents an affine family of
-    solutions.  walk yields singular supports only when A_II x_I = -q_I
-    is consistent, so the LP runs only then."""
+    solutions.  The walk reads whether A_II x_I = -q_I is consistent,
+    and the LP runs only then."""
     system = FeasibilitySystem(len(idx))
     for i in idx:
         system.add_eq([rows[i][j] for j in idx], -rows[i][-1])
@@ -283,13 +267,12 @@ def _solutions(matrix: RationalMatrix, q: Sequence):
     whose LP is feasible.  Those LPs run only after the walk has ended."""
     _, rows = integer_system(matrix, q)
     singular = []
-    for mask, idx, comp, sign, solved in walk(rows):
-        if sign == 0:
-            singular.append((mask, idx, comp))
-            continue
-        d, y, w = solved
-        if not any(v < 0 for v in y) and not any(v < 0 for v in w):
-            yield mask, tuple(embed(matrix.n, idx, [Fraction(v, d) for v in y]))
+    for mask, idx, comp, det, column in walk(rows):
+        if not det:
+            if column is not None:
+                singular.append((mask, idx, comp))
+        elif _solves(idx, comp, det, column):
+            yield mask, tuple(embed(matrix.n, idx, [Fraction(-column[i], det) for i in idx]))
     for mask, idx, comp in singular:
         point = family_point(rows, idx, comp)
         if point is not None:
@@ -322,23 +305,25 @@ def is_solvable(matrix: RationalMatrix, q: Sequence) -> bool:
 
 
 def lex_walk(rows: List[List[int]]) -> Tuple[list, int]:
-    """(singular, degree) from one lexicographic walk of LCP(A, 0), where
-    rows is integer_system(A, 0)'s.
+    """(singular, degree) from one walk of [A | q_t], where rows is
+    integer_system(A, 0)'s and q_t the integer column of _lex_column in
+    q's place.
 
-    singular lists (mask, idx, comp) for each singular support in bitmask
-    order: these are the supports that can hold a nonzero solution of
-    LCP(A, 0).  degree is the sum of sgn det A_II over the supports that
-    solve LCP(A, q(eps)), q(eps) = (eps, eps^2, ..., eps^n), read exactly
-    at the integer q_t = (t^(n-1), ..., t, 1) of _lex_column; it is the LCP
-    degree of A when A is R0.
+    singular lists (mask, idx, comp) for each support with det 0, in
+    bitmask order: these are the supports that can hold a nonzero solution
+    of LCP(A, 0), and at q = 0 each system is consistent.  degree is the
+    sum of sgn det A_II over the supports that solve LCP(A, q(eps)),
+    q(eps) = (eps, eps^2, ..., eps^n), those of LCP(A, q_t), where no
+    reduced entry is 0; it is the LCP degree of A when A is R0.
     """
     singular = []
     total = 0
-    for mask, idx, comp, sign, solved in walk(rows, lex=True):
-        if sign == 0:
+    lex_rows = [row[:-1] + [v] for row, v in zip(rows, _lex_column(rows))]
+    for mask, idx, comp, det, column in walk(lex_rows):
+        if not det:
             singular.append((mask, idx, comp))
-        elif solved:
-            total += sign
+        elif _solves(idx, comp, det, column):
+            total += 1 if det > 0 else -1
     return sorted(singular), total
 
 

@@ -451,15 +451,14 @@ def _lex_sign(coefficients):
 
 
 def reference_lex_walk(matrix, q):
-    """mask -> what lcpq.lcp.walk(rows, lex=True) yields as solved, where
-    rows is lcpq.lcp.integer_system(matrix, q)'s, by a bitmask-order loop
-    over the supports of the matrix in Fraction arithmetic: None for a
-    singular support whose system A_II x_I = -q_I is consistent (an
-    inconsistent one is left out), and for a nonsingular one whether every
-    x_i(eps) and w_j(eps) is positive at q(eps) = q + (eps, ..., eps^n).
-    Their coefficients come from a Fraction Gauss-Jordan inverse B of
-    A_II: x_I(eps) = -B q_I - sum over k in I of eps^(k+1) B e_k, and
-    w_j(eps) = (A x(eps))_j + q_j + eps^(j+1)."""
+    """mask -> whether the support solves LCP(A, q(eps)), q(eps) = q +
+    (eps, ..., eps^n), eps -> 0+, for each support with A_II nonsingular:
+    what lcpq.lcp.lex_walk reads off the records with det != 0 of its walk
+    of [A | q_t].  A bitmask-order loop over the supports of the matrix in
+    Fraction arithmetic checks whether every x_i(eps) and w_j(eps) is
+    positive.  Their coefficients come from a Fraction Gauss-Jordan
+    inverse B of A_II: x_I(eps) = -B q_I - sum over k in I of eps^(k+1)
+    B e_k, and w_j(eps) = (A x(eps))_j + q_j + eps^(j+1)."""
     n = matrix.n
     rows = matrix.rows
     q = [Fraction(v) for v in q]
@@ -468,9 +467,6 @@ def reference_lex_walk(matrix, q):
         idx = [i for i in range(n) if mask >> i & 1]
         comp = [j for j in range(n) if not mask >> j & 1]
         if _principal_sign(rows, idx) == 0:
-            status, _ = _support_solution(matrix, q, idx)
-            if status != "inconsistent":
-                out[mask] = None
             continue
         inverse = _fraction_inverse([[rows[i][j] for j in idx] for i in idx])
         # Row t of x holds the coefficients of x_(idx[t]): power 0, then

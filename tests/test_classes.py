@@ -416,24 +416,26 @@ def test_is_P_and_is_P0_match_the_cofactor_minor_signs_at_n_7_and_8():
 
 def test_q_oracle_matches_the_r0_first_reference_and_reads_r0_minors_from_the_walk(monkeypatch):
     dets = count_calls(monkeypatch, determinant)
-    walks = []  # (lex, records) per walk, the witness search's included
+    walks = []  # the records of each walk, the witness search's included
     real_walk = lcp.walk
 
-    def recorded_walk(rows, lex=False):
+    def recorded_walk(rows):
         records = []
-        walks.append((lex, records))
-        for record in real_walk(rows, lex):
+        walks.append(records)
+        for record in real_walk(rows):
             records.append(record)
             yield record
 
     monkeypatch.setattr(lcp, "walk", recorded_walk)
     r0_dets = []
+    r0_walks = []  # the walks each r0_degree call made
     r0_degree = classes.r0_degree
 
     def counted_r0_degree(matrix):
-        before = len(dets)
+        before, walked = len(dets), len(walks)
         result = r0_degree(matrix)
         r0_dets.append(len(dets) - before)
+        r0_walks.append(walks[walked:])
         return result
 
     monkeypatch.setattr(classes, "r0_degree", counted_r0_degree)
@@ -442,7 +444,7 @@ def test_q_oracle_matches_the_r0_first_reference_and_reads_r0_minors_from_the_wa
     for rows in _oracle_corpus():
         expected = reference_q_oracle(RationalMatrix(rows), budget=16)
         matrix = RationalMatrix(rows)
-        del dets[:], r0_dets[:], walks[:]
+        del dets[:], r0_dets[:], r0_walks[:], walks[:]
         got = q_oracle(matrix, budget=16)
         assert got == expected
         rules.add(got.rule)
@@ -454,15 +456,17 @@ def test_q_oracle_matches_the_r0_first_reference_and_reads_r0_minors_from_the_wa
             assert len(dets) == _first_nonpositive_minor_mask(matrix)
         assert r0_dets in ([], [0])
         r0_runs += len(r0_dets)
-        # Every record of every walk carries its support's minor sign, and
-        # the one lexicographic walk, at q = 0, yields all 2^n supports.
+        # Every record of every walk carries its support's minor sign, no
+        # support twice, and r0_degree's one walk yields all 2^n; a
+        # witness walk stops at its first solution.
         truth = _minor_signs_by_cofactor(matrix)
-        for _, records in walks:
-            assert all(truth[mask] == sign for mask, _, _, sign, _ in records)
-        lex_walks = [records for lex, records in walks if lex]
-        assert len(lex_walks) == len(r0_dets)
-        for records in lex_walks:
-            assert {mask: sign for mask, _, _, sign, _ in records} == truth
+        for records in walks:
+            signs = {mask: (det > 0) - (det < 0) for mask, _, _, det, _ in records}
+            assert len(signs) == len(records)
+            assert all(truth[mask] == sign for mask, sign in signs.items())
+        assert [len(walked) for walked in r0_walks] in ([], [1])
+        for (records,) in r0_walks:
+            assert {mask: (det > 0) - (det < 0) for mask, _, _, det, _ in records} == truth
     assert rules == {
         "nonpositive-row",
         "not-S",
@@ -543,20 +547,22 @@ def test_is_P_passes_each_principal_block_to_determinant_in_bitmask_order(monkey
     ],
 )
 def test_is_R0_and_is_Rstar_walk_once_without_the_lex_columns(monkeypatch, rows):
+    # is_R0 walks [A | 0] as it is: no q_t column in q's place.
     matrix = RationalMatrix(rows)
     expected = classes.r0_degree(matrix)[0]
-    lex_flags = []
+    zero_rows = integer_system(matrix, [0] * matrix.n)[1]
+    walked = []
 
-    def recorded(rows, lex=False):
-        lex_flags.append(lex)
-        return walk(rows, lex)
+    def recorded(rows):
+        walked.append(rows)
+        return walk(rows)
 
     monkeypatch.setattr(classes, "walk", recorded)
     monkeypatch.setattr(lcp, "walk", recorded)
     assert is_R0(matrix) == expected
-    assert lex_flags == [False]
+    assert walked == [zero_rows]
     is_Rstar(matrix)
-    assert lex_flags == [False, False]
+    assert walked == [zero_rows, zero_rows]
 
 
 def test_is_R0_matches_the_per_minor_reference_on_the_small_census():
@@ -586,9 +592,11 @@ def sparse_rational_matrices(draw):
 def test_is_R0_matches_the_per_minor_reference_on_sparse_rational_matrices(matrix):
     got = is_R0(matrix)
     assert got == reference_is_R0(RationalMatrix(matrix.rows))
-    # is_R0's walk of LCP(A, 0) yields every support, with its minor's sign.
-    walked = walk(integer_system(matrix, [0] * matrix.n)[1], lex=True)
-    signs = {mask: sign for mask, _, _, sign, _ in walked}
+    # is_R0's walk of LCP(A, 0) yields every support once, with its minor's
+    # sign.
+    walked = list(walk(integer_system(matrix, [0] * matrix.n)[1]))
+    signs = {mask: (det > 0) - (det < 0) for mask, _, _, det, _ in walked}
+    assert len(signs) == len(walked)
     assert signs == _minor_signs_by_cofactor(matrix)
     if got.is_no:
         assert check_lcp_solution(matrix, [0] * matrix.n, got.data["x"])

@@ -199,8 +199,9 @@ def test_support_kernel_signs_match_fraction_arithmetic(system, data):
     matrix = RationalMatrix(rows)
     n = matrix.n
     q = [Fraction(data.draw(RHS)) for _ in range(n)]
-    walked = walk(integer_system(matrix, q)[1])
-    records = {mask: (sign, solved) for mask, _, _, sign, solved in walked}
+    walked = list(walk(integer_system(matrix, q)[1]))
+    records = {mask: (det, column) for mask, _, _, det, column in walked}
+    assert len(records) == len(walked) == 1 << n
     for mask, idx in enumerate(supports(n)):
         comp = [j for j in range(n) if j not in idx]
         sub_det = cofactor_det([[rows[i][j] for j in idx] for i in idx]) if idx else 1
@@ -209,23 +210,21 @@ def test_support_kernel_signs_match_fraction_arithmetic(system, data):
         status, xi = "unique", []
         if idx:
             status, xi = solve_linear(matrix.principal_submatrix(idx), [-q[i] for i in idx])
+        det, column = records[mask]
         if sub_det == 0:
-            # Singular: yielded with sign 0 and solved None when
-            # consistent, not at all otherwise.
+            # Singular: det 0, and column None when inconsistent.
             assert status != "unique"
-            assert records.get(mask, "absent") == ("absent" if status == "inconsistent" else (0, None))
+            assert det == 0 and (column is None) == (status == "inconsistent")
             continue
         assert status == "unique"
-        assert records[mask][0] == sign
-        d, y, w_signs = records[mask][1]
-        assert d > 0
-        assert [Fraction(v, d) for v in y] == xi
+        assert (det > 0) - (det < 0) == sign
+        assert [Fraction(-column[i], det) for i in idx] == xi
         x = [Fraction(0)] * n
         for pos, i in enumerate(idx):
             x[i] = xi[pos]
         w = [wi + qi for wi, qi in zip(matvec(matrix, x), q)]
-        assert len(w_signs) == len(comp)
-        for j, slack in zip(comp, w_signs):
+        for j in comp:
+            slack = det * column[j]
             assert (slack > 0) - (slack < 0) == (w[j] > 0) - (w[j] < 0)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     census,
     check_lcp_solution,
+    cofactor_det,
     count_calls,
     identity,
     principal_minors,
@@ -296,6 +297,23 @@ def swap_examples(test):
     return test
 
 
+def lex_records(matrix, q):
+    """mask -> (sgn det, solved) for the records with det != 0 of the walk
+    lex_walk runs at integer_system(matrix, q)'s rows, [A | q_t] with
+    _lex_column's q_t in q's place; solved when each x_i and w_j read off
+    the column is strictly positive."""
+    rows = integer_system(matrix, q)[1]
+    lex_rows = [row[:-1] + [v] for row, v in zip(rows, lcp._lex_column(rows))]
+    return {
+        mask: (
+            (det > 0) - (det < 0),
+            all(det * column[i] < 0 for i in idx) and all(det * column[j] > 0 for j in comp),
+        )
+        for mask, idx, comp, det, column in walk(lex_rows)
+        if det
+    }
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(walk_cases())
 @swap_examples
@@ -305,35 +323,33 @@ def test_support_walk_matches_bitmask_order_references(case):
     assert solve_lcp(LcpInstance(matrix, q)) == reference
     assert is_solvable(matrix, q) == bool(reference)
 
-    # With lex the walk reads each nonsingular support at q(eps) = q +
-    # (eps, ..., eps^n).  Where q is generic, q(eps) has the solutions q
-    # has, so their sign sums agree.
+    # walk yields each of the 2^n supports once, with the sign of its minor.
+    # A nonsingular record's column is det * (-x_I) on idx, x_I solving
+    # A_II x_I = -q_I, and det * s * w_j on comp, so sgn(det * column_j) =
+    # sgn w_j: both read exactly in the rows [sA | sq].  A singular
+    # record's column is None iff that system is inconsistent.
     rows = integer_system(matrix, q)[1]
-    lex_records = list(walk(rows, lex=True))
-    lex = {mask: solved for mask, _, _, _, solved in lex_records}
-    assert lex == reference_lex_walk(matrix, q)
+    records = list(walk(rows))
+    assert sorted(mask for mask, _, _, _, _ in records) == list(range(1 << matrix.n))
+    for mask, idx, comp, det, column in records:
+        minor = cofactor_det(matrix.principal_submatrix(idx).rows) if idx else 1
+        assert (det > 0) - (det < 0) == (minor > 0) - (minor < 0)
+        if det:
+            for r in range(matrix.n):  # det * (sA x + sq)_r, with det * x_I = -column_I
+                slack = det * rows[r][-1] - sum(rows[r][i] * column[i] for i in idx)
+                assert slack == (0 if r in idx else column[r])
+        else:
+            status, _ = solve_linear(matrix.principal_submatrix(idx), [-q[i] for i in idx])
+            assert (column is None) == (status == "inconsistent")
+
+    # lex_walk's walk of [A | q_t] reads each nonsingular support at q(eps)
+    # = q + (eps, ..., eps^n).  Where q is generic, q(eps) has the
+    # solutions q has, so their sign sums agree.
+    lex = lex_records(matrix, q)
+    assert {mask: solved for mask, (_, solved) in lex.items()} == reference_lex_walk(matrix, q)
     total = reference_generic_degree(matrix, q)
     if total is not None:
-        assert sum(sign for _, _, _, sign, solved in lex_records if solved) == total
-
-    # Every support the walk yields carries its minor's sign, and a
-    # support it leaves out is singular with an inconsistent system.
-    expected = {}
-    for mask in range(1 << matrix.n):
-        idx = [i for i in range(matrix.n) if mask >> i & 1]
-        det = determinant(matrix.principal_submatrix(idx)) if idx else 1
-        if det == 0:
-            status, _ = solve_linear(matrix.principal_submatrix(idx), [-q[i] for i in idx])
-            if status == "inconsistent":
-                continue
-        expected[mask] = (det > 0) - (det < 0)
-    for records in (list(walk(rows)), lex_records):
-        signs = {mask: sign for mask, _, _, sign, _ in records}
-        assert len(signs) == len(records)
-        assert signs == expected
-    # At q = 0 every singular system is consistent, so all 2^n are yielded.
-    zero_rows = integer_system(matrix, [0] * matrix.n)[1]
-    assert sorted(mask for mask, _, _, _, _ in walk(zero_rows)) == list(range(1 << matrix.n))
+        assert sum(sign for sign, solved in lex.values() if solved) == total
 
 
 def test_inconsistent_singular_supports_skip_the_lp_and_solve_linear(monkeypatch):
@@ -345,20 +361,23 @@ def test_inconsistent_singular_supports_skip_the_lp_and_solve_linear(monkeypatch
     matrix = RationalMatrix([[1, 0], [1, 0]])
     q = [-2, 1]
     assert [sol.x for sol in solve_lcp(LcpInstance(matrix, q))] == [(2, 0)]
-    records = walk(integer_system(matrix, q)[1], lex=True)
-    assert sorted((mask, solved) for mask, _, _, _, solved in records) == [
-        (0, False),
-        (1, True),
+    records = walk(integer_system(matrix, q)[1])
+    assert sorted((mask, det != 0, column is None) for mask, _, _, det, column in records) == [
+        (0, True, False),
+        (1, True, False),
+        (2, False, True),
+        (3, False, True),
     ]
     assert lps == [] and solves == []
+    assert lex_records(matrix, q) == {0: (1, False), 1: (1, True)}
 
     # With q = (-2, -2) the system on {1, 2} is consistent (x_1 = 2): its
-    # family LP still runs, and the lexicographic walk yields it too.
+    # column is the reduced q, and its family LP still runs.
     q = [-2, -2]
     assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
     assert len(lps) == 1
-    records = walk(integer_system(matrix, q)[1], lex=True)
-    assert (3, None) in [(mask, solved) for mask, _, _, _, solved in records]
+    records = walk(integer_system(matrix, q)[1])
+    assert [column is None for mask, _, _, _, column in records if mask == 3] == [False]
 
 
 def test_is_solvable_stops_at_the_first_solution(monkeypatch):
@@ -423,12 +442,13 @@ def test_zero_pivot_children_of_nonsingular_supports_need_no_elimination(monkeyp
     calls = count_calls(monkeypatch, kernel.gauss_jordan)
     matrix = RationalMatrix([[1, 1], [1, 1]])
     for q, consistent in (([-1, -1], True), ([-1, -2], False), ([Fraction(1, 2), Fraction(1, 2)], True)):
-        for lex in (False, True):
-            del calls[:]
-            records = walk(integer_system(matrix, q)[1], lex)
-            masks = [mask for mask, _, _, _, _ in records]
-            assert (3 in masks) == consistent
-            assert calls and all(len(rows) == 1 for _, rows, _ in calls)
+        del calls[:]
+        records = walk(integer_system(matrix, q)[1])
+        assert [column is not None for mask, _, _, _, column in records if mask == 3] == [consistent]
+        assert calls and all(len(rows) == 1 for _, rows, _ in calls)
+        del calls[:]
+        lex_records(matrix, q)
+        assert calls and all(len(rows) == 1 for _, rows, _ in calls)
         assert solve_lcp(LcpInstance(matrix, q)) == reference_solve_lcp(matrix, q)
 
 
@@ -468,15 +488,16 @@ def _lex_bound_cases():
 def test_lex_walk_reads_the_lexicographic_sign_at_an_explicit_eps(matrix, q):
     # The walk reads q(eps) at eps = 1/t, t past a Hadamard bound on the
     # coefficients; a t too small misreads late large coefficients.
-    records = walk(integer_system(matrix, q)[1], lex=True)
-    assert {mask: solved for mask, _, _, _, solved in records} == reference_lex_walk(matrix, q)
+    lex = lex_records(matrix, q)
+    assert {mask: solved for mask, (_, solved) in lex.items()} == reference_lex_walk(matrix, q)
     if is_R0(matrix).is_yes:
         assert degree(matrix) == reference_degree(matrix)
 
 
 def test_lex_walk_carries_one_column_beside_q(monkeypatch):
-    # At q = 0 the lex walk's q_t column takes q's place, and at q != 0 it
-    # rides behind q: no column per support index.
+    # lex_walk's q_t column takes q's place, at q = 0 and at q != 0: it
+    # passes the kernel the plain walk's widths, no column per support
+    # index.
     widths = []
 
     def recorded(function):
@@ -494,13 +515,13 @@ def test_lex_walk_carries_one_column_beside_q(monkeypatch):
     for matrix in (dense, sparse_matrix(1, 7), sparse_matrix(5, 7), RationalMatrix([[0, 1], [1, 0]])):
         n = matrix.n
         drawn = [Fraction(rng.randint(1, 9), rng.choice([1, 2, 3])) * rng.choice([-1, 1]) for _ in range(n)]
-        for q, extra in (([0] * n, 0), (drawn, 1)):
+        for q in ([0] * n, drawn):
             rows = integer_system(matrix, q)[1]
             del widths[:]
             list(walk(rows))
             plain = list(widths)
             del widths[:]
-            list(walk(rows, lex=True))
-            assert widths == [(name, width + extra) for name, width in plain]
+            lcp.lex_walk(rows)
+            assert widths == plain
             called.update(name for name, _ in plain)
     assert called == {"pivoted", "gauss_jordan"}
