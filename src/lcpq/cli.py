@@ -75,9 +75,7 @@ def _read_matrix_file(path: str) -> Tuple[RationalMatrix, str]:
 
 
 def _format_scalar(value) -> Optional[str]:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)):  # bool included
         return str(value)
     if isinstance(value, float):
         return "%.6g" % value
@@ -155,6 +153,8 @@ def cmd_classify(args) -> int:
             record["verdict"] = verdict.to_json_obj()
             line = "%s: Q: %s (%s)" % (path, verdict.answer, _verdict_summary(verdict))
         if args.format == "jsonl":
+            if args.timings:
+                record["elapsed_s"] = elapsed
             _emit(record)
         else:
             print(line)

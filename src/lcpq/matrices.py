@@ -10,7 +10,6 @@ hashable.  Nothing in this module touches floating point.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -28,9 +27,6 @@ MAX_LITERAL_DIGITS = 4300
 # (no byte of a multibyte character is ASCII).
 _DIGITS_AS_ZEROS = bytes(48 if 48 <= b <= 57 else 32 for b in range(256))
 _LONG_RUN = b"0" * (MAX_LITERAL_DIGITS + 1)
-# A plain-format token read with int: an ASCII integer literal within the
-# digit bound ([0-9] in a str pattern matches ASCII digits only).
-_PLAIN_INT = re.compile(r"[+-]?[0-9]{1,%d}" % MAX_LITERAL_DIGITS)
 
 
 def _checked_literal(text: str) -> str:
@@ -54,11 +50,13 @@ def _checked_literal(text: str) -> str:
 
 
 def _checked_int(text: str):
-    """A JSON int literal's value, read as the plain-row route reads it:
-    by int, and as a literal (named in any error) where int refuses it."""
+    """A plain-row token's or JSON int literal's value: by int, and as a
+    literal (named in any error) where int refuses it.  int and Fraction
+    read every token int accepts alike; one past MAX_LITERAL_DIGITS
+    characters is bounded by _checked_literal first."""
     try:
         return int(text if len(text) <= MAX_LITERAL_DIGITS else _checked_literal(text))
-    except ValueError:  # past a lowered sys.set_int_max_str_digits
+    except ValueError:  # not an int literal, or past a lowered int digit limit
         return _to_fraction(text)
 
 
@@ -67,32 +65,6 @@ def _has_long_digit_run(text: str) -> bool:
     row: one translate and one substring search, both in C."""
     data = text.encode("utf-8", "surrogatepass").translate(_DIGITS_AS_ZEROS)
     return _LONG_RUN in data
-
-
-def _plain_row(line: str) -> list:
-    """The tokens of one plain-format row: an int for each token of the
-    form [+-]?[0-9]+ in ASCII with at most MAX_LITERAL_DIGITS digits (int
-    and Fraction read it alike), and the token itself otherwise, which
-    RationalMatrix reads as a literal and names in any error.
-
-    A row that is all such tokens is read by one map(int): on ASCII text
-    without "_" and within the bound, int accepts exactly that form."""
-    tokens = line.split()
-    if line.isascii() and "_" not in line and max(map(len, tokens)) <= MAX_LITERAL_DIGITS:
-        try:
-            return list(map(int, tokens))
-        except ValueError:
-            pass
-    return [_plain_token(token) for token in tokens]
-
-
-def _plain_token(token: str):
-    if _PLAIN_INT.fullmatch(token):
-        try:
-            return int(token)
-        except ValueError:  # past a lowered sys.set_int_max_str_digits
-            pass
-    return token
 
 
 def _shown(value) -> str:
@@ -205,8 +177,11 @@ class RationalMatrix:
             raise ValueError("submatrix index set must be nonempty")
         scale, ints = self._image
         # itemgetter of one index returns the entry itself, so one column
-        # is picked as a slice, which keeps the row a tuple.
+        # is picked as a slice, which keeps the row a tuple but refuses no
+        # index.
         j = idx[0]
+        if len(idx) == 1 and not 0 <= j < self.n:
+            raise ValueError("submatrix index %r is outside 0..%d" % (j, self.n - 1))
         pick = itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(j, j + 1))
         return RationalMatrix._of_image(scale, tuple([pick(ints[i]) for i in idx]))
 
@@ -221,8 +196,8 @@ def parse_matrix(text: str) -> RationalMatrix:
     """Parse a matrix from plain whitespace text or the JSON format.
 
     Plain format: one row per line, entries are integers or p/q fractions.
-    A token that is an ASCII integer within the digit bound is read with
-    int; any other token is read as a literal, and named in any error.
+    Each token is read by _checked_int: with int where int reads it, and
+    otherwise as a literal, named in any error.
     JSON format: {"n": int, "rows": [[entry, ...], ...]} where an entry is an
     integer, an exactly-representable decimal, or a "p/q" string.  Decimals
     are converted from their literal digits, never through binary floats.
@@ -262,8 +237,8 @@ def parse_matrix(text: str) -> RationalMatrix:
                 "declared order n=%s does not match %d rows" % (_shown(declared), matrix.n)
             )
         return matrix
-    rows = [_plain_row(line) for line in stripped.splitlines() if line.strip()]
-    return RationalMatrix(rows)
+    lines = stripped.splitlines()
+    return RationalMatrix([list(map(_checked_int, line.split())) for line in lines if line.strip()])
 
 
 def determinant(matrix: RationalMatrix) -> Fraction:

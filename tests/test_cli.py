@@ -101,6 +101,18 @@ def test_classify_default_output_stable(type3_file, capsys):
     assert "elapsed:" in timed
 
 
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_timings_add_elapsed_s_to_jsonl_records_only_when_asked(type3_file, capsys, command):
+    main([command, "--json", type3_file])
+    plain = json.loads(capsys.readouterr().out)
+    main([command, "--format", "jsonl", "--timings", type3_file])
+    timed = json.loads(capsys.readouterr().out)
+    assert "elapsed_s" not in plain
+    elapsed = timed.pop("elapsed_s")
+    assert isinstance(elapsed, float) and elapsed >= 0
+    assert timed == plain
+
+
 @pytest.mark.parametrize(
     "text", ["2 -1\n-1 2\n", '{"rows": [[2, -1], [-1, 2]]}'], ids=["plain", "json"]
 )

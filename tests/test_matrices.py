@@ -221,6 +221,9 @@ def test_plain_rows_and_json_parse_to_one_image(monkeypatch, kind, n):
 def test_plain_tokens_outside_the_int_form_read_as_before():
     # Each token in a file of ints: those int reads the same way go by int,
     # the rest by the per-literal route, with its value or its message.
+    # Under limit 0, as cli.main runs, int itself bounds no token, so the
+    # digit bound must hold there too, also for digits int reads but the
+    # ASCII count misses (non-ASCII digits, digits between underscores).
     cases = [
         ("1_000", 1000),
         ("\u0663", 3),
@@ -234,15 +237,24 @@ def test_plain_tokens_outside_the_int_form_read_as_before():
         ("1-2", "bad rational literal '1-2': not a rational number"),
         ("+", "bad rational literal '+': not a rational number"),
         ("1" * 4301, "literal of 4301 digits; at most 4300 are accepted"),
+        ("\u0663" * 5000, "literal of 5000 digits; at most 4300 are accepted"),
+        ("1_" * 4400 + "1", "literal of 4401 digits; at most 4300 are accepted"),
+        ("1_" * 2500 + "1", int("1" * 2501)),
     ]
-    for token, expected in cases:
-        text = "1 2\n3 %s\n" % token
-        if isinstance(expected, int):
-            assert parse_matrix(text).integer_rows() == (1, ((1, 2), (3, expected)))
-        else:
-            with pytest.raises(MatrixFormatError) as exc:
-                parse_matrix(text)
-            assert str(exc.value) == expected
+    limit = sys.get_int_max_str_digits()
+    try:
+        for lowered in (limit, 0):
+            sys.set_int_max_str_digits(lowered)
+            for token, expected in cases:
+                text = "1 2\n3 %s\n" % token
+                if isinstance(expected, int):
+                    assert parse_matrix(text).integer_rows() == (1, ((1, 2), (3, expected)))
+                else:
+                    with pytest.raises(MatrixFormatError) as exc:
+                        parse_matrix(text)
+                    assert str(exc.value) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_plain_tokens_are_read_one_by_one(monkeypatch):
@@ -330,6 +342,17 @@ def test_principal_minors_read_the_inherited_integer_rows():
             cols = [(i + 1) % n for i in idx]  # rows and columns differ
             block = [[rows[i][j] for j in cols] for i in idx]
             assert determinant(RationalMatrix(block)) == cofactor_det(block)
+
+
+def test_a_single_index_outside_the_matrix_is_refused():
+    # One index is picked as a slice, and a slice does not refuse -1 or n.
+    m = RationalMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    for j in range(-3, 6):
+        if 0 <= j < 3:
+            assert m.principal_submatrix([j]).integer_rows() == (1, ((m.integer_rows()[1][j][j],),))
+        else:
+            with pytest.raises(ValueError):
+                m.principal_submatrix([j])
 
 
 def test_determinant_fixtures():

@@ -132,3 +132,37 @@ def test_every_public_function_and_class_has_a_caller_or_is_exported():
         + [qualified for qualified, name in methods.items() if name not in referenced]
     )
     assert dead == sorted(_UNCALLED_ALLOWED)
+
+
+def test_every_private_module_level_name_is_read_in_the_package():
+    # A module-level private def, class or assigned name must be read (loaded
+    # by name or as an attribute) somewhere under src/lcpq; a read from the
+    # tests alone keeps nothing alive.  Dunder names are exempt.
+    root = pathlib.Path(lcpq.__file__).parent
+    defined = {}
+    read = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)
+                ]
+            else:
+                names = []
+            defined.update(
+                ("%s.%s" % (module, name), name)
+                for name in names
+                if name.startswith("_") and not name.endswith("__")
+            )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    assert sorted(qualified for qualified, name in defined.items() if name not in read) == []
